@@ -6,15 +6,7 @@ children under a degree cap, then run the subset dynamic program (upsweep)
 and reconstruct the optimal admissible tour (downsweep).
 """
 
-from .downsweep import (
-    LayeredGraph,
-    Tour,
-    downsweep,
-    layered_shortest_path,
-    reconstruct_path,
-    write_tour_plain,
-    write_tour_tsplib,
-)
+from .downsweep import Tour, downsweep, write_tour_plain, write_tour_tsplib
 from .errors import (
     ConfigError,
     DoubleTreeError,
@@ -27,9 +19,7 @@ from .instances import (
     Instance,
     Metric,
     MetricKind,
-    Point,
     cycle_weight,
-    distance,
     generate_clustered,
     generate_uniform,
     parse_tsplib,
@@ -47,47 +37,38 @@ from .spanning_tree import (
     degree_increase,
     minimum_spanning_tree,
     root_tree,
-    tree_distance,
     tree_weight,
 )
-from .upsweep import BipartitionTable, UpsweepResult, UpsweepRun, upsweep
+from .upsweep import UpsweepResult, upsweep
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartitionTable",
     "ConfigError",
     "DoubleTreeError",
     "GuardError",
     "Instance",
     "InternalInvariantError",
-    "LayeredGraph",
     "Metric",
     "MetricKind",
     "ParseError",
-    "Point",
     "RootedTree",
     "Tour",
     "TreeEdge",
     "UpsweepResult",
-    "UpsweepRun",
     "brute_force_optimal",
     "cycle_weight",
     "degree_increase",
     "depth_first_shortcut",
-    "distance",
     "downsweep",
     "enumerate_conforming_min",
     "generate_clustered",
     "generate_uniform",
     "held_karp_lower_bound",
     "is_conforming",
-    "layered_shortest_path",
     "minimum_spanning_tree",
     "parse_tsplib",
-    "reconstruct_path",
     "root_tree",
-    "tree_distance",
     "tree_weight",
     "upsweep",
     "write_tour_plain",

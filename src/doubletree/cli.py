@@ -35,7 +35,13 @@ from .oracles import (
     enumerate_conforming_min,
     is_conforming,
 )
-from .spanning_tree import degree_increase, minimum_spanning_tree, root_tree, tree_weight
+from .spanning_tree import (
+    RootedTree,
+    degree_increase,
+    minimum_spanning_tree,
+    root_tree,
+    tree_weight,
+)
 from .upsweep import upsweep
 
 CSV_HEADER = "instance,n,heuristic,D,k,mst_weight,tour_weight,hk_bound,excess_pct,wall_time_ms,seed"
@@ -64,14 +70,13 @@ class RunConfig:
             )
         if self.depth is not None and self.depth < 1:
             raise ConfigError(f"depth must be >= 1 or unlimited, got {self.depth}")
+        _check_hk_iterations(self.hk_iterations)
         if (self.input is None) == (self.gen is None):
             raise ConfigError("exactly one of an input file or a generator spec is required")
 
     @property
     def heuristic_label(self) -> str:
-        if self.degree_limit == 1 and self.depth is None:
-            return "DT"
-        return f"DT_{self.degree_limit}_{_fmt_k(self.depth)}"
+        return _grid_label(self.degree_limit, self.depth)
 
 
 @dataclass
@@ -112,6 +117,15 @@ def _fmt(x: float) -> str:
 
 def _fmt_k(k: Optional[int]) -> str:
     return "inf" if k is None else str(k)
+
+
+def _grid_label(d: int, k: Optional[int]) -> str:
+    return "DT" if (d == 1 and k is None) else f"DT_{d}_{_fmt_k(k)}"
+
+
+def _check_hk_iterations(iterations: int) -> None:
+    if iterations < 1:
+        raise ConfigError(f"hk iterations must be >= 1, got {iterations}")
 
 
 def _parse_gen_spec(spec: str) -> tuple[Instance, int]:
@@ -157,74 +171,107 @@ def _load_instance(cfg: RunConfig) -> tuple[Instance, int]:
     return parse_tsplib(text), cfg.seed
 
 
-def construct_tour(
-    inst: Instance, degree_limit: int = 1, depth: Optional[int] = None
-) -> tuple[Tour, float, float]:
-    """MST -> root -> optional reattachment -> table pass -> reconstruction.
+@dataclass(frozen=True)
+class Construction:
+    """One grid cell's verified tour and the tree the table pass solved on."""
 
-    Returns (tour, mst weight, wall milliseconds).  The emitted tour has been
-    verified: a permutation, admissible for the tree it was built on, weight
-    in agreement with the table pass, and within twice the tree weight.
+    tour: Tour
+    tree: RootedTree
+    wall_ms: float  # MST construction through tour reconstruction
+
+
+Cell = tuple[int, Optional[int]]  # (degree limit D, search depth k; None = unlimited)
+
+
+def construct_tour(
+    inst: Instance, cells: Sequence[Cell]
+) -> tuple[RootedTree, float, list[Construction | Exception]]:
+    """MST -> root once, then per cell: reattachment -> table pass -> reconstruction.
+
+    Returns the rooted MST, its weight and, per cell, its Construction or the
+    error that stopped it.  Every emitted tour has been verified: a
+    permutation, admissible for the tree it was built on, weight in agreement
+    with the table pass, and within twice the tree weight.
     """
     t0 = time.perf_counter()
     edges = minimum_spanning_tree(inst)
-    tree = root_tree(edges, inst.n)
-    if degree_limit >= 3:
-        tree = degree_increase(tree, degree_limit)
-    result = upsweep(inst, tree, k=depth, keep_bipartitions=True)
-    tour = downsweep(inst, tree, result)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    if not is_conforming(tour, tree):
-        raise InternalInvariantError("emitted tour violates subtree contiguity")
+    mst = root_tree(edges, inst.n)
     mst_w = tree_weight(edges)
+    mst_ms = (time.perf_counter() - t0) * 1000.0
     # integer rounding lets each of the <= n-2 shortcuts gain up to one unit
     slack = float(inst.n) if inst.metric.kind is MetricKind.EUCLID_ROUNDED_TSPLIB else 0.0
-    if tour.weight > 2.0 * mst_w * (1.0 + 1e-12) + 1e-9 + slack:
-        raise InternalInvariantError(
-            f"tour weight {tour.weight} exceeds twice the tree weight {mst_w}"
-        )
-    return tour, mst_w, wall_ms
+    out: list[Construction | Exception] = []
+    for degree_limit, depth in cells:
+        try:
+            t1 = time.perf_counter()
+            tree = degree_increase(mst, degree_limit) if degree_limit >= 3 else mst
+            result = upsweep(inst, tree, k=depth, keep_bipartitions=True)
+            tour = downsweep(inst, tree, result)
+            wall_ms = mst_ms + (time.perf_counter() - t1) * 1000.0
+            if not is_conforming(tour, tree):
+                raise InternalInvariantError("emitted tour violates subtree contiguity")
+            if tour.weight > 2.0 * mst_w * (1.0 + 1e-12) + 1e-9 + slack:
+                raise InternalInvariantError(
+                    f"tour weight {tour.weight} exceeds twice the tree weight {mst_w}"
+                )
+            out.append(Construction(tour, tree, wall_ms))
+        except (GuardError, InternalInvariantError, ValueError) as exc:
+            out.append(exc)
+    return mst, mst_w, out
 
 
-def run_single(cfg: RunConfig) -> tuple[RunRecord, Tour]:
+def build_records(
+    inst: Instance, cells: Sequence[Cell], hk_iterations: int, seed: int, timing: bool
+) -> list[tuple[RunRecord, Construction | Exception]]:
+    """One record per cell of ``construct_tour``, all sharing one lower bound.
+
+    A failed cell, or one whose tour falls below the bound, gets a
+    ``#FAILED`` record and its error in place of the Construction.
+    """
+    mst, mst_w, built = construct_tour(inst, cells)
+    hk = math.nan
+    if inst.n >= 3 and any(isinstance(b, Construction) for b in built):
+        hk = held_karp_lower_bound(inst, mst, hk_iterations)
+    out: list[tuple[RunRecord, Construction | Exception]] = []
+    for (d, k), outcome in zip(cells, built):
+        label = _grid_label(d, k)
+        if isinstance(outcome, Construction):
+            weight = outcome.tour.weight
+            excess = 100.0 * (weight / hk - 1.0)
+            if excess < -1e-6:
+                outcome = InternalInvariantError(f"lower bound {hk} exceeds tour weight {weight}")
+            else:
+                wall_ms = outcome.wall_ms if timing else 0.0
+                record = RunRecord(inst.name, inst.n, label, d, k, mst_w, weight, hk, excess,
+                                   wall_ms, seed)
+                out.append((record, outcome))
+                continue
+        record = RunRecord(f"{inst.name}#FAILED", inst.n, label, d, k, math.nan, math.nan,
+                           math.nan, math.nan, 0.0, seed)
+        out.append((record, outcome))
+    return out
+
+
+def run_single(cfg: RunConfig) -> tuple[Instance, RunRecord, Construction]:
     """Full pipeline for one instance; verification failures raise."""
     inst, seed = _load_instance(cfg)
     if inst.n < 2:
         raise ConfigError("tour construction needs at least 2 nodes")
-    tour, mst_w, wall_ms = construct_tour(inst, cfg.degree_limit, cfg.depth)
-    if inst.n >= 3:
-        hk = held_karp_lower_bound(inst, iterations=cfg.hk_iterations)
-        excess = 100.0 * (tour.weight / hk - 1.0)
-        if excess < -1e-6:
-            raise InternalInvariantError(
-                f"lower bound {hk} exceeds tour weight {tour.weight}"
-            )
-    else:
-        hk = math.nan
-        excess = math.nan
-    record = RunRecord(
-        instance=inst.name,
-        n=inst.n,
-        heuristic=cfg.heuristic_label,
-        D=cfg.degree_limit,
-        k=cfg.depth,
-        mst_weight=mst_w,
-        tour_weight=tour.weight,
-        hk_bound=hk,
-        excess_pct=excess,
-        wall_time_ms=wall_ms if cfg.timing else 0.0,
-        seed=seed,
+    [(record, built)] = build_records(
+        inst, [(cfg.degree_limit, cfg.depth)], cfg.hk_iterations, seed, cfg.timing
     )
-    return record, tour
+    if not isinstance(built, Construction):
+        raise built
+    return inst, record, built
 
 
 # ---------------------------------------------------------------------------
 # suite
 
 
-def parse_grid(spec: str) -> list[tuple[int, Optional[int]]]:
+def parse_grid(spec: str) -> list[Cell]:
     """Grid tokens: ``dt`` (full search) or ``DxK`` with K an int or ``inf``."""
-    out: list[tuple[int, Optional[int]]] = []
+    out: list[Cell] = []
     for token in spec.split(","):
         token = token.strip().lower()
         if not token:
@@ -253,7 +300,7 @@ def parse_grid(spec: str) -> list[tuple[int, Optional[int]]]:
 def run_suite(
     sizes: Sequence[int],
     seeds: int,
-    grid: Sequence[tuple[int, Optional[int]]],
+    grid: Sequence[Cell],
     klass: str = "uniform",
     box: float = DEFAULT_BOX,
     hk_iterations: int = 1000,
@@ -262,9 +309,9 @@ def run_suite(
 ) -> str:
     """CSV for the cartesian product sizes x seeds x grid, plus mean rows.
 
-    The bound is computed once per instance and shared across the grid.  By
-    default wall_time_ms is reported as 0 so reruns of one configuration are
-    byte-identical; pass timing=True for measured times.
+    The MST and the bound are computed once per instance and shared across
+    the grid.  By default wall_time_ms is reported as 0 so reruns of one
+    configuration are byte-identical; pass timing=True for measured times.
     """
     if seeds < 1:
         raise ConfigError("need at least one seed")
@@ -278,54 +325,23 @@ def run_suite(
             f"full-table search is capped at n <= {FULL_DT_SIZE_CAP}; "
             "drop 'dt'/'...xinf' entries or reduce sizes"
         )
+    _check_hk_iterations(hk_iterations)
     rows: list[str] = [CSV_HEADER]
     means: list[str] = []
     for size in sizes:
-        by_heuristic: dict[tuple[int, Optional[int]], list[RunRecord]] = {g: [] for g in grid}
+        by_heuristic: dict[Cell, list[RunRecord]] = {g: [] for g in grid}
         for seed in range(1, seeds + 1):
             if klass == "uniform":
                 inst = generate_uniform(size, seed, box)
             else:
                 inst = generate_clustered(size, seed, box)
-            hk = held_karp_lower_bound(inst, iterations=hk_iterations)
-            for d, k in grid:
-                try:
-                    tour, mst_w, wall_ms = construct_tour(inst, d, k)
-                    excess = 100.0 * (tour.weight / hk - 1.0)
-                    if excess < -1e-6:
-                        raise InternalInvariantError("lower bound exceeds tour weight")
-                    rec = RunRecord(
-                        instance=inst.name,
-                        n=size,
-                        heuristic=_grid_label(d, k),
-                        D=d,
-                        k=k,
-                        mst_weight=mst_w,
-                        tour_weight=tour.weight,
-                        hk_bound=hk,
-                        excess_pct=excess,
-                        wall_time_ms=wall_ms if timing else 0.0,
-                        seed=seed,
-                    )
-                    by_heuristic[(d, k)].append(rec)
-                    rows.append(rec.csv_row())
-                except (GuardError, InternalInvariantError, ValueError) as exc:
-                    if log is not None:
-                        print(f"FAILED {inst.name} {_grid_label(d, k)}: {exc}", file=log)
-                    rec = RunRecord(
-                        instance=f"{inst.name}#FAILED",
-                        n=size,
-                        heuristic=_grid_label(d, k),
-                        D=d,
-                        k=k,
-                        mst_weight=math.nan,
-                        tour_weight=math.nan,
-                        hk_bound=math.nan,
-                        excess_pct=math.nan,
-                        wall_time_ms=0.0,
-                        seed=seed,
-                    )
-                    rows.append(rec.csv_row())
+            for cell, (rec, built) in zip(grid, build_records(inst, grid, hk_iterations, seed,
+                                                               timing)):
+                if isinstance(built, Construction):
+                    by_heuristic[cell].append(rec)
+                elif log is not None:
+                    print(f"FAILED {inst.name} {rec.heuristic}: {built}", file=log)
+                rows.append(rec.csv_row())
         for d, k in grid:
             recs = by_heuristic[(d, k)]
             if not recs:
@@ -347,18 +363,12 @@ def run_suite(
     return "\n".join(rows + means) + "\n"
 
 
-def _grid_label(d: int, k: Optional[int]) -> str:
-    return "DT" if (d == 1 and k is None) else f"DT_{d}_{_fmt_k(k)}"
-
-
 # ---------------------------------------------------------------------------
 # plotting
 
 
-def emit_plot(inst: Instance, tree, tour: Tour, path: str, size: int = 800) -> None:
+def emit_plot(inst: Instance, tree: RootedTree, tour: Tour, path: str, size: int = 800) -> None:
     """Debug SVG: points, tree edges and tour edges in distinct strokes."""
-    if inst.points is None:
-        raise ValueError("plotting needs a coordinate instance")
     xy = inst.coords
     lo = xy.min(axis=0)
     hi = xy.max(axis=0)
@@ -413,10 +423,10 @@ def run_verify(inst: Instance, max_n: int, out: TextIO) -> None:
         raise GuardError(f"verify limited to n <= {max_n}, instance has n={inst.n}")
     if inst.n < 2:
         raise ConfigError("verification needs at least 2 nodes")
-    edges = minimum_spanning_tree(inst)
-    tree = root_tree(edges, inst.n)
-    result = upsweep(inst, tree, keep_bipartitions=True)
-    tour = downsweep(inst, tree, result)
+    [(record, built)] = build_records(inst, [(1, None)], 1000, 0, False)
+    if not isinstance(built, Construction):
+        raise built
+    tour, tree = built.tour, built.tree
     oracle = enumerate_conforming_min(inst, tree)
     optimal = brute_force_optimal(inst)
     dfs = depth_first_shortcut(inst, tree)
@@ -429,8 +439,8 @@ def run_verify(inst: Instance, max_n: int, out: TextIO) -> None:
         ("tour no worse than depth-first traversal", tour.weight <= dfs.weight + 1e-9),
     ]
     if inst.n >= 3:
-        hk = held_karp_lower_bound(inst)
-        checks.append(("lower bound below the optimum", hk <= optimal.weight + 1e-9))
+        checks.append(("lower bound below the optimum",
+                       record.hk_bound <= optimal.weight + 1e-9))
     for label, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}: {label}", file=out)
     if not all(ok for _, ok in checks):
@@ -543,7 +553,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         depth=depth,
         hk_iterations=args.hk_iterations,
     )
-    record, tour = run_single(cfg)
+    inst, record, built = run_single(cfg)
+    tour = built.tour
     if args.tour_out:
         text = (
             write_tour_tsplib(tour, name=record.instance)
@@ -552,12 +563,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         _write_text(args.tour_out, text)
     if args.plot:
-        inst, _ = _load_instance(cfg)
-        edges = minimum_spanning_tree(inst)
-        tree = root_tree(edges, inst.n)
-        if cfg.degree_limit >= 3:
-            tree = degree_increase(tree, cfg.degree_limit)
-        emit_plot(inst, tree, tour, args.plot)
+        emit_plot(inst, built.tree, tour, args.plot)
     if args.csv:
         print(CSV_HEADER)
         print(record.csv_row())

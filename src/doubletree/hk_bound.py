@@ -8,8 +8,8 @@ result is valid regardless of convergence.
 
 Defaults: 1000 iterations, step factor 2.0 halved after every
 ``iterations // 10`` consecutive non-improving steps, upper bound from the
-depth-first traversal tour.  The ascent is fully deterministic; ``seed`` is
-accepted for interface stability but unused.
+depth-first traversal tour of the rooted minimum spanning tree.  The ascent
+is fully deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .instances import Instance, PairwiseDistances
 from .oracles import depth_first_shortcut
-from .spanning_tree import minimum_spanning_tree, root_tree
+from .spanning_tree import RootedTree
 
 
 def _one_tree(dist: PairwiseDistances, pi: np.ndarray) -> tuple[float, np.ndarray]:
@@ -37,7 +37,7 @@ def _one_tree(dist: PairwiseDistances, pi: np.ndarray) -> tuple[float, np.ndarra
     def row_of(j: int) -> np.ndarray:
         if reduced is not None:
             return reduced[j]
-        return dist.row(j) - pi[j] - pi
+        return dist.pairs(j, slice(None)) - pi[j] - pi
 
     degrees = np.zeros(n, dtype=np.int64)
     # nodes inside the tree (and the excluded node 0) keep key = +inf and
@@ -71,9 +71,11 @@ def _one_tree(dist: PairwiseDistances, pi: np.ndarray) -> tuple[float, np.ndarra
     return total, degrees
 
 
-def held_karp_lower_bound(inst: Instance, iterations: int = 1000, seed: int = 0) -> float:
+def held_karp_lower_bound(inst: Instance, tree: RootedTree, iterations: int = 1000) -> float:
     """Best 1-tree Lagrangian bound found by subgradient ascent.
 
+    ``tree`` is the instance's rooted minimum spanning tree (``root_tree`` of
+    ``minimum_spanning_tree``); its depth-first tour sets the step target.
     Always a valid lower bound on the optimal tour weight; deterministic for
     fixed (inst, iterations).
     """
@@ -82,10 +84,8 @@ def held_karp_lower_bound(inst: Instance, iterations: int = 1000, seed: int = 0)
         raise ValueError("the 1-tree bound needs n >= 3")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    del seed  # documented no-op; the ascent has no random choices
 
-    dist = PairwiseDistances(inst)
-    tree = root_tree(minimum_spanning_tree(inst), n)
+    dist = inst.distances
     upper = depth_first_shortcut(inst, tree).weight
 
     pi = np.zeros(n)

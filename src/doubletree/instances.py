@@ -29,30 +29,13 @@ MATRIX_CACHE_LIMIT = 3200
 class MetricKind(Enum):
     EUCLID_REAL = "EUC_2D_REAL"
     EUCLID_ROUNDED_TSPLIB = "EUC_2D"
-    EXPLICIT_MATRIX = "EXPLICIT"
 
 
 @dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
-
-
-@dataclass(frozen=True, eq=False)
 class Metric:
-    """Distance semantics for an instance.
-
-    ``matrix`` is set only for EXPLICIT_MATRIX and is validated for symmetry,
-    zero diagonal and nonnegativity on construction.  The triangle inequality
-    of an explicit matrix is checked only on demand (``max_triangle_violation``).
-    """
+    """Distance semantics for an instance: exact or TSPLIB-rounded Euclidean."""
 
     kind: MetricKind
-    matrix: Optional[np.ndarray] = None
 
     @staticmethod
     def euclid() -> "Metric":
@@ -62,143 +45,87 @@ class Metric:
     def euclid_rounded() -> "Metric":
         return Metric(MetricKind.EUCLID_ROUNDED_TSPLIB)
 
-    @staticmethod
-    def explicit(matrix: np.ndarray) -> "Metric":
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("explicit metric requires a square matrix")
-        if not np.allclose(m, m.T, rtol=0.0, atol=0.0):
-            raise ValueError("explicit metric matrix must be symmetric")
-        if np.any(np.diag(m) != 0.0):
-            raise ValueError("explicit metric matrix must have a zero diagonal")
-        if np.any(m < 0.0) or not np.all(np.isfinite(m)):
-            raise ValueError("explicit metric matrix must be finite and nonnegative")
-        m = m.copy()
-        m.setflags(write=False)
-        return Metric(MetricKind.EXPLICIT_MATRIX, m)
-
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """A Metric TSP instance: n nodes plus a distance function."""
+    """A Metric TSP instance: n planar points plus their distance semantics.
+
+    ``coords`` is stored as a read-only (n, 2) float array (a copy of what the
+    caller passed).  ``distances`` is the instance's one distance object,
+    built on first use and shared by every stage that reads distances.
+    """
 
     name: str
-    n: int
-    points: Optional[tuple[Point, ...]]
+    coords: np.ndarray
     metric: Metric
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("instance needs at least one node")
-        if self.points is not None and len(self.points) != self.n:
-            raise ValueError(f"n={self.n} but {len(self.points)} points given")
-        if self.metric.kind is MetricKind.EXPLICIT_MATRIX:
-            if self.metric.matrix is None or self.metric.matrix.shape[0] != self.n:
-                raise ValueError("explicit matrix size does not match n")
-        elif self.points is None:
-            raise ValueError("coordinate metrics require points")
+        xy = np.array(self.coords, dtype=float)
+        if xy.ndim != 2 or xy.shape[1] != 2 or xy.shape[0] < 1:
+            raise ValueError(f"instance needs an (n, 2) coordinate array, n >= 1; got {xy.shape}")
+        if not np.isfinite(xy).all():
+            raise ValueError("point coordinates must be finite")
+        xy.setflags(write=False)
+        object.__setattr__(self, "coords", xy)
+
+    @property
+    def n(self) -> int:
+        return self.coords.shape[0]
 
     @cached_property
-    def coords(self) -> np.ndarray:
-        """(n, 2) float array of coordinates; raises for matrix instances."""
-        if self.points is None:
-            raise ValueError("instance has no coordinates")
-        arr = np.array([(p.x, p.y) for p in self.points], dtype=float)
-        arr.setflags(write=False)
-        return arr
+    def distances(self) -> "PairwiseDistances":
+        return PairwiseDistances(self)
 
     def distance(self, a: int, b: int) -> float:
         if not (0 <= a < self.n) or not (0 <= b < self.n):
             raise IndexError(f"node index out of range: ({a}, {b}) for n={self.n}")
-        kind = self.metric.kind
-        if kind is MetricKind.EXPLICIT_MATRIX:
-            return float(self.metric.matrix[a, b])
-        pa, pb = self.points[a], self.points[b]
-        dx = pa.x - pb.x
-        dy = pa.y - pb.y
-        # plain sqrt of the squared sum, matching the vectorised block formula
-        # bit for bit so scalar and bulk lookups never disagree
-        d = math.sqrt(dx * dx + dy * dy)
-        if kind is MetricKind.EUCLID_ROUNDED_TSPLIB:
-            return float(math.floor(d + 0.5))  # round half up, fixed convention
-        return d
-
-
-def distance(inst: Instance, a: int, b: int) -> float:
-    return inst.distance(a, b)
+        return float(self.distances.pairs(a, b))
 
 
 def cycle_weight(inst: Instance, order) -> float:
     """Total weight of the Hamiltonian cycle visiting ``order`` then closing."""
-    n = len(order)
-    total = 0.0
-    for i in range(n):
-        total += inst.distance(order[i], order[(i + 1) % n])
-    return total
+    order = np.asarray(order, dtype=np.intp)
+    legs = inst.distances.pairs(order, np.roll(order, -1))
+    # a left-to-right running sum: np.sum's pairwise order would change the
+    # last bits, and the weight sets the bound's step target
+    return float(np.add.accumulate(legs)[-1]) if legs.size else 0.0
 
 
 class PairwiseDistances:
     """Vectorised distance lookups for one instance.
 
     Keeps the full matrix when the instance is small enough, otherwise
-    computes rows and blocks from coordinates on the fly.
+    computes the requested distances from coordinates on every lookup.
     """
 
-    def __init__(self, inst: Instance, cache_limit: int = MATRIX_CACHE_LIMIT):
-        self.inst = inst
+    def __init__(self, inst: Instance):
         self.n = inst.n
+        self._xy = inst.coords
         self._rounded = inst.metric.kind is MetricKind.EUCLID_ROUNDED_TSPLIB
-        if inst.metric.kind is MetricKind.EXPLICIT_MATRIX:
-            self._matrix = inst.metric.matrix
-            self._xy = None
-        else:
-            self._xy = inst.coords
-            self._matrix = None
-            if inst.n <= cache_limit:
-                self._matrix = self._compute_block(np.arange(inst.n), np.arange(inst.n))
+        self._matrix: Optional[np.ndarray] = None
+        if inst.n <= MATRIX_CACHE_LIMIT:
+            idx = np.arange(inst.n)
+            self._matrix = self.pairs(idx[:, None], idx)
 
-    def _compute_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        dx = self._xy[rows, 0][:, None] - self._xy[cols, 0][None, :]
-        dy = self._xy[rows, 1][:, None] - self._xy[cols, 1][None, :]
+    def pairs(self, a, b) -> np.ndarray:
+        """d(a, b) elementwise, with ``a`` and ``b`` broadcast as numpy indices.
+
+        ``pairs(i, cols)`` is one row slice, ``pairs(rows[:, None], cols)``
+        a block and ``pairs(i, slice(None))`` a whole row.
+        """
+        if self._matrix is not None:
+            return self._matrix[a, b]
+        dx = self._xy[a, 0] - self._xy[b, 0]
+        dy = self._xy[a, 1] - self._xy[b, 1]
         d = np.sqrt(dx * dx + dy * dy)
         if self._rounded:
-            d = np.floor(d + 0.5)
+            d = np.floor(d + 0.5)  # round half up, the TSPLIB convention
         return d
-
-    def row(self, i: int) -> np.ndarray:
-        if self._matrix is not None:
-            return self._matrix[i]
-        return self._compute_block(np.array([i]), np.arange(self.n))[0]
-
-    def pairs_from(self, i: int, cols: np.ndarray) -> np.ndarray:
-        """Distances from node i to each node in ``cols``."""
-        if self._matrix is not None:
-            return self._matrix[i, cols]
-        return self._compute_block(np.array([i]), np.asarray(cols, dtype=np.intp))[0]
-
-    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        if self._matrix is not None:
-            return self._matrix[np.asarray(rows, dtype=np.intp)[:, None], cols]
-        return self._compute_block(
-            np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        )
 
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             raise MemoryError(f"full matrix not cached for n={self.n}")
         return self._matrix
-
-
-def max_triangle_violation(inst: Instance) -> float:
-    """Largest d(a,c) - d(a,b) - d(b,c) over all triples (<= 0 for a metric)."""
-    d = PairwiseDistances(inst).matrix()
-    worst = -math.inf
-    n = inst.n
-    for b in range(n):
-        # d[a,c] - d[a,b] - d[b,c] maximised over a, c for fixed midpoint b
-        slack = d - d[:, b][:, None] - d[b, :][None, :]
-        worst = max(worst, float(slack.max()))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +136,6 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _points_from_array(xy: np.ndarray) -> tuple[Point, ...]:
-    return tuple(Point(float(x), float(y)) for x, y in xy)
-
-
 def generate_uniform(n: int, seed: int, box: float = 1.0, name: Optional[str] = None) -> Instance:
     """n points i.i.d. uniform on [0, box]^2, reproducible in (n, seed, box)."""
     if n < 1:
@@ -220,7 +143,7 @@ def generate_uniform(n: int, seed: int, box: float = 1.0, name: Optional[str] = 
     if box <= 0:
         raise ValueError("box must be positive")
     xy = _rng(seed).random((n, 2)) * box
-    return Instance(name or f"uniform-n{n}-s{seed}", n, _points_from_array(xy), Metric.euclid())
+    return Instance(name or f"uniform-n{n}-s{seed}", xy, Metric.euclid())
 
 
 def generate_clustered(
@@ -249,9 +172,7 @@ def generate_clustered(
     assign = rng.integers(0, clusters, size=n)
     offsets = rng.normal(0.0, sigma, size=(n, 2))
     xy = centers[assign] + offsets
-    return Instance(
-        name or f"clustered-n{n}-c{clusters}-s{seed}", n, _points_from_array(xy), Metric.euclid()
-    )
+    return Instance(name or f"clustered-n{n}-c{clusters}-s{seed}", xy, Metric.euclid())
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +186,7 @@ def parse_tsplib(text: str) -> Instance:
     """Parse the supported TSPLIB subset (EUC_2D / EUC_2D_REAL node coords)."""
     lines = text.splitlines()
     header: dict[str, str] = {}
-    coords: list[Optional[Point]] = []
+    coords: list[Optional[tuple[float, float]]] = []
     dim: Optional[int] = None
     seen_coords = False
 
@@ -307,9 +228,11 @@ def parse_tsplib(text: str) -> Instance:
                     raise ParseError(f"malformed coordinate line: {row!r}", lineno) from exc
                 if not (1 <= idx <= dim):
                     raise ParseError(f"node index {idx} outside 1..{dim}", lineno)
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ParseError("point coordinates must be finite", lineno)
                 if coords[idx - 1] is not None:
                     raise ParseError(f"duplicate node index {idx}", lineno)
-                coords[idx - 1] = Point(x, y)
+                coords[idx - 1] = (x, y)
                 count += 1
             seen_coords = True
             continue
@@ -344,15 +267,11 @@ def parse_tsplib(text: str) -> Instance:
     else:
         raise ParseError(f"unsupported EDGE_WEIGHT_TYPE {ew!r}")
     name = header.get("NAME", "unnamed")
-    return Instance(name, dim, tuple(coords), metric)
+    return Instance(name, coords, metric)
 
 
 def write_tsplib(inst: Instance) -> str:
-    """Serialise a coordinate instance; parse_tsplib inverts this exactly."""
-    if inst.points is None:
-        raise ValueError("cannot write an explicit-matrix instance as TSPLIB coordinates")
-    if inst.metric.kind is MetricKind.EXPLICIT_MATRIX:
-        raise ValueError("cannot write an explicit-matrix instance as TSPLIB coordinates")
+    """Serialise an instance; parse_tsplib inverts this exactly."""
     ew = "EUC_2D" if inst.metric.kind is MetricKind.EUCLID_ROUNDED_TSPLIB else "EUC_2D_REAL"
     out = [
         f"NAME : {inst.name}",
@@ -361,7 +280,8 @@ def write_tsplib(inst: Instance) -> str:
         f"EDGE_WEIGHT_TYPE : {ew}",
         "NODE_COORD_SECTION",
     ]
-    for i, p in enumerate(inst.points, start=1):
-        out.append(f"{i} {p.x!r} {p.y!r}")
+    # tolist() yields Python floats, whose repr is the shortest exact form
+    for i, (x, y) in enumerate(inst.coords.tolist(), start=1):
+        out.append(f"{i} {x!r} {y!r}")
     out.append("EOF")
     return "\n".join(out) + "\n"

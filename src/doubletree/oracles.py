@@ -18,7 +18,7 @@ import numpy as np
 
 from .downsweep import Tour
 from .errors import GuardError
-from .instances import Instance, PairwiseDistances, cycle_weight
+from .instances import Instance, cycle_weight
 from .spanning_tree import RootedTree
 
 # (n-1)!/2 cycles; 11 keeps a full scan under a minute
@@ -146,7 +146,7 @@ def _best_cycle(inst: Instance, tree: RootedTree | None) -> Tour:
     _check_oracle_size(n)
     if n == 1:
         return Tour((0,), 0.0)
-    dist = PairwiseDistances(inst).matrix()
+    dist = inst.distances.matrix()
     best_w = np.inf
     best: np.ndarray | None = None
     for cycles in _cycle_chunks(n):

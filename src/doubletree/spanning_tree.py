@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InternalInvariantError
-from .instances import Instance, PairwiseDistances
+from .instances import Instance
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def minimum_spanning_tree(inst: Instance) -> list[TreeEdge]:
     n = inst.n
     if n == 1:
         return []
-    dist = PairwiseDistances(inst)
+    dist = inst.distances
     INF = np.inf
     key = np.full(n, INF)
     best_parent = np.full(n, -1, dtype=np.int64)
@@ -140,7 +140,7 @@ def minimum_spanning_tree(inst: Instance) -> list[TreeEdge]:
         in_tree[j] = True
         if best_parent[j] >= 0:
             edges.append(TreeEdge(int(best_parent[j]), j, float(key[j])))
-        row = dist.row(j)
+        row = dist.pairs(j, slice(None))
         out = ~in_tree
         better = out & (row < key)
         key[better] = row[better]
@@ -199,25 +199,6 @@ def root_tree(edges: Sequence[TreeEdge], n: int) -> RootedTree:
     if seen != n:
         raise ValueError("edges do not connect all nodes; input is not a tree")
     return RootedTree.from_parents(n, root, parent)
-
-
-def tree_distance(tree: RootedTree, a: int, b: int) -> int:
-    """Number of edges on the unique a-b path (walk both ends up to the LCA)."""
-    da, db = tree.depth[a], tree.depth[b]
-    steps = 0
-    while da > db:
-        a = tree.parent[a]
-        da -= 1
-        steps += 1
-    while db > da:
-        b = tree.parent[b]
-        db -= 1
-        steps += 1
-    while a != b:
-        a = tree.parent[a]
-        b = tree.parent[b]
-        steps += 2
-    return steps
 
 
 def degree_increase(tree: RootedTree, limit_D: int) -> RootedTree:

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GuardError, InternalInvariantError
-from .instances import Instance, PairwiseDistances
+from .instances import Instance
 from .spanning_tree import RootedTree
 
 # 4^d tables explode well before this; planar Euclidean trees stay <= 4-5
@@ -120,7 +120,7 @@ class UpsweepRun:
         self.inst = inst
         self.tree = tree
         self.k = k
-        self.dist = PairwiseDistances(inst)
+        self.dist = inst.distances
         self.depth = np.array(tree.depth, dtype=np.int64)
         self.stats = UpsweepStats()
         self.bip: Optional[BipartitionTable] = BipartitionTable() if keep_bipartitions else None
@@ -167,7 +167,7 @@ class UpsweepRun:
             ids, wts = self.dests(v, W)
             if ids.size == 0:
                 return None
-            cand = self.dist.pairs_from(u, ids) + wts
+            cand = self.dist.pairs(u, ids) + wts
             self.stats.quad_evals += ids.size
             j = int(np.argmin(cand))
             return (float(cand[j]), u, int(ids[j]))
@@ -175,7 +175,7 @@ class UpsweepRun:
             ids, wts = self.dests(u, V)
             if ids.size == 0:
                 return None
-            cand = wts + self.dist.pairs_from(v, ids)
+            cand = wts + self.dist.pairs(v, ids)
             self.stats.quad_evals += ids.size
             j = int(np.argmin(cand))
             return (float(cand[j]), int(ids[j]), v)
@@ -183,7 +183,7 @@ class UpsweepRun:
         ids_y, w_y = self.dests(v, W)
         if ids_x.size == 0 or ids_y.size == 0:
             return None
-        m = w_x[:, None] + self.dist.block(ids_x, ids_y) + w_y[None, :]
+        m = w_x[:, None] + self.dist.pairs(ids_x[:, None], ids_y) + w_y[None, :]
         self.stats.quad_evals += m.size
         flat = int(np.argmin(m))
         xi, yi = divmod(flat, m.shape[1])
@@ -280,7 +280,7 @@ class UpsweepRun:
         ids, w = self.dests(r, full)
         if ids.size == 0:
             raise InternalInvariantError("no tour candidates at the root")
-        total = w + self.dist.pairs_from(r, ids)
+        total = w + self.dist.pairs(r, ids)
         j = int(np.argmin(total))
         weight = float(total[j])
         best_a = int(ids[j])

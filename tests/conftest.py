@@ -9,7 +9,6 @@ import pytest
 from doubletree import (
     Instance,
     Metric,
-    Point,
     generate_uniform,
     minimum_spanning_tree,
     root_tree,
@@ -17,13 +16,42 @@ from doubletree import (
 
 
 def make_instance(coords, name="test", rounded=False):
-    pts = tuple(Point(float(x), float(y)) for x, y in coords)
     metric = Metric.euclid_rounded() if rounded else Metric.euclid()
-    return Instance(name, len(pts), pts, metric)
+    return Instance(name, coords, metric)
 
 
 def mst_tree(inst):
     return root_tree(minimum_spanning_tree(inst), inst.n)
+
+
+def tree_distance(tree, a, b):
+    """Number of edges on the unique a-b path (walk both ends up to the LCA)."""
+    da, db = tree.depth[a], tree.depth[b]
+    steps = 0
+    while da > db:
+        a = tree.parent[a]
+        da -= 1
+        steps += 1
+    while db > da:
+        b = tree.parent[b]
+        db -= 1
+        steps += 1
+    while a != b:
+        a = tree.parent[a]
+        b = tree.parent[b]
+        steps += 2
+    return steps
+
+
+def max_triangle_violation(inst):
+    """Largest d(a,c) - d(a,b) - d(b,c) over all triples (<= 0 for a metric)."""
+    d = inst.distances.matrix()
+    worst = -math.inf
+    for b in range(inst.n):
+        # d[a,c] - d[a,b] - d[b,c] maximised over a, c for fixed midpoint b
+        slack = d - d[:, b][:, None] - d[b, :][None, :]
+        worst = max(worst, float(slack.max()))
+    return worst
 
 
 def random_instance(n, seed, box=1.0):

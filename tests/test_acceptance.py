@@ -103,7 +103,7 @@ def benchmark_runs():
         inst = generate_uniform(BIG_N, seed=seed, box=BOX)
         edges = minimum_spanning_tree(inst)
         tree = root_tree(edges, BIG_N)
-        hk = held_karp_lower_bound(inst)
+        hk = held_karp_lower_bound(inst, tree)
         weights = {}
         trees = {1: tree}
         for label, d, k in grid:
@@ -260,7 +260,7 @@ def test_criterion_8_lower_bound_validity(small_corpus, benchmark_runs):
     cases, _ = small_corpus
     violations = 0
     for c in cases:
-        hk = held_karp_lower_bound(c.inst)
+        hk = held_karp_lower_bound(c.inst, c.tree)
         if hk > c.optimal.weight + 1e-9:
             violations += 1
         if hk > c.tour.weight + 1e-9:
@@ -268,7 +268,7 @@ def test_criterion_8_lower_bound_validity(small_corpus, benchmark_runs):
     extra = 0
     for i in range(60):  # top up the corpus at the largest oracle-friendly size
         inst = generate_uniform(10, seed=30_000 + i, box=1.0)
-        hk = held_karp_lower_bound(inst)
+        hk = held_karp_lower_bound(inst, root_tree(minimum_spanning_tree(inst), 10))
         if hk > brute_force_optimal(inst).weight + 1e-9:
             violations += 1
         extra += 1

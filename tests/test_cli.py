@@ -3,6 +3,10 @@ import sys
 
 import pytest
 
+import doubletree.cli as cli_mod
+from doubletree.instances import PairwiseDistances
+from doubletree.spanning_tree import minimum_spanning_tree
+
 from doubletree import (
     enumerate_conforming_min,
     generate_uniform,
@@ -12,7 +16,6 @@ from doubletree.cli import (
     CSV_HEADER,
     RunConfig,
     construct_tour,
-    emit_plot,
     main,
     parse_grid,
     run_single,
@@ -58,7 +61,8 @@ class TestGridParsing:
 class TestRunSingle:
     def test_record_fields_and_bounds(self):
         cfg = RunConfig(gen="uniform:n=40,seed=2,box=1.0", hk_iterations=200)
-        record, tour = run_single(cfg)
+        _, record, built = run_single(cfg)
+        tour = built.tour
         assert record.n == 40
         assert record.heuristic == "DT"
         assert record.tour_weight == pytest.approx(tour.weight)
@@ -68,15 +72,14 @@ class TestRunSingle:
 
     def test_unrestricted_solver_matches_oracle(self):
         cfg = RunConfig(gen="uniform:n=8,seed=5,box=1.0", hk_iterations=50)
-        record, tour = run_single(cfg)
-        inst = generate_uniform(8, 5, 1.0)
+        inst, record, built = run_single(cfg)
         oracle = enumerate_conforming_min(inst, mst_tree(inst))
-        assert tour.weight == pytest.approx(oracle.weight, abs=1e-9)
+        assert built.tour.weight == pytest.approx(oracle.weight, abs=1e-9)
 
     def test_depth_limited_run(self):
         cfg = RunConfig(gen="uniform:n=60,seed=3,box=1.0", degree_limit=5, depth=8,
                         hk_iterations=100)
-        record, _ = run_single(cfg)
+        _, record, _ = run_single(cfg)
         assert record.heuristic == "DT_5_8"
         assert record.excess_pct >= 0.0
 
@@ -122,14 +125,14 @@ class TestSuite:
         import doubletree.cli as cli_mod
         from doubletree import GuardError
 
-        orig = cli_mod.construct_tour
+        orig = cli_mod.degree_increase
 
-        def flaky(inst, degree_limit=1, depth=None):
-            if degree_limit == 3:
+        def flaky(tree, limit_D):
+            if limit_D == 3:
                 raise GuardError("forced failure")
-            return orig(inst, degree_limit, depth)
+            return orig(tree, limit_D)
 
-        monkeypatch.setattr(cli_mod, "construct_tour", flaky)
+        monkeypatch.setattr(cli_mod, "degree_increase", flaky)
         csv = run_suite([8], seeds=2, grid=[(1, 4), (3, 4)], hk_iterations=50)
         lines = csv.strip().splitlines()[1:]
         assert sum("#FAILED" in l for l in lines) == 2
@@ -266,8 +269,8 @@ class TestCliCommands:
         # pipeline verification must tolerate that
         from doubletree import Instance, Metric, write_tsplib
 
-        pts = generate_uniform(30, seed=13, box=100.0).points
-        inst = Instance("int30", 30, pts, Metric.euclid_rounded())
+        xy = generate_uniform(30, seed=13, box=100.0).coords
+        inst = Instance("int30", xy, Metric.euclid_rounded())
         path = tmp_path / "int30.tsp"
         path.write_text(write_tsplib(inst))
         assert main(["run", "--input", str(path), "--hk-iterations", "100",
@@ -294,18 +297,73 @@ class TestCliCommands:
 
 
 class TestEmitPlot:
-    def test_rejects_matrix_instances(self, tmp_path):
-        import numpy as np
-
-        from doubletree import Instance, Metric, Tour
-
-        m = np.zeros((3, 3))
-        inst = Instance("m", 3, None, Metric.explicit(m))
-        with pytest.raises(ValueError):
-            emit_plot(inst, None, Tour((0, 1, 2), 0.0), str(tmp_path / "x.svg"))
-
     def test_construct_tour_matches_components(self):
         inst = generate_uniform(25, seed=8, box=1.0)
-        tour, mst_w, wall = construct_tour(inst)
-        assert wall >= 0.0
-        assert tour.weight <= 2 * mst_w + 1e-9
+        mst, mst_w, [built] = construct_tour(inst, [(1, None)])
+        assert built.wall_ms >= 0.0
+        assert built.tree is mst
+        assert built.tour.weight <= 2 * mst_w + 1e-9
+
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Count MST builds and distance-object constructions, wherever called."""
+    counts = {"mst": 0, "distances": 0}
+
+    def counted_mst(inst):
+        counts["mst"] += 1
+        return minimum_spanning_tree(inst)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "doubletree" or name.startswith("doubletree."):
+            for attr, value in list(vars(mod).items()):
+                if value is minimum_spanning_tree:
+                    monkeypatch.setattr(mod, attr, counted_mst)
+    orig_init = PairwiseDistances.__init__
+
+    def counted_init(self, inst):
+        counts["distances"] += 1
+        orig_init(self, inst)
+
+    monkeypatch.setattr(PairwiseDistances, "__init__", counted_init)
+    return counts
+
+
+class TestOneBuildPerInstance:
+    def test_run(self, tmp_path, build_counts):
+        assert main(["run", "--gen", "uniform:n=30,seed=1,box=1.0", "--heuristic", "dtk",
+                     "--degree-limit", "4", "--hk-iterations", "20",
+                     "--tour-out", str(tmp_path / "t.tour"),
+                     "--plot", str(tmp_path / "t.svg")]) == 0
+        assert build_counts == {"mst": 1, "distances": 1}
+
+    def test_suite(self, build_counts):
+        run_suite([10], seeds=2, grid=[(1, None), (1, 4), (3, 16), (5, None)],
+                  hk_iterations=20)
+        assert build_counts == {"mst": 2, "distances": 2}
+
+    def test_verify(self, tmp_path, build_counts):
+        inst_file = tmp_path / "v.tsp"
+        assert main(["gen", "uniform", "--n", "7", "--seed", "2", "-o", str(inst_file)]) == 0
+        assert main(["verify", "--input", str(inst_file)]) == 0
+        assert build_counts == {"mst": 1, "distances": 1}
+
+
+class TestEarlyValidation:
+    def test_zero_hk_iterations_rejected_before_any_tour_work(self, tmp_path, build_counts):
+        with pytest.raises(ConfigError):
+            RunConfig(gen="uniform:n=10,seed=1", hk_iterations=0)
+        with pytest.raises(ConfigError):
+            run_suite([8], seeds=1, grid=[(1, 4)], hk_iterations=0)
+        assert main(["run", "--gen", "uniform:n=1500,seed=1", "--hk-iterations", "0"]) == 2
+        assert main(["suite", "--sizes", "8", "--seeds", "1", "--grid", "1x4",
+                     "--hk-iterations", "0", "-o", str(tmp_path / "s.csv")]) == 2
+        assert build_counts["mst"] == 0
+
+    def test_non_finite_coordinate_is_an_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "nan.tsp"
+        bad.write_text("NAME : nan\nTYPE : TSP\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\n"
+                       "NODE_COORD_SECTION\n1 0 0\n2 nan 1\n3 4 4\nEOF\n")
+        assert main(["run", "--input", str(bad)]) == 3
+        assert "line 7: point coordinates must be finite" in capsys.readouterr().err
+        assert main(["verify", "--input", str(bad)]) == 3

@@ -4,17 +4,19 @@ import math
 import pytest
 
 from doubletree import (
-    LayeredGraph,
     Tour,
     downsweep,
     enumerate_conforming_min,
     is_conforming,
-    layered_shortest_path,
-    reconstruct_path,
     write_tour_plain,
     write_tour_tsplib,
 )
-from doubletree.downsweep import TourReconstructor
+from doubletree.downsweep import (
+    LayeredGraph,
+    TourReconstructor,
+    layered_shortest_path,
+    reconstruct_path,
+)
 from doubletree.instances import cycle_weight
 from doubletree.upsweep import UpsweepRun, upsweep
 

@@ -10,23 +10,22 @@ from doubletree import (
     Metric,
     MetricKind,
     ParseError,
-    Point,
     cycle_weight,
-    distance,
     generate_clustered,
     generate_uniform,
     parse_tsplib,
     write_tsplib,
 )
-from doubletree.instances import PairwiseDistances, max_triangle_violation
+from doubletree import instances
+from doubletree.instances import PairwiseDistances
 
-from conftest import make_instance
+from conftest import make_instance, max_triangle_violation
 
 
 class TestDistance:
     def test_pythagorean_triple(self):
         inst = make_instance([(0, 0), (3, 4)])
-        assert distance(inst, 0, 1) == 5.0
+        assert inst.distance(0, 1) == 5.0
 
     def test_self_distance_is_zero(self):
         inst = make_instance([(2, 3), (5, 1)])
@@ -51,12 +50,6 @@ class TestDistance:
         with pytest.raises(IndexError):
             inst.distance(-1, 0)
 
-    def test_explicit_matrix_lookup(self):
-        m = np.array([[0.0, 2.0, 3.0], [2.0, 0.0, 4.0], [3.0, 4.0, 0.0]])
-        inst = Instance("m", 3, None, Metric.explicit(m))
-        assert inst.distance(0, 2) == 3.0
-        assert inst.distance(2, 1) == 4.0
-
     @given(
         st.lists(
             st.tuples(
@@ -80,51 +73,48 @@ class TestDistance:
         assert max_triangle_violation(inst) <= 1e-9
 
     def test_triangle_inequality_rounded_metric_within_one_unit(self):
-        pts = generate_uniform(40, seed=9, box=1000.0).points
-        inst = Instance("r", 40, pts, Metric.euclid_rounded())
+        xy = generate_uniform(40, seed=9, box=1000.0).coords
+        inst = Instance("r", xy, Metric.euclid_rounded())
         # rounding both sides half-up can overshoot by at most one unit
         assert max_triangle_violation(inst) <= 1.0
 
 
 class TestValidation:
     def test_point_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Point(float("nan"), 0.0)
-        with pytest.raises(ValueError):
-            Point(0.0, float("inf"))
+        with pytest.raises(ValueError, match="finite"):
+            make_instance([(0.0, 0.0), (float("nan"), 0.0)])
+        with pytest.raises(ValueError, match="finite"):
+            make_instance([(0.0, float("inf"))])
 
     def test_instance_count_mismatch(self):
-        with pytest.raises(ValueError):
-            Instance("bad", 3, (Point(0, 0),), Metric.euclid())
+        for bad in ([], [(0.0, 0.0, 0.0)], [0.0, 1.0]):
+            with pytest.raises(ValueError, match=r"\(n, 2\)"):
+                make_instance(bad)
 
-    def test_explicit_matrix_must_be_symmetric(self):
+    def test_coords_are_a_read_only_copy(self):
+        xy = np.array([[0.0, 0.0], [3.0, 4.0]])
+        inst = make_instance(xy)
+        xy[1, 0] = 100.0
+        assert inst.distance(0, 1) == 5.0
         with pytest.raises(ValueError):
-            Metric.explicit(np.array([[0.0, 1.0], [2.0, 0.0]]))
-
-    def test_explicit_matrix_zero_diagonal(self):
-        with pytest.raises(ValueError):
-            Metric.explicit(np.array([[1.0, 2.0], [2.0, 0.0]]))
-
-    def test_explicit_matrix_nonnegative(self):
-        with pytest.raises(ValueError):
-            Metric.explicit(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+            inst.coords[0, 0] = 1.0
 
 
 class TestGenerators:
     def test_uniform_single_point_in_box(self):
         inst = generate_uniform(1, seed=7, box=1.0)
-        (p,) = inst.points
-        assert 0.0 <= p.x <= 1.0 and 0.0 <= p.y <= 1.0
+        ((x, y),) = inst.coords
+        assert 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
 
     def test_uniform_determinism(self):
         a = generate_uniform(1000, seed=1, box=1e6)
         b = generate_uniform(1000, seed=1, box=1e6)
-        assert a.points == b.points
+        assert np.array_equal(a.coords, b.coords)
 
     def test_uniform_seeds_differ(self):
         a = generate_uniform(1000, seed=1)
         b = generate_uniform(1000, seed=2)
-        assert a.points != b.points
+        assert not np.array_equal(a.coords, b.coords)
 
     def test_uniform_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -134,20 +124,17 @@ class TestGenerators:
 
     def test_clustered_degenerate_cluster(self):
         inst = generate_clustered(10, seed=4, clusters=1, sigma=1e-12)
-        xs = [p.x for p in inst.points]
-        ys = [p.y for p in inst.points]
-        assert max(xs) - min(xs) < 1e-9
-        assert max(ys) - min(ys) < 1e-9
+        assert np.ptp(inst.coords, axis=0).max() < 1e-9
 
     def test_clustered_determinism(self):
         a = generate_clustered(100, seed=3, clusters=10)
         b = generate_clustered(100, seed=3, clusters=10)
-        assert a.points == b.points
+        assert np.array_equal(a.coords, b.coords)
 
     def test_clustered_spread_exceeds_cluster_width(self):
         inst = generate_clustered(1000, seed=5, box=1.0, clusters=10)
         sigma = 1.0 / (50.0 * math.sqrt(10))
-        xs = np.array([p.x for p in inst.points])
+        xs = inst.coords[:, 0]
         # centers spread over the box dominates the within-cluster jitter
         assert xs.var() > 25.0 * sigma**2
 
@@ -162,21 +149,41 @@ class TestPairwiseDistances:
         dist = PairwiseDistances(inst)
         rows = np.array([0, 3, 7])
         cols = np.array([1, 2, 19, 5])
-        block = dist.block(rows, cols)
+        block = dist.pairs(rows[:, None], cols)
         for i, a in enumerate(rows):
             for j, b in enumerate(cols):
                 assert block[i, j] == pytest.approx(inst.distance(a, b), abs=0)
 
-    def test_uncached_block_matches_cached(self):
-        inst = generate_uniform(30, seed=12)
-        cached = PairwiseDistances(inst)
-        uncached = PairwiseDistances(inst, cache_limit=10)
+    def test_uncached_block_matches_cached(self, monkeypatch):
+        xy = generate_uniform(30, seed=12, box=1000.0).coords
         rows = np.arange(30)
-        assert np.array_equal(cached.block(rows, rows), uncached.block(rows, rows))
+        for rounded in (False, True):
+            inst = make_instance(xy, rounded=rounded)
+            cached = PairwiseDistances(inst)
+            with monkeypatch.context() as m:
+                m.setattr(instances, "MATRIX_CACHE_LIMIT", 10)
+                uncached = PairwiseDistances(inst)
+            with pytest.raises(MemoryError):
+                uncached.matrix()
+            for a, b in [(rows[:, None], rows), (7, rows), (7, slice(None)), (rows, rows[::-1])]:
+                assert np.array_equal(cached.pairs(a, b), uncached.pairs(a, b))
+
+    def test_instance_builds_one_shared_distance_object(self):
+        inst = generate_uniform(12, seed=1)
+        assert inst.distances is inst.distances
+        assert inst.distance(3, 5) == inst.distances.matrix()[3, 5]
 
     def test_cycle_weight_closes_the_cycle(self):
         inst = make_instance([(0, 0), (1, 0), (1, 1)])
         assert cycle_weight(inst, [0, 1, 2]) == pytest.approx(2 + math.sqrt(2))
+
+    def test_cycle_weight_sums_left_to_right(self):
+        inst = generate_uniform(200, seed=21, box=1e6)
+        order = list(np.random.default_rng(5).permutation(200))
+        total = 0.0
+        for i in range(200):
+            total += inst.distance(order[i], order[(i + 1) % 200])
+        assert cycle_weight(inst, order) == total  # bit for bit
 
 
 MINIMAL_EUC2D = """\
@@ -244,21 +251,21 @@ class TestTsplib:
         inst = generate_uniform(25, seed=42, box=1e6)
         again = parse_tsplib(write_tsplib(inst))
         assert again.n == inst.n
-        assert again.points == inst.points
+        assert np.array_equal(again.coords, inst.coords)
         assert again.metric.kind is inst.metric.kind
         assert again.name == inst.name
 
     def test_round_trip_rounded_metric(self):
         inst = make_instance([(0.5, 0.25), (100.125, 3.0)], rounded=True)
         again = parse_tsplib(write_tsplib(inst))
-        assert again.points == inst.points
+        assert np.array_equal(again.coords, inst.coords)
         assert again.metric.kind is MetricKind.EUCLID_ROUNDED_TSPLIB
 
-    def test_write_rejects_matrix_instance(self):
-        m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        inst = Instance("m", 2, None, Metric.explicit(m))
-        with pytest.raises(ValueError):
-            write_tsplib(inst)
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_rejected_with_line(self, bad):
+        text = MINIMAL_EUC2D.replace("2 3.0 0.0", f"2 {bad} 1")
+        with pytest.raises(ParseError, match="line 7: point coordinates must be finite"):
+            parse_tsplib(text)
 
     def test_whitespace_tolerance(self):
         text = "NAME:pad\nTYPE  :  TSP\nDIMENSION:2\nEDGE_WEIGHT_TYPE : EUC_2D\n" \

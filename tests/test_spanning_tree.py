@@ -10,12 +10,11 @@ from doubletree import (
     degree_increase,
     minimum_spanning_tree,
     root_tree,
-    tree_distance,
     tree_weight,
 )
 from doubletree.oracles import conforming_mask, _small_cycles
 
-from conftest import make_instance, mst_tree, random_instance
+from conftest import make_instance, mst_tree, random_instance, tree_distance
 
 
 def prufer_trees(n):
