@@ -205,7 +205,7 @@ def construct_tour(
         try:
             t1 = time.perf_counter()
             tree = degree_increase(mst, degree_limit) if degree_limit >= 3 else mst
-            result = upsweep(inst, tree, k=depth, keep_bipartitions=True)
+            result = upsweep(inst, tree, k=depth)
             tour = downsweep(inst, tree, result)
             wall_ms = mst_ms + (time.perf_counter() - t1) * 1000.0
             if not is_conforming(tour, tree):

@@ -1,11 +1,12 @@
-"""Tour reconstruction from the bottom-up subset tables.
+"""Tour reconstruction from the bridges of the bottom-up subset pass.
 
-The weight pass (:mod:`doubletree.upsweep`) only yields the optimal weight.
-To recover the tour itself we walk the tree path between each sweep's two
-endpoints, pick the optimal split of every intermediate node's children via
-a shortest path in a small layered graph, and recurse into the resulting
-subtree sweeps.  All recursion is driven by an explicit work stack so
-path-shaped trees of any depth are safe.
+The weight pass (:mod:`doubletree.upsweep`) yields the optimal weight and,
+per child, every bridge weight with its jump edge.  To recover the tour
+itself we walk the tree path between each sweep's two endpoints, pick the
+optimal split of every intermediate node's children via a shortest path in
+a small layered graph, and recurse into the resulting subtree sweeps.  All
+recursion is driven by an explicit work stack so path-shaped trees of any
+depth are safe.
 """
 
 from __future__ import annotations
@@ -116,10 +117,8 @@ def _tree_path(tree: RootedTree, u: int, a: int) -> list[int]:
 
 class TourReconstructor:
     def __init__(self, tree: RootedTree, result: UpsweepResult):
-        if result.bipartitions is None:
-            raise ValueError("upsweep result lacks split tables; rerun with keep_bipartitions")
         self.tree = tree
-        self.bip = result.bipartitions
+        self.bridge = result.bridge
         self.child_pos: list[dict[int, int]] = [
             {c: i for i, c in enumerate(ch)} for ch in tree.children
         ]
@@ -149,7 +148,7 @@ class TourReconstructor:
         layers.append([avail[k]])
 
         def weight(i: int, tail: int, head: int) -> float:
-            return self.bip.weight(path[i + 1], avail[i] ^ tail, head)
+            return self.bridge(path[i + 1], avail[i] ^ tail, head)[0]
 
         labels, total = layered_shortest_path(LayeredGraph(layers, weight))
         return labels, avail, total
@@ -186,7 +185,7 @@ class TourReconstructor:
             for i in range(k):
                 tail_mask = avail[i] ^ labels[i]
                 head_mask = labels[i + 1]
-                _w, x, y = self.bip.entry(path[i + 1], tail_mask, head_mask)
+                _w, x, y = self.bridge(path[i + 1], tail_mask, head_mask)
                 segments.append(("task", path[i], tail_mask, x, False))
                 segments.append(("task", path[i + 1], head_mask, y, True))
             if rev:
@@ -202,24 +201,8 @@ class TourReconstructor:
         return dedup
 
 
-def reconstruct_path(
-    tree: RootedTree, result: UpsweepResult, u: int, V: int, a: int
-) -> list[int]:
-    """The optimal sweep of u plus T(V) from u to a, as a node sequence."""
-    rec = TourReconstructor(tree, result)
-    seq = rec.reconstruct(u, V, a)
-    expected = 1 + sum(tree.subtree_size[tree.children[u][i]] for i in range(len(tree.children[u])) if V >> i & 1)
-    if len(seq) != expected or len(set(seq)) != expected:
-        raise InternalInvariantError(
-            f"reconstructed sweep visits {len(seq)} nodes, expected {expected}"
-        )
-    if seq[0] != u or seq[-1] != a:
-        raise InternalInvariantError("reconstructed sweep has wrong endpoints")
-    return seq
-
-
 def downsweep(inst: Instance, tree: RootedTree, result: UpsweepResult) -> Tour:
-    """Extract the optimal admissible tour from a table-keeping weight pass."""
+    """Extract the optimal admissible tour from the bridges of a weight pass."""
     if result.n != inst.n or result.tree_root != tree.root:
         raise ValueError("upsweep result does not match this instance/tree")
     rec = TourReconstructor(tree, result)

@@ -28,7 +28,7 @@ class ParseError(DoubleTreeError):
 
 
 class GuardError(DoubleTreeError):
-    """A resource guard tripped, e.g. mask width or oracle size (exit code 4)."""
+    """A resource guard tripped, e.g. predicted table size or oracle size (exit code 4)."""
 
 
 class InternalInvariantError(DoubleTreeError):

@@ -7,17 +7,34 @@ ordered child list) and destination a inside the selected subtrees, we keep
 the weight of the cheapest path that starts at u, visits u plus exactly the
 subtrees of V with each subtree contiguous, and stops at a.
 
-Processing node u extends its table one child v at a time.  The bridge
-values needed for that step describe paths that sweep u's part first, then
-enter T(v), visit a child subset W of v plus v itself, and stop at v; these
-come in four shapes depending on whether either side of the jump is empty.
-The per-destination extension then splits v's children into the part swept
-before reaching v and the part swept after it.
+Layout.  Nodes are numbered in preorder with children in ascending id order,
+so the subtree T(u) is the contiguous position range
+``[pre[u], pre[u] + size[u])``.  Node u's table is one ``(2^c, size[u])``
+float array over that range, one row per child mask.  Row 0 is the empty
+mask: 0 at u itself and inf elsewhere.  Destinations outside the selected
+subtrees, or cut by the depth limit, are inf.
+
+Bridges.  Extending mask V by child v needs, for every child mask W of v,
+the cheapest path that sweeps u + T(V) from u to some x, jumps to y and
+sweeps T(W) + v from y back to v:
+``bridge[V, W] = min_y (min_x A_V[x] + d(x, y)) + B_W[y]``, with A and B the
+tables of u and v.  Thanks to the row-0 convention this one formula also
+covers an empty V or W.  The inner minimum is computed once per (u, V, v)
+over v's live (finite) columns; one reduction then gives every W.  The jump
+edge kept with a bridge is the pair (x, y) with the lowest node id x, then
+the lowest y, among those whose sum ``(A_V[x] + d(x, y)) + B_W[y]`` attains
+it.  The extension of V by v over T(v) is then the minimum over W of
+``bridge[V, full ^ W] + B_W``, followed by the depth cut.
+
+Each child's bridges are kept as ``(2^c_u, 2^c_v)`` weight and jump-edge
+arrays for tour reconstruction, 4^d n entries at most; the tables
+themselves are released as soon as the parent is done, so at most 2^d n
+table entries are live at once.
 
 With a finite search depth k, a destination is kept only while its tree
-distance from the table's node stays within k; minimisations range over kept
-destinations only.  Every child sits at distance 1, so the tables never go
-empty and the final minimisation at the root always has a candidate.
+distance from the table's node stays within k.  Every child sits at distance
+1, so the tables never go empty and the final minimisation at the root
+always has a candidate.
 """
 
 from __future__ import annotations
@@ -31,8 +48,13 @@ from .errors import GuardError, InternalInvariantError
 from .instances import Instance
 from .spanning_tree import RootedTree
 
-# 4^d tables explode well before this; planar Euclidean trees stay <= 4-5
-MASK_WIDTH_LIMIT = 20
+# Largest predicted totals a pass may allocate, checked before any table is
+# built.  Bridges are kept to the end, 24 bytes per entry: D = 8 at n = 1000
+# needs about 6.3e6 of them, a degree limit of 12 there about 1e9.  Tables
+# are released as the pass goes, so their total measures fill time, not
+# memory; exact search (D = 1) at n = 10000 needs about 1.5e7.
+TABLE_ENTRY_BUDGET = 500_000_000
+BRIDGE_ENTRY_BUDGET = 10_000_000
 
 
 @dataclass
@@ -46,37 +68,33 @@ class UpsweepStats:
     bip_entries: int = 0
 
 
-class BipartitionTable:
-    """Bridge-sweep values keyed by (child v, parent-side mask, child-side mask).
+@dataclass(frozen=True)
+class PreorderLayout:
+    """Preorder numbering of ``tree``: T(u) is ``[pre[u], pre[u] + size[u])``."""
 
-    Each value keeps the weight together with the jump-edge endpoints (x, y)
-    that attained it, which is exactly what tour reconstruction needs.
-    """
+    tree: RootedTree
+    order: np.ndarray  # position -> node id
+    pre: np.ndarray  # node id -> position
+    depth: np.ndarray  # position -> tree depth
 
-    __slots__ = ("_data",)
+    @staticmethod
+    def of(tree: RootedTree) -> "PreorderLayout":
+        order: list[int] = []
+        stack = [tree.root]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            stack.extend(reversed(tree.children[u]))
+        ids = np.array(order, dtype=np.intp)
+        pre = np.empty(tree.n, dtype=np.intp)
+        pre[ids] = np.arange(tree.n)
+        return PreorderLayout(tree, ids, pre, np.array(tree.depth)[ids])
 
-    def __init__(self) -> None:
-        self._data: dict[tuple[int, int, int], tuple[float, int, int]] = {}
 
-    def put(self, v: int, V: int, W: int, weight: float, x: int, y: int) -> None:
-        self._data[(v, V, W)] = (weight, x, y)
+_LEAF = np.zeros((1, 1))  # a leaf's table: the empty mask, 0 at the leaf
+_LEAF.flags.writeable = False
 
-    def entry(self, v: int, V: int, W: int) -> tuple[float, int, int]:
-        try:
-            return self._data[(v, V, W)]
-        except KeyError:
-            raise InternalInvariantError(
-                f"missing bridge value for child {v}, masks ({V:b}, {W:b})"
-            ) from None
-
-    def weight(self, v: int, V: int, W: int) -> float:
-        return self.entry(v, V, W)[0]
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: tuple[int, int, int]) -> bool:
-        return key in self._data
+Bridges = tuple[np.ndarray, np.ndarray]  # weights (R, C) and jump edges (2, R, C)
 
 
 @dataclass
@@ -87,252 +105,161 @@ class UpsweepResult:
     k: Optional[int]
     tree_root: int
     max_children: int
-    root_table: dict[int, tuple[np.ndarray, np.ndarray]]
-    bipartitions: Optional[BipartitionTable]
     stats: UpsweepStats
-    sweep_tables: Optional[dict[int, dict[int, tuple[np.ndarray, np.ndarray]]]] = None
+    bridges: list[Optional[Bridges]]  # per child v: rows V of its parent, columns W of v
+
+    def bridge(self, v: int, V: int, W: int) -> tuple[float, int, int]:
+        """Weight and jump edge (x, y) of the bridge from u + T(V) into T(W) + v."""
+        b = self.bridges[v]
+        if b is not None and V >= 0 and W >= 0:
+            w, xy = b
+            try:
+                x = xy.item(0, V, W)
+            except IndexError:
+                x = -1
+            if x >= 0:
+                return w.item(V, W), x, xy.item(1, V, W)
+        raise InternalInvariantError(f"missing bridge value for child {v}, masks ({V:b}, {W:b})")
 
 
-class UpsweepRun:
-    """Mutable state of one weight pass.
-
-    ``upsweep`` drives this in postorder; tests may construct a run and call
-    :meth:`process_node` in any valid bottom-up order themselves.
-    """
-
-    def __init__(
-        self,
-        inst: Instance,
-        tree: RootedTree,
-        k: Optional[int] = None,
-        keep_bipartitions: bool = False,
-        keep_sweep_tables: bool = False,
-    ):
-        if tree.n != inst.n:
-            raise ValueError("instance and tree disagree on n")
-        if tree.max_children > MASK_WIDTH_LIMIT:
-            raise GuardError(
-                f"max_children={tree.max_children} exceeds mask width limit "
-                f"{MASK_WIDTH_LIMIT}; subset tables would not fit"
-            )
-        if k is not None and k < 1:
-            raise ValueError("depth limit k must be >= 1 (or None for unlimited)")
-        self.inst = inst
-        self.tree = tree
-        self.k = k
-        self.dist = inst.distances
-        self.depth = np.array(tree.depth, dtype=np.int64)
-        self.stats = UpsweepStats()
-        self.bip: Optional[BipartitionTable] = BipartitionTable() if keep_bipartitions else None
-        self.keep_sweep_tables = keep_sweep_tables
-        self.tables: dict[int, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
-        self.processed = [False] * inst.n
-        self._scratch = np.full(inst.n, np.inf)
-        self._empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=float))
-
-    # -- table access -------------------------------------------------------
-
-    def dests(self, u: int, mask: int) -> tuple[np.ndarray, np.ndarray]:
-        """Stored (destination ids, weights) for node u and child mask."""
-        if mask == 0:
-            return self._empty
-        return self.tables[u][mask]
-
-    def _store(self, u: int, mask: int, ids: np.ndarray, w: np.ndarray) -> None:
-        self.tables[u][mask] = (ids, w)
-        self.stats.live_entries += ids.size
-        if self.stats.live_entries > self.stats.max_live_entries:
-            self.stats.max_live_entries = self.stats.live_entries
-
-    def _release(self, u: int) -> None:
-        table = self.tables.pop(u, None)
-        if table is not None:
-            self.stats.live_entries -= sum(ids.size for ids, _ in table.values())
-
-    # -- the two inner computations ----------------------------------------
-
-    def bipartition_path_weight(
-        self, u: int, V: int, v: int, W: int
-    ) -> Optional[tuple[float, int, int]]:
-        """Cheapest sweep of u + T(V) then T(W) + v, from u to v.
-
-        Returns (weight, x, y) where (x, y) is the jump edge between the two
-        phases, or None when a required destination range is empty (possible
-        only if a caller bypasses the standard storage rule).
-        """
-        if V == 0 and W == 0:
-            self.stats.quad_evals += 1
-            return (self.inst.distance(u, v), u, v)
-        if V == 0:
-            ids, wts = self.dests(v, W)
-            if ids.size == 0:
-                return None
-            cand = self.dist.pairs(u, ids) + wts
-            self.stats.quad_evals += ids.size
-            j = int(np.argmin(cand))
-            return (float(cand[j]), u, int(ids[j]))
-        if W == 0:
-            ids, wts = self.dests(u, V)
-            if ids.size == 0:
-                return None
-            cand = wts + self.dist.pairs(v, ids)
-            self.stats.quad_evals += ids.size
-            j = int(np.argmin(cand))
-            return (float(cand[j]), int(ids[j]), v)
-        ids_x, w_x = self.dests(u, V)
-        ids_y, w_y = self.dests(v, W)
-        if ids_x.size == 0 or ids_y.size == 0:
-            return None
-        m = w_x[:, None] + self.dist.pairs(ids_x[:, None], ids_y) + w_y[None, :]
-        self.stats.quad_evals += m.size
-        flat = int(np.argmin(m))
-        xi, yi = divmod(flat, m.shape[1])
-        return (float(m[xi, yi]), int(ids_x[xi]), int(ids_y[yi]))
-
-    def extend_sweep(self, u: int, V: int, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Destination slice inside T(v) for the mask V extended by v.
-
-        Computes all bridge values for (u, V, v) first, then the minimum over
-        child splits of v for every kept destination.  Returns (ids, weights)
-        sorted by node id; the entry for v itself uses the full-mask bridge.
-        """
-        nb = len(self.tree.children[v])
-        full = (1 << nb) - 1
-        bip_w = np.empty(full + 1)
-        for W in range(full + 1):
-            r = self.bipartition_path_weight(u, V, v, W)
-            if r is None:
-                raise InternalInvariantError(
-                    f"empty destination range for ({u}, {V:b}, {v}, {W:b})"
-                )
-            bip_w[W] = r[0]
-            if self.bip is not None:
-                self.bip.put(v, V, W, r[0], r[1], r[2])
-        if self.bip is not None:
-            self.stats.bip_entries = len(self.bip)
-        if nb == 0:
-            return np.array([v], dtype=np.int64), np.array([bip_w[0]])
-
-        max_depth = None if self.k is None else int(self.depth[u]) + self.k
-        ids_all, _ = self.dests(v, full)
-        if max_depth is not None:
-            ids_all = ids_all[self.depth[ids_all] <= max_depth]
-        scratch = self._scratch
-        # descending Wbar scans the swept-before masks in ascending order, so
-        # ties keep the lowest split mask
-        for Wbar in range(full, 0, -1):
-            ids, wts = self.dests(v, Wbar)
-            if max_depth is not None:
-                keep = self.depth[ids] <= max_depth
-                ids, wts = ids[keep], wts[keep]
-            if ids.size == 0:
-                continue
-            self.stats.extension_evals += ids.size
-            scratch[ids] = np.minimum(scratch[ids], bip_w[full ^ Wbar] + wts)
-        vals = scratch[ids_all].copy()
-        scratch[ids_all] = np.inf
-        out_ids = np.concatenate([ids_all, np.array([v], dtype=np.int64)])
-        out_w = np.concatenate([vals, np.array([bip_w[full]])])
-        order = np.argsort(out_ids)
-        return out_ids[order], out_w[order]
-
-    # -- per-node driver ----------------------------------------------------
-
-    def process_node(self, u: int) -> None:
-        """Fill u's table for every child mask, smallest masks first."""
-        cu = self.tree.children[u]
-        if any(not self.processed[v] for v in cu):
-            raise ValueError(f"children of {u} not processed yet")
-        c = len(cu)
-        self.tables[u] = {}
-        if c > 0:
-            by_level: list[list[int]] = [[] for _ in range(c + 1)]
-            for m in range(1 << c):
-                by_level[m.bit_count()].append(m)
-            pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-            for s in range(c):
-                for V in by_level[s]:
-                    for vi in range(c):
-                        bit = 1 << vi
-                        if V & bit:
-                            continue
-                        pending.setdefault(V | bit, []).append(
-                            self.extend_sweep(u, V, cu[vi])
-                        )
-                for mask in by_level[s + 1]:
-                    parts = pending.pop(mask)
-                    ids = np.concatenate([p[0] for p in parts])
-                    w = np.concatenate([p[1] for p in parts])
-                    order = np.argsort(ids)
-                    self._store(u, mask, ids[order], w[order])
-        self.processed[u] = True
-        if not self.keep_sweep_tables:
-            for v in cu:
-                self._release(v)
-
-    def finish(self) -> UpsweepResult:
-        """Close the cycle at the root and package the result."""
-        tree = self.tree
-        r = tree.root
-        if not self.processed[r]:
-            raise ValueError("root not processed")
-        full = (1 << len(tree.children[r])) - 1
-        ids, w = self.dests(r, full)
-        if ids.size == 0:
-            raise InternalInvariantError("no tour candidates at the root")
-        total = w + self.dist.pairs(r, ids)
-        j = int(np.argmin(total))
-        weight = float(total[j])
-        best_a = int(ids[j])
-
-        d = tree.max_children
-        n = self.inst.n
-        if self.stats.quad_evals > (4**d) * n * n:
-            raise InternalInvariantError(
-                f"route-candidate count {self.stats.quad_evals} exceeds 4^d n^2"
-            )
-        if not self.keep_sweep_tables and self.stats.max_live_entries > (2**d) * n:
-            raise InternalInvariantError(
-                f"live table entries {self.stats.max_live_entries} exceed 2^d n"
-            )
-        if self.bip is not None and len(self.bip) > (4**d) * n:
-            raise InternalInvariantError("bridge table larger than 4^d n")
-
-        return UpsweepResult(
-            weight=weight,
-            best_a=best_a,
-            n=n,
-            k=self.k,
-            tree_root=r,
-            max_children=d,
-            root_table=dict(self.tables[r]),
-            bipartitions=self.bip,
-            stats=self.stats,
-            sweep_tables=self.tables if self.keep_sweep_tables else None,
-        )
+def predicted_entries(tree: RootedTree) -> tuple[int, int]:
+    """(table entries, bridge entries) a pass over ``tree`` allocates in total."""
+    widths = [1 << len(c) for c in tree.children]
+    tables = sum(w * s for w, s in zip(widths, tree.subtree_size))
+    bridges = sum(widths[u] * sum(widths[v] for v in c) for u, c in enumerate(tree.children))
+    return tables, bridges
 
 
-def upsweep(
+def node_table(
     inst: Instance,
-    tree: RootedTree,
-    k: Optional[int] = None,
-    keep_bipartitions: bool = False,
-    keep_sweep_tables: bool = False,
-) -> UpsweepResult:
-    """Optimal admissible-tour weight for ``tree``; k=None searches exactly.
+    layout: PreorderLayout,
+    u: int,
+    tables: dict[int, np.ndarray],
+    k: Optional[int],
+    stats: UpsweepStats,
+    bridges: list[Optional[Bridges]],
+) -> np.ndarray:
+    """u's ``(2^c, size[u])`` table, built from its children's tables.
 
-    ``keep_bipartitions`` retains the bridge tables needed by tour
-    reconstruction (space grows from 2^d n to 4^d n).
+    Stores each child v's bridges in ``bridges[v]``; rows V that contain v
+    itself are never computed and keep the absent marker x = -1.
     """
+    tree = layout.tree
+    cu = tree.children[u]
+    missing = [v for v in cu if v not in tables]
+    if missing:
+        raise ValueError(f"children {missing} of {u} not processed yet")
+    c = len(cu)
+    if c == 0:
+        return _LEAF
+    p0 = int(layout.pre[u])
+    tu = slice(p0, p0 + tree.subtree_size[u])
+    ids_u, depth_u = layout.order[tu], layout.depth[tu]
+    table = np.full((1 << c, ids_u.size), np.inf)
+    table[0, 0] = 0.0
+    dist = inst.distances
+    n = inst.n
+    limit = None if k is None else tree.depth[u] + k
+
+    kids = []
+    for v in cu:
+        B = tables[v]
+        lo = int(layout.pre[v]) - p0
+        span = slice(lo, lo + B.shape[1])
+        if limit is None:
+            live = keep = slice(None)
+        else:  # every finite column of B, and those still within k of u
+            live, keep = depth_u[span] <= limit + 1, depth_u[span] <= limit
+        kept = B[:, keep]
+        # each kept destination below v is swept by half of v's nonempty masks
+        ext = (kept.shape[1] - 1) * (B.shape[0] // 2)
+        w = np.full((1 << c, B.shape[0]), np.inf)
+        xy = np.full((2, 1 << c, B.shape[0]), -1, dtype=np.intp)
+        bridges[v] = (w, xy)
+        kids.append((ids_u[span][live], B[:, live], kept, span, keep, ext, w, xy))
+
+    # V | bit > V, so every row is complete before it is read
+    for V in range((1 << c) - 1):
+        if V:
+            xs = np.flatnonzero(table[V] < np.inf)
+            xs = xs[np.argsort(ids_u[xs])]  # id order: the first hit is the lowest x
+            x_ids, A = ids_u[xs], table[V, xs]
+        for i, (y_ids, B_live, kept, span, keep, ext, w, xy) in enumerate(kids):
+            if V >> i & 1:
+                continue
+            if V == 0:  # A_0 is 0 at u alone: the inner minimum is d(u, y)
+                S = dist.pairs(u, y_ids) + B_live
+                w[V] = best = S.min(axis=1)
+                Ws, ys = np.nonzero(S == best[:, None])
+                pair = u * n + y_ids[ys]
+                stats.quad_evals += y_ids.size
+            else:
+                M = A[:, None] + dist.pairs(x_ids[:, None], y_ids)
+                S = M.min(axis=0) + B_live
+                w[V] = best = S.min(axis=1)
+                # (A[x] + d) + B can round onto the minimum even for an x that
+                # misses min_x by an ulp, so the jump edge is the lowest (x, y)
+                # over every pair whose full sum attains it
+                Ws, ys = np.nonzero(S == best[:, None])
+                hit = M[:, ys] + B_live[Ws, ys] == best[Ws]
+                pair = x_ids[hit.argmax(axis=0)] * n + y_ids[ys]
+                stats.quad_evals += x_ids.size * y_ids.size
+                del M  # free the block before the next child's is built
+            if Ws.size > best.size:  # tied pairs: keep the lowest per W
+                lowest = np.full(best.size, pair.max())
+                np.minimum.at(lowest, Ws, pair)
+                pair = lowest
+            xy[0, V], xy[1, V] = np.divmod(pair, n)
+            stats.bip_entries += best.size
+            stats.extension_evals += ext
+            table[V | 1 << i, span][keep] = (best[::-1, None] + kept).min(axis=0)
+    return table
+
+
+def upsweep(inst: Instance, tree: RootedTree, k: Optional[int] = None) -> UpsweepResult:
+    """Optimal admissible-tour weight for ``tree``, plus the bridges that
+    :func:`doubletree.downsweep.downsweep` rebuilds the tour from; k=None
+    searches exactly."""
     if inst.n < 2:
         raise ValueError("tour search needs at least two nodes")
-    run = UpsweepRun(
-        inst,
-        tree,
-        k=k,
-        keep_bipartitions=keep_bipartitions,
-        keep_sweep_tables=keep_sweep_tables,
-    )
+    if tree.n != inst.n:
+        raise ValueError("instance and tree disagree on n")
+    if k is not None and k < 1:
+        raise ValueError("depth limit k must be >= 1 (or None for unlimited)")
+    table_entries, bridge_entries = predicted_entries(tree)
+    if table_entries > TABLE_ENTRY_BUDGET or bridge_entries > BRIDGE_ENTRY_BUDGET:
+        raise GuardError(
+            f"tree with max_children={tree.max_children} predicts {table_entries:.3g} "
+            f"table and {bridge_entries:.3g} bridge entries; budgets are "
+            f"{TABLE_ENTRY_BUDGET:.3g} and {BRIDGE_ENTRY_BUDGET:.3g}"
+        )
+    layout = PreorderLayout.of(tree)
+    stats = UpsweepStats()
+    bridges: list[Optional[Bridges]] = [None] * inst.n
+    tables: dict[int, np.ndarray] = {}
+    live: dict[int, int] = {}
     for u in tree.postorder():
-        run.process_node(u)
-    return run.finish()
+        tables[u] = node_table(inst, layout, u, tables, k, stats, bridges)
+        live[u] = int(np.count_nonzero(tables[u][1:] < np.inf))
+        stats.live_entries += live[u]
+        stats.max_live_entries = max(stats.max_live_entries, stats.live_entries)
+        for v in tree.children[u]:
+            del tables[v]
+            stats.live_entries -= live.pop(v)
+
+    r = tree.root
+    total = tables[r][-1] + inst.distances.pairs(r, layout.order)
+    weight = float(total.min())
+    if weight == np.inf:
+        raise InternalInvariantError("no tour candidates at the root")
+    best_a = int(layout.order[total == weight].min())
+
+    d = tree.max_children
+    n = inst.n
+    if stats.quad_evals > (4**d) * n * n:
+        raise InternalInvariantError(f"route-candidate count {stats.quad_evals} exceeds 4^d n^2")
+    if stats.max_live_entries > (2**d) * n:
+        raise InternalInvariantError(f"live table entries {stats.max_live_entries} exceed 2^d n")
+    if stats.bip_entries > (4**d) * n:
+        raise InternalInvariantError("bridge table larger than 4^d n")
+    return UpsweepResult(weight, best_a, n, k, r, d, stats, bridges)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from doubletree import (
@@ -13,6 +14,7 @@ from doubletree import (
     minimum_spanning_tree,
     root_tree,
 )
+from doubletree.upsweep import PreorderLayout, UpsweepStats, node_table
 
 
 def make_instance(coords, name="test", rounded=False):
@@ -52,6 +54,29 @@ def max_triangle_violation(inst):
         slack = d - d[:, b][:, None] - d[b, :][None, :]
         worst = max(worst, float(slack.max()))
     return worst
+
+
+class SweepTables:
+    """Every node's upsweep table, built with ``node_table`` in postorder and
+    all kept (the upsweep itself releases each child table after its parent)."""
+
+    def __init__(self, inst, tree, k=None, schedule=None):
+        self.layout = PreorderLayout.of(tree)
+        self.stats = UpsweepStats()
+        self.bridges = [None] * inst.n
+        self.tables = {}
+        for u in schedule or tree.postorder():
+            self.tables[u] = node_table(
+                inst, self.layout, u, self.tables, k, self.stats, self.bridges
+            )
+
+    def dests(self, u, mask):
+        """(destination ids ascending, weights) of the finite entries of row ``mask``."""
+        row = self.tables[u][mask]
+        cols = np.flatnonzero(row < np.inf)
+        ids = self.layout.order[self.layout.pre[u] + cols]
+        o = np.argsort(ids)
+        return ids[o], row[cols[o]]
 
 
 def random_instance(n, seed, box=1.0):

@@ -67,7 +67,7 @@ def small_corpus():
         n = 4 + i % 6
         inst = generate_uniform(n, seed=10_000 + i, box=1.0)
         tree = root_tree(minimum_spanning_tree(inst), n)
-        result = upsweep(inst, tree, keep_bipartitions=True)
+        result = upsweep(inst, tree)
         tour = downsweep(inst, tree, result)
         cases.append(
             SmallCase(
@@ -225,7 +225,7 @@ def test_criterion_6_reconstruction_edge_budget(small_corpus, benchmark_runs):
         checked += 1
     rows, _ = benchmark_runs
     for r in rows[:3]:
-        res = upsweep(r["inst"], r["tree"], keep_bipartitions=True)
+        res = upsweep(r["inst"], r["tree"])
         rec = TourReconstructor(r["tree"], res)
         order = rec.reconstruct(r["tree"].root, rec.full_mask(r["tree"].root), res.best_a)
         assert len(order) == r["inst"].n

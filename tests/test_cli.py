@@ -360,6 +360,32 @@ class TestEarlyValidation:
                      "--hk-iterations", "0", "-o", str(tmp_path / "s.csv")]) == 2
         assert build_counts["mst"] == 0
 
+    def test_oversized_tables_rejected_before_the_upsweep_reads_a_distance(
+        self, monkeypatch, capsys
+    ):
+        counts = {"upsweep": 0, "lookups": 0}
+        inside = []
+        orig_pairs, orig_upsweep = PairwiseDistances.pairs, cli_mod.upsweep
+
+        def counted_pairs(self, a, b):
+            counts["lookups"] += bool(inside)
+            return orig_pairs(self, a, b)
+
+        def flagged_upsweep(*args, **kwargs):
+            counts["upsweep"] += 1
+            inside.append(True)
+            try:
+                return orig_upsweep(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(PairwiseDistances, "pairs", counted_pairs)
+        monkeypatch.setattr(cli_mod, "upsweep", flagged_upsweep)
+        assert main(["run", "--gen", "uniform:n=1000,seed=1", "--heuristic", "dtk",
+                     "--degree-limit", "12", "--depth", "16"]) == 4
+        assert counts == {"upsweep": 1, "lookups": 0}
+        assert "bridge entries" in capsys.readouterr().err
+
     def test_non_finite_coordinate_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "nan.tsp"
         bad.write_text("NAME : nan\nTYPE : TSP\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\n"

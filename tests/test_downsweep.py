@@ -11,20 +11,36 @@ from doubletree import (
     write_tour_plain,
     write_tour_tsplib,
 )
+from doubletree import InternalInvariantError
 from doubletree.downsweep import (
     LayeredGraph,
     TourReconstructor,
     layered_shortest_path,
-    reconstruct_path,
 )
 from doubletree.instances import cycle_weight
-from doubletree.upsweep import UpsweepRun, upsweep
+from doubletree.upsweep import upsweep
 
-from conftest import STAR5_BEST, make_instance, mst_tree, random_instance
+from conftest import STAR5_BEST, SweepTables, make_instance, mst_tree, random_instance
 
 
 def _seq_weight(inst, seq):
     return sum(inst.distance(seq[i], seq[i + 1]) for i in range(len(seq) - 1))
+
+
+def reconstruct_path(tree, result, u, V, a):
+    """The optimal sweep of u plus T(V) from u to a, as a node sequence."""
+    rec = TourReconstructor(tree, result)
+    seq = rec.reconstruct(u, V, a)
+    expected = 1 + sum(
+        tree.subtree_size[c] for i, c in enumerate(tree.children[u]) if V >> i & 1
+    )
+    if len(seq) != expected or len(set(seq)) != expected:
+        raise InternalInvariantError(
+            f"reconstructed sweep visits {len(seq)} nodes, expected {expected}"
+        )
+    if seq[0] != u or seq[-1] != a:
+        raise InternalInvariantError("reconstructed sweep has wrong endpoints")
+    return seq
 
 
 class TestLayeredShortestPath:
@@ -70,12 +86,12 @@ class TestReconstructPath:
     def test_single_leaf_child(self):
         inst = make_instance([(0, 0), (1, 0)])
         tree = mst_tree(inst)
-        res = upsweep(inst, tree, keep_bipartitions=True)
+        res = upsweep(inst, tree)
         assert reconstruct_path(tree, res, 0, 1, 1) == [0, 1]
 
     def test_collinear_walk_out(self, collinear3):
         tree = mst_tree(collinear3)
-        res = upsweep(collinear3, tree, keep_bipartitions=True)
+        res = upsweep(collinear3, tree)
         seq = reconstruct_path(tree, res, 0, 1, 2)
         assert seq == [0, 1, 2]
         assert _seq_weight(collinear3, seq) == pytest.approx(2.0)
@@ -85,28 +101,26 @@ class TestReconstructPath:
         n = 8
         inst = random_instance(n, 1200 + seed)
         tree = mst_tree(inst)
-        run = UpsweepRun(inst, tree, keep_bipartitions=True, keep_sweep_tables=True)
-        for node in tree.postorder():
-            run.process_node(node)
-        res = run.finish()
+        res = upsweep(inst, tree)
+        st = SweepTables(inst, tree)
         for u in range(n):
-            for mask, (ids, wts) in run.tables[u].items():
+            for mask in range(1, len(st.tables[u])):
+                ids, wts = st.dests(u, mask)
                 for a, want in zip(ids.tolist(), wts.tolist()):
                     seq = reconstruct_path(tree, res, u, mask, a)
                     assert seq[0] == u and seq[-1] == a
                     assert _seq_weight(inst, seq) == pytest.approx(want, abs=1e-9)
 
-    def test_rejects_weight_only_tables(self, collinear3):
+    def test_rejects_uncomputed_bridge(self, collinear3):
         tree = mst_tree(collinear3)
-        res = upsweep(collinear3, tree)  # no bridge tables kept
-        with pytest.raises(ValueError):
+        res = upsweep(collinear3, tree)
+        res.bridges[2][1][:] = -1  # as if the bridges into T(2) were never computed
+        with pytest.raises(InternalInvariantError):
             reconstruct_path(tree, res, 0, 1, 2)
 
     def test_rejects_destination_outside_selection(self, star5):
-        from doubletree import InternalInvariantError
-
         tree = mst_tree(star5)  # root 1 -> 0 -> leaves 2, 3, 4
-        res = upsweep(star5, tree, keep_bipartitions=True)
+        res = upsweep(star5, tree)
         with pytest.raises(InternalInvariantError):
             reconstruct_path(tree, res, 0, 0b001, 3)
 
@@ -115,21 +129,21 @@ class TestDownsweep:
     def test_two_nodes(self):
         inst = make_instance([(0, 0), (0, 3)])
         tree = mst_tree(inst)
-        res = upsweep(inst, tree, keep_bipartitions=True)
+        res = upsweep(inst, tree)
         tour = downsweep(inst, tree, res)
         assert tour.order == (0, 1)
         assert tour.weight == pytest.approx(6.0)
 
     def test_unit_square(self, unit_square):
         tree = mst_tree(unit_square)
-        res = upsweep(unit_square, tree, keep_bipartitions=True)
+        res = upsweep(unit_square, tree)
         tour = downsweep(unit_square, tree, res)
         assert tour.weight == pytest.approx(4.0)
         assert is_conforming(tour, tree)
 
     def test_star(self, star5):
         tree = mst_tree(star5)
-        res = upsweep(star5, tree, keep_bipartitions=True)
+        res = upsweep(star5, tree)
         tour = downsweep(star5, tree, res)
         assert tour.weight == pytest.approx(STAR5_BEST)
         assert is_conforming(tour, tree)
@@ -139,7 +153,7 @@ class TestDownsweep:
         n = 4 + seed % 6
         inst = random_instance(n, 1300 + seed)
         tree = mst_tree(inst)
-        res = upsweep(inst, tree, keep_bipartitions=True)
+        res = upsweep(inst, tree)
         tour = downsweep(inst, tree, res)
         assert sorted(tour.order) == list(range(n))
         assert tour.weight == pytest.approx(res.weight, abs=1e-9)
@@ -152,7 +166,7 @@ class TestDownsweep:
         for seed in range(6):
             inst = random_instance(15, 1400 + seed)
             tree = mst_tree(inst)
-            res = upsweep(inst, tree, k=k, keep_bipartitions=True)
+            res = upsweep(inst, tree, k=k)
             tour = downsweep(inst, tree, res)
             assert tour.weight == pytest.approx(res.weight, abs=1e-9)
             assert is_conforming(tour, tree)
@@ -162,7 +176,7 @@ class TestDownsweep:
             n = 20
             inst = random_instance(n, 1500 + seed)
             tree = mst_tree(inst)
-            res = upsweep(inst, tree, keep_bipartitions=True)
+            res = upsweep(inst, tree)
             rec = TourReconstructor(tree, res)
             order = rec.reconstruct(tree.root, rec.full_mask(tree.root), res.best_a)
             assert len(order) == n
@@ -170,7 +184,7 @@ class TestDownsweep:
 
     def test_rejects_mismatched_tree(self, collinear3):
         tree = mst_tree(collinear3)
-        res = upsweep(collinear3, tree, keep_bipartitions=True)
+        res = upsweep(collinear3, tree)
         other = mst_tree(random_instance(5, 1))
         with pytest.raises(ValueError):
             downsweep(random_instance(5, 1), other, res)
@@ -178,7 +192,7 @@ class TestDownsweep:
     def test_weight_matches_cycle_recomputation(self):
         inst = random_instance(30, seed=9)
         tree = mst_tree(inst)
-        res = upsweep(inst, tree, keep_bipartitions=True)
+        res = upsweep(inst, tree)
         tour = downsweep(inst, tree, res)
         assert tour.weight == pytest.approx(cycle_weight(inst, tour.order), abs=0)
 

@@ -6,17 +6,25 @@ import pytest
 
 from doubletree import (
     GuardError,
+    InternalInvariantError,
     RootedTree,
     TreeEdge,
     degree_increase,
     enumerate_conforming_min,
+    generate_uniform,
     minimum_spanning_tree,
     root_tree,
     tree_weight,
 )
-from doubletree.upsweep import UpsweepRun, upsweep
+from doubletree.upsweep import (
+    PreorderLayout,
+    UpsweepStats,
+    node_table,
+    predicted_entries,
+    upsweep,
+)
 
-from conftest import STAR5_BEST, make_instance, mst_tree, random_instance
+from conftest import STAR5_BEST, SweepTables, make_instance, mst_tree, random_instance
 
 
 # --- independent brute-force oracles for sweep values -----------------------
@@ -80,14 +88,6 @@ def bipartition_min_oracle(inst, tree, u, v_nodes, v, w_nodes):
     return best
 
 
-def _prepared_run(inst, **kwargs):
-    tree = mst_tree(inst)
-    run = UpsweepRun(inst, tree, **kwargs)
-    for node in tree.postorder():
-        run.process_node(node)
-    return tree, run
-
-
 def _mask_of(tree, u, v_nodes):
     return sum(1 << tree.children[u].index(v) for v in v_nodes)
 
@@ -98,26 +98,22 @@ def _mask_of(tree, u, v_nodes):
 class TestBipartitionPathWeight:
     def test_both_masks_empty_is_plain_edge(self, unit_square):
         tree = RootedTree.from_parents(4, 0, [None, 0, 1, 2])
-        run = UpsweepRun(unit_square, tree)
-        for node in tree.postorder():
-            run.process_node(node)
-        w, x, y = run.bipartition_path_weight(0, 0, 1, 0)
-        assert (w, x, y) == (unit_square.distance(0, 1), 0, 1)
+        res = upsweep(unit_square, tree)
+        assert res.bridge(1, 0, 0) == (unit_square.distance(0, 1), 0, 1)
 
     def test_collinear_enter_through_grandchild(self, collinear3):
         tree = mst_tree(collinear3)
-        run = UpsweepRun(collinear3, tree)
-        run.process_node(2)
-        run.process_node(1)
+        res = upsweep(collinear3, tree)
         # sweep {1,2} entered at its far end: d(0,2) + d(1,2) = 2 + 1
-        w, x, y = run.bipartition_path_weight(0, 0, 1, 1)
+        w, x, y = res.bridge(1, 0, 1)
         assert w == pytest.approx(3.0)
         assert (x, y) == (0, 2)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_full_masks_match_enumeration(self, seed):
         inst = random_instance(7, 400 + seed)
-        tree, run = _prepared_run(inst, keep_sweep_tables=True)
+        tree = mst_tree(inst)
+        res = upsweep(inst, tree)
         for u in range(7):
             cu = tree.children[u]
             for v in cu:
@@ -127,10 +123,9 @@ class TestBipartitionPathWeight:
                     for v_nodes in itertools.combinations(others, r):
                         for s in range(len(cv) + 1):
                             for w_nodes in itertools.combinations(cv, s):
-                                got = run.bipartition_path_weight(
-                                    u,
-                                    _mask_of(tree, u, v_nodes),
+                                got = res.bridge(
                                     v,
+                                    _mask_of(tree, u, v_nodes),
                                     _mask_of(tree, v, w_nodes),
                                 )[0]
                                 want = bipartition_min_oracle(
@@ -140,66 +135,60 @@ class TestBipartitionPathWeight:
 
     def test_absent_marker_for_empty_range(self, collinear3):
         tree = mst_tree(collinear3)
-        run = UpsweepRun(collinear3, tree)
-        run.process_node(2)
-        run.process_node(1)
-        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=float))
-        run.tables[1][1] = empty  # simulate a fully pruned table
-        assert run.bipartition_path_weight(0, 0, 1, 1) is None
+        res = upsweep(collinear3, tree)
+        # a parent-side mask holding v itself is never computed
+        _, xy = res.bridges[1]
+        assert xy[:, 1, :].tolist() == [[-1, -1], [-1, -1]]
+        for V, W in ((1, 0), (1, 1), (0, 2), (2, 0)):
+            with pytest.raises(InternalInvariantError):
+                res.bridge(1, V, W)
+        with pytest.raises(InternalInvariantError):
+            res.bridge(0, 0, 0)  # the root has no parent
 
 
 class TestExtendSweep:
     def test_collinear_slice(self, collinear3):
-        tree = mst_tree(collinear3)
-        run = UpsweepRun(collinear3, tree)
-        run.process_node(2)
-        run.process_node(1)
-        ids, w = run.extend_sweep(0, 0, 1)
+        st = SweepTables(collinear3, mst_tree(collinear3))
+        ids, w = st.dests(0, 1)
         assert ids.tolist() == [1, 2]
         # ending at 1 must first sweep {2}: d(0,2)+d(2,1); ending at 2 walks out
         assert w.tolist() == pytest.approx([3.0, 2.0])
 
     def test_leaf_child_slice_is_single_entry(self, collinear3):
-        tree = mst_tree(collinear3)
-        run = UpsweepRun(collinear3, tree)
-        run.process_node(2)
-        ids, w = run.extend_sweep(1, 0, 2)
+        st = SweepTables(collinear3, mst_tree(collinear3))
+        ids, w = st.dests(1, 1)
         assert ids.tolist() == [2]
         assert w.tolist() == [pytest.approx(1.0)]
 
 
 class TestProcessNode:
     def test_leaf_has_no_entries(self, collinear3):
-        tree = mst_tree(collinear3)
-        run = UpsweepRun(collinear3, tree)
-        run.process_node(2)
-        assert run.tables[2] == {}
-        ids, w = run.dests(2, 0)
-        assert ids.size == 0 and w.size == 0
+        st = SweepTables(collinear3, mst_tree(collinear3))
+        # only the empty-mask row: 0 at the leaf itself
+        assert st.tables[2].tolist() == [[0.0]]
 
     def test_single_child_node_has_one_mask(self, collinear3):
-        tree = mst_tree(collinear3)
-        run = UpsweepRun(collinear3, tree, keep_sweep_tables=True)
-        for node in tree.postorder():
-            run.process_node(node)
-        assert set(run.tables[1].keys()) == {1}
+        st = SweepTables(collinear3, mst_tree(collinear3))
+        assert st.tables[1].shape == (2, 2)
+        assert st.tables[1][0].tolist() == [0.0, math.inf]
 
     def test_requires_children_processed(self, collinear3):
         tree = mst_tree(collinear3)
-        run = UpsweepRun(collinear3, tree)
+        layout = PreorderLayout.of(tree)
         with pytest.raises(ValueError):
-            run.process_node(1)
+            node_table(collinear3, layout, 1, {}, None, UpsweepStats(), [None] * 3)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tables_match_sweep_oracle(self, seed):
         inst = random_instance(7, 500 + seed)
-        tree, run = _prepared_run(inst, keep_sweep_tables=True)
+        tree = mst_tree(inst)
+        st = SweepTables(inst, tree)
         for u in range(7):
             cu = tree.children[u]
             for r in range(1, len(cu) + 1):
                 for v_nodes in itertools.combinations(cu, r):
                     mask = _mask_of(tree, u, v_nodes)
-                    ids, wts = run.dests(u, mask)
+                    ids, wts = st.dests(u, mask)
                     expected_set = set()
                     for v in v_nodes:
                         expected_set.update(tree.subtree_nodes(v))
@@ -266,14 +255,21 @@ class TestUpsweep:
         wider = degree_increase(tree, 5)
         assert upsweep(inst, wider).weight <= upsweep(inst, tree).weight + 1e-9
 
+    def test_larger_degree_limit_can_be_worse(self):
+        # the never-worse guarantee compares a transformed tree with the
+        # untransformed one under exact search, not two degree limits
+        inst = generate_uniform(300, 1, 1e6)
+        mst = mst_tree(inst)
+        d6, d7 = degree_increase(mst, 6), degree_increase(mst, 7)
+        assert round(upsweep(inst, d6, k=16).weight, 2) == 13_221_852.02
+        assert round(upsweep(inst, d7, k=16).weight, 2) == 13_239_502.27
+        assert upsweep(inst, d7).weight <= upsweep(inst, mst).weight
+
     def test_depth_limit_prunes_stored_destinations(self):
         inst = make_instance([(0, 0), (1, 0), (2, 0), (3, 0)])
-        tree = mst_tree(inst)
-        run = UpsweepRun(inst, tree, k=1, keep_sweep_tables=True)
-        for node in tree.postorder():
-            run.process_node(node)
-        assert run.dests(1, 1)[0].tolist() == [2]  # node 3 is two steps away
-        assert run.dests(0, 1)[0].tolist() == [1]
+        st = SweepTables(inst, mst_tree(inst), k=1)
+        assert st.dests(1, 1)[0].tolist() == [2]  # node 3 is two steps away
+        assert st.dests(0, 1)[0].tolist() == [1]
 
     def test_postorder_independence(self):
         for seed in range(5):
@@ -281,10 +277,12 @@ class TestUpsweep:
             tree = mst_tree(inst)
             baseline = upsweep(inst, tree).weight
             # deepest-first is a valid bottom-up schedule too
-            run = UpsweepRun(inst, tree)
-            for node in sorted(range(inst.n), key=lambda u: -tree.depth[u]):
-                run.process_node(node)
-            assert run.finish().weight == baseline
+            schedule = sorted(range(inst.n), key=lambda u: -tree.depth[u])
+            st = SweepTables(inst, tree, schedule=schedule)
+            closing = st.tables[tree.root][-1] + inst.distances.pairs(
+                tree.root, st.layout.order
+            )
+            assert float(closing.min()) == baseline
 
     def test_deterministic(self):
         inst = random_instance(40, seed=31)
@@ -302,22 +300,13 @@ class TestUpsweep:
             assert res.stats.quad_evals <= (4**d) * n * n
             assert res.stats.max_live_entries <= (2**d) * n
 
-    def test_weight_only_mode_releases_children(self, star5):
+    def test_releases_child_tables(self, star5):
         tree = mst_tree(star5)
-        run = UpsweepRun(star5, tree)
-        for node in tree.postorder():
-            run.process_node(node)
-        assert set(run.tables.keys()) == {tree.root}
-        assert run.stats.live_entries == sum(
-            ids.size for ids, _ in run.tables[tree.root].values()
-        )
-
-    def test_keep_sweep_tables_retains_everything(self, star5):
-        tree = mst_tree(star5)
-        run = UpsweepRun(star5, tree, keep_sweep_tables=True)
-        for node in tree.postorder():
-            run.process_node(node)
-        assert set(run.tables.keys()) == set(range(5))
+        res = upsweep(star5, tree)
+        # only the root's mask rows are still live once the pass is done
+        root = SweepTables(star5, tree).tables[tree.root]
+        assert res.stats.live_entries == int(np.count_nonzero(root[1:] < np.inf))
+        assert res.stats.max_live_entries >= res.stats.live_entries
 
     def test_mask_width_guard(self):
         n = 23
@@ -329,6 +318,16 @@ class TestUpsweep:
         with pytest.raises(GuardError):
             upsweep(inst, tree)
 
+    def test_predicted_entries_match_allocation(self):
+        inst = random_instance(40, seed=5)
+        tree = degree_increase(mst_tree(inst), 4)
+        st = SweepTables(inst, tree)
+        tables, bridges = predicted_entries(tree)
+        assert tables == sum(t.size for t in st.tables.values())
+        assert bridges == sum(b[0].size for b in st.bridges if b is not None)
+        # rows whose parent-side mask holds the child itself stay uncomputed
+        assert st.stats.bip_entries * 2 == bridges
+
     def test_rejects_tiny_instances(self):
         inst = make_instance([(0, 0)])
         tree = root_tree([], 1)
@@ -338,10 +337,3 @@ class TestUpsweep:
     def test_rejects_bad_depth(self, collinear3):
         with pytest.raises(ValueError):
             upsweep(collinear3, mst_tree(collinear3), k=0)
-
-    def test_result_carries_root_table(self, collinear3):
-        tree = mst_tree(collinear3)
-        res = upsweep(collinear3, tree)
-        ids, w = res.root_table[1]
-        assert ids.tolist() == [1, 2]
-        assert w.tolist() == pytest.approx([3.0, 2.0])
