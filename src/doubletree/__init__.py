@@ -14,7 +14,7 @@ from .errors import (
     InternalInvariantError,
     ParseError,
 )
-from .hk_bound import held_karp_lower_bound
+from .hk_bound import AscentSummary, held_karp_ascent, held_karp_lower_bound
 from .instances import (
     Instance,
     Metric,
@@ -44,6 +44,7 @@ from .upsweep import UpsweepResult, upsweep
 __version__ = "0.1.0"
 
 __all__ = [
+    "AscentSummary",
     "ConfigError",
     "DoubleTreeError",
     "GuardError",
@@ -64,6 +65,7 @@ __all__ = [
     "enumerate_conforming_min",
     "generate_clustered",
     "generate_uniform",
+    "held_karp_ascent",
     "held_karp_lower_bound",
     "is_conforming",
     "minimum_spanning_tree",

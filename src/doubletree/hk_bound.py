@@ -10,9 +10,16 @@ Defaults: 1000 iterations, step factor 2.0 halved after every
 ``iterations // 10`` consecutive non-improving steps, upper bound from the
 depth-first traversal tour of the rooted minimum spanning tree.  The ascent
 is fully deterministic.
+
+Each 1-tree is a dense Prim scan that reads one distance row per step and
+reduces it by the potentials on the fly, so the ascent needs O(n) memory
+beyond the instance's distance object; above the distance cache the row is
+recomputed from coordinates.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,59 +32,72 @@ def _one_tree(dist: PairwiseDistances, pi: np.ndarray) -> tuple[float, np.ndarra
     """Minimum 1-tree under distances reduced by the potentials.
 
     Returns its reduced weight and the node degree vector.  Node 0 is the
-    special node; the spanning tree covers 1..n-1 (dense scan, deterministic
-    smallest-index tie-breaks).
+    special node; the spanning tree covers 1..n-1.  Prim reads one row per
+    step, reduced as ``(d[j] - pi[j]) - pi``; tree nodes carry NaN in the
+    subtracted copy of ``pi``, so they never compare below a key.  Ties go to
+    the smallest index (first argmin, strict improvement), and the weight is
+    summed left to right in pick order.
     """
     n = dist.n
-    try:
-        reduced = dist.matrix() - pi[:, None] - pi[None, :]
-    except MemoryError:
-        reduced = None
-
-    def row_of(j: int) -> np.ndarray:
-        if reduced is not None:
-            return reduced[j]
-        return dist.pairs(j, slice(None)) - pi[j] - pi
-
-    degrees = np.zeros(n, dtype=np.int64)
-    # nodes inside the tree (and the excluded node 0) keep key = +inf and
-    # outside = False, so a plain argmin always picks the cheapest candidate
-    outside = np.ones(n, dtype=bool)
-    outside[0] = False
+    masked_pi = pi.copy()
+    masked_pi[0] = np.nan
+    # tree nodes (and the excluded node 0) keep key = +inf, so a plain argmin
+    # always picks the cheapest candidate
     key = np.full(n, np.inf)
-    best_parent = np.full(n, -1, dtype=np.int64)
     key[1] = 0.0
-    total = 0.0
-    for _ in range(n - 1):
-        j = int(np.argmin(key))
-        if best_parent[j] >= 0:
-            total += key[j]
-            degrees[j] += 1
-            degrees[best_parent[j]] += 1
-        outside[j] = False
+    best_parent = np.full(n, -1, dtype=np.int64)
+    picked = np.empty(n - 1)
+    row = np.empty(n)
+    better = np.empty(n, dtype=bool)
+    for i in range(n - 1):
+        j = int(key.argmin())
+        picked[i] = key[j]
         key[j] = np.inf
-        row = row_of(j)
-        better = outside & (row < key)
-        key[better] = row[better]
-        best_parent[better] = j
-    row0 = row_of(0).copy()
+        masked_pi[j] = np.nan
+        np.subtract(dist.pairs(j, slice(None)), pi[j], out=row)
+        np.subtract(row, masked_pi, out=row)
+        np.less(row, key, out=better)
+        np.copyto(key, row, where=better)
+        np.copyto(best_parent, j, where=better)
+    row0 = (dist.pairs(0, slice(None)) - pi[0]) - pi
     row0[0] = np.inf
     order = np.argsort(row0, kind="stable")
     e1, e2 = int(order[0]), int(order[1])
-    total += float(row0[e1] + row0[e2])
+    # node 1 is picked first, with key 0.0 and no parent
+    total = np.add.accumulate(picked)[-1] + float(row0[e1] + row0[e2])
+    degrees = np.zeros(n, dtype=np.int64)
+    degrees[2:] = 1
+    np.add.at(degrees, best_parent[2:], 1)
     degrees[0] += 2
     degrees[e1] += 1
     degrees[e2] += 1
     return total, degrees
 
 
-def held_karp_lower_bound(inst: Instance, tree: RootedTree, iterations: int = 1000) -> float:
-    """Best 1-tree Lagrangian bound found by subgradient ascent.
+class AscentSummary(NamedTuple):
+    """How a subgradient ascent went (a named tuple: cheaper to define at
+    import than a frozen dataclass, and as immutable).
+
+    ``iterations`` counts the 1-trees built (fewer than asked when the
+    1-tree became a tour or reached the step target), ``best_iteration`` is
+    the 1-based iteration that gave ``bound``, and ``final_gap`` is the
+    depth-first tour weight minus ``bound``.
+    """
+
+    bound: float
+    iterations: int
+    halvings: int
+    best_iteration: int
+    final_gap: float
+
+
+def held_karp_ascent(inst: Instance, tree: RootedTree, iterations: int = 1000) -> AscentSummary:
+    """Subgradient ascent on 1-tree potentials, with its summary.
 
     ``tree`` is the instance's rooted minimum spanning tree (``root_tree`` of
     ``minimum_spanning_tree``); its depth-first tour sets the step target.
-    Always a valid lower bound on the optimal tour weight; deterministic for
-    fixed (inst, iterations).
+    The bound is always a valid lower bound on the optimal tour weight;
+    deterministic for fixed (inst, iterations).
     """
     n = inst.n
     if n < 3:
@@ -90,19 +110,23 @@ def held_karp_lower_bound(inst: Instance, tree: RootedTree, iterations: int = 10
 
     pi = np.zeros(n)
     best = -np.inf
+    best_at = 0
     lam = 2.0
     patience = max(1, iterations // 10)
     stall = 0
-    for _ in range(iterations):
+    halvings = 0
+    for it in range(1, iterations + 1):
         reduced, degrees = _one_tree(dist, pi)
         bound = reduced + 2.0 * float(pi.sum())
         if bound > best:
             best = bound
+            best_at = it
             stall = 0
         else:
             stall += 1
             if stall >= patience:
                 lam *= 0.5
+                halvings += 1
                 stall = 0
         g = 2.0 - degrees
         norm_sq = float(g @ g)
@@ -112,4 +136,9 @@ def held_karp_lower_bound(inst: Instance, tree: RootedTree, iterations: int = 10
         if gap <= 0.0:
             break
         pi = pi + lam * gap / norm_sq * g
-    return float(best)
+    return AscentSummary(float(best), it, halvings, best_at, float(upper - best))
+
+
+def held_karp_lower_bound(inst: Instance, tree: RootedTree, iterations: int = 1000) -> float:
+    """Best 1-tree Lagrangian bound found by ``held_karp_ascent``."""
+    return held_karp_ascent(inst, tree, iterations).bound

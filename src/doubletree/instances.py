@@ -115,12 +115,17 @@ class PairwiseDistances:
         """
         if self._matrix is not None:
             return self._matrix[a, b]
-        dx = self._xy[a, 0] - self._xy[b, 0]
-        dy = self._xy[a, 1] - self._xy[b, 1]
-        d = np.sqrt(dx * dx + dy * dy)
+        # in place in the two difference arrays (0-d for a scalar lookup)
+        dx = np.asarray(self._xy[a, 0] - self._xy[b, 0])
+        dy = np.asarray(self._xy[a, 1] - self._xy[b, 1])
+        np.multiply(dx, dx, out=dx)
+        np.multiply(dy, dy, out=dy)
+        np.add(dx, dy, out=dx)
+        np.sqrt(dx, out=dx)
         if self._rounded:
-            d = np.floor(d + 0.5)  # round half up, the TSPLIB convention
-        return d
+            np.add(dx, 0.5, out=dx)
+            np.floor(dx, out=dx)  # round half up, the TSPLIB convention
+        return dx[()]
 
     def matrix(self) -> np.ndarray:
         if self._matrix is None:

@@ -113,42 +113,50 @@ class RootedTree:
 
 
 def minimum_spanning_tree(inst: Instance) -> list[TreeEdge]:
-    """Prim's algorithm with a dense scan; deterministic under ties."""
+    """Prim's algorithm with a dense row-at-a-time scan; deterministic under ties.
+
+    Each step reads one distance row; tree nodes carry NaN in the added mask,
+    so they never compare below or equal to a key, and their key is +inf.
+    The tie rules only run when a tie exists: among equal minimum keys the
+    lexicographically smallest (min, max) edge wins, and an equal row value
+    moves a node to the smaller pair.
+    """
     n = inst.n
     if n == 1:
         return []
     dist = inst.distances
-    INF = np.inf
-    key = np.full(n, INF)
-    best_parent = np.full(n, -1, dtype=np.int64)
-    in_tree = np.zeros(n, dtype=bool)
+    key = np.full(n, np.inf)
     key[0] = 0.0
+    best_parent = np.full(n, -1, dtype=np.int64)
+    tree_mask = np.zeros(n)
+    row = np.empty(n)
+    better = np.empty(n, dtype=bool)
+    tied = np.empty(n, dtype=bool)
     edges: list[TreeEdge] = []
     for _ in range(n):
-        masked = np.where(in_tree, INF, key)
-        candidates = np.flatnonzero(masked == masked.min())
-        # among equal-key vertices prefer the lexicographically smallest
-        # (min, max) edge pair to the tree, then the smallest vertex index
-        j = candidates[0]
-        if len(candidates) > 1 and best_parent[j] >= 0:
+        j = int(key.argmin())
+        m = key[j]
+        if best_parent[j] >= 0 and np.count_nonzero(key == m) > 1:
+            # among equal-key vertices prefer the lexicographically smallest
+            # (min, max) edge pair to the tree, then the smallest vertex index
             pairs = [
-                (min(best_parent[c], c), max(best_parent[c], c), c) for c in candidates
+                (min(best_parent[c], c), max(best_parent[c], c), c)
+                for c in np.flatnonzero(key == m)
             ]
             pairs.sort()
-            j = pairs[0][2]
-        j = int(j)
-        in_tree[j] = True
+            j = int(pairs[0][2])
         if best_parent[j] >= 0:
             edges.append(TreeEdge(int(best_parent[j]), j, float(key[j])))
-        row = dist.pairs(j, slice(None))
-        out = ~in_tree
-        better = out & (row < key)
-        key[better] = row[better]
-        best_parent[better] = j
-        # ties on key: keep the edge with the smaller (min, max) pair
-        tied = out & (row == key) & (best_parent != j) & (best_parent >= 0)
-        if np.any(tied):
-            idx = np.flatnonzero(tied)
+        key[j] = np.inf
+        tree_mask[j] = np.nan
+        np.add(dist.pairs(j, slice(None)), tree_mask, out=row)
+        np.equal(row, key, out=tied)  # before the update, which only takes row < key
+        np.less(row, key, out=better)
+        np.copyto(key, row, where=better)
+        np.copyto(best_parent, j, where=better)
+        if tied.any():
+            # ties on key: keep the edge with the smaller (min, max) pair
+            idx = np.flatnonzero(tied & (best_parent >= 0))
             cur = best_parent[idx]
             new_lo = np.minimum(j, idx)
             new_hi = np.maximum(j, idx)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,24 @@ class TestPairwiseDistances:
                 uncached.matrix()
             for a, b in [(rows[:, None], rows), (7, rows), (7, slice(None)), (rows, rows[::-1])]:
                 assert np.array_equal(cached.pairs(a, b), uncached.pairs(a, b))
+            scalar = uncached.pairs(3, 11)
+            assert isinstance(scalar, np.float64)
+            assert scalar.hex() == cached.pairs(3, 11).hex()
+
+    def test_uncached_block_has_one_temporary(self, monkeypatch):
+        monkeypatch.setattr(instances, "MATRIX_CACHE_LIMIT", 10)
+        xy = generate_uniform(1000, seed=13, box=1e6).coords
+        rows = np.arange(1000)
+        for rounded in (False, True):
+            dist = make_instance(xy, rounded=rounded).distances
+            tracemalloc.start()
+            try:
+                block = dist.pairs(rows[:, None], rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the result and the y differences; the old formula held about 4x
+            assert peak < 2.5 * block.nbytes
 
     def test_instance_builds_one_shared_distance_object(self):
         inst = generate_uniform(12, seed=1)
