@@ -24,10 +24,20 @@ over v's live (finite) columns; one reduction then gives every W.  The jump
 edge kept with a bridge is the pair (x, y) with the lowest node id x, then
 the lowest y, among those whose sum ``(A_V[x] + d(x, y)) + B_W[y]`` attains
 it.  The extension of V by v over T(v) is then the minimum over W of
-``bridge[V, full ^ W] + B_W``, followed by the depth cut.
+``bridge[V, full ^ W] + B_W``, followed by the depth cut.  The x candidates
+are the columns within depth k of u, put in id order once per node.
+
+Leaves.  A leaf child v has the 1x1 row-0 table, so B = 0: its bridge for
+mask V is ``min_x A_V[x] + d(x, v)``, and the extension writes that same
+value into column v of row ``V | bit_v``.  A node with two or more leaf
+children extends V by all of its leaves outside V in one step, one
+``(x, leaf)`` block per mask.  With B = 0 the full sum equals the inner sum,
+and the x candidates are in id order, so the first argmin along x is already
+the lowest attaining x and the tie pass of the general step is not needed.
 
 Each child's bridges are kept as ``(2^c_u, 2^c_v)`` weight and jump-edge
-arrays for tour reconstruction, 4^d n entries at most; the tables
+arrays for tour reconstruction (the ``(2^c_u, 1)`` arrays of batched leaves
+are column views of one array per node), 4^d n entries at most; the tables
 themselves are released as soon as the parent is done, so at most 2^d n
 table entries are live at once.
 
@@ -161,8 +171,33 @@ def node_table(
     n = inst.n
     limit = None if k is None else tree.depth[u] + k
 
+    # leaf children share one step per mask; a lone leaf takes the per-child one
+    leaves = [i for i, v in enumerate(cu) if not tree.children[v]]
+    if len(leaves) < 2:
+        leaves = []
+    else:
+        lid = np.array([cu[i] for i in leaves])
+        lcol = layout.pre[lid] - p0
+        lbit = np.array([1 << i for i in leaves])
+        leafmask = int(lbit.sum())
+        masks = np.arange(1 << c)[:, None]
+        free = masks & lbit == 0  # (V, leaf): the leaf is not in V
+        rows = masks | lbit
+        lw = np.full(free.shape, np.inf)
+        lxy = np.full((2,) + free.shape, -1, dtype=np.intp)
+        lxy[1] = np.where(free, lid, -1)
+        for j, v in enumerate(lid.tolist()):
+            bridges[v] = (lw[:, j : j + 1], lxy[:, :, j : j + 1])
+
+    if c > 1:  # x candidates of the nonempty masks: columns within k of u, in id order
+        xs = np.arange(ids_u.size) if limit is None else np.flatnonzero(depth_u <= limit)
+        xs = xs[np.argsort(ids_u[xs])]
+        xs_ids = ids_u[xs]
+
     kids = []
-    for v in cu:
+    for i, v in enumerate(cu):
+        if i in leaves:
+            continue
         B = tables[v]
         lo = int(layout.pre[v]) - p0
         span = slice(lo, lo + B.shape[1])
@@ -176,16 +211,27 @@ def node_table(
         w = np.full((1 << c, B.shape[0]), np.inf)
         xy = np.full((2, 1 << c, B.shape[0]), -1, dtype=np.intp)
         bridges[v] = (w, xy)
-        kids.append((ids_u[span][live], B[:, live], kept, span, keep, ext, w, xy))
+        kids.append((1 << i, ids_u[span][live], B[:, live], kept, span, keep, ext, w, xy))
 
     # V | bit > V, so every row is complete before it is read
     for V in range((1 << c) - 1):
         if V:
-            xs = np.flatnonzero(table[V] < np.inf)
-            xs = xs[np.argsort(ids_u[xs])]  # id order: the first hit is the lowest x
-            x_ids, A = ids_u[xs], table[V, xs]
-        for i, (y_ids, B_live, kept, span, keep, ext, w, xy) in enumerate(kids):
-            if V >> i & 1:
+            row = table[V, xs]
+            fin = row < np.inf  # in id order, so the first hit is the lowest x
+            x_ids, A = xs_ids[fin], row[fin]
+        elif leaves:
+            x_ids, A = ids_u[:1], table[0, :1]
+        if leaves and V & leafmask != leafmask:
+            # B = 0 at a leaf (see "Leaves" above): the bridge is the extension
+            f = free[V]
+            M = A[:, None] + dist.pairs(x_ids[:, None], lid[f])
+            lw[V, f] = best = M.min(axis=0)
+            lxy[0, V, f] = x_ids[M.argmin(axis=0)]
+            table[rows[V, f], lcol[f]] = best
+            stats.quad_evals += M.size
+            stats.bip_entries += best.size
+        for bit, y_ids, B_live, kept, span, keep, ext, w, xy in kids:
+            if V & bit:
                 continue
             if V == 0:  # A_0 is 0 at u alone: the inner minimum is d(u, y)
                 S = dist.pairs(u, y_ids) + B_live
@@ -212,7 +258,7 @@ def node_table(
             xy[0, V], xy[1, V] = np.divmod(pair, n)
             stats.bip_entries += best.size
             stats.extension_evals += ext
-            table[V | 1 << i, span][keep] = (best[::-1, None] + kept).min(axis=0)
+            table[V | bit, span][keep] = (best[::-1, None] + kept).min(axis=0)
     return table
 
 

@@ -69,29 +69,64 @@ def cases():
     return out
 
 
+# hand-built trees (parent links, root 0) for the batched step over leaf children
+HAND_TREES = {
+    # a hub whose six children are all leaves
+    "leaf-hub-6": [None, 0, 0, 0, 0, 0, 0],
+    # a hub with four leaves and two subtrees (children 2 and 5) between them
+    "leaves-and-subtrees": [None, 0, 0, 0, 0, 0, 0, 2, 2, 5, 9, 9],
+    # node 1 has exactly one leaf child, and so has the root (child 2) among
+    # two subtrees; node 3 has one leaf child and one subtree
+    "lone-leaf": [None, 0, 0, 0, 1, 3, 3, 6],
+}
+
+HAND_POINTS = {
+    "uniform": lambda n: generate_uniform(n, 8, 1e6).coords,
+    "lattice": lambda n: _lattice(4).coords[:n],
+}
+
+
+def _assert_bit_identical(inst, tree, k):
+    want = reference_upsweep.upsweep(inst, tree, k=k, keep_bipartitions=True)
+    got = upsweep(inst, tree, k=k)
+    assert got.weight.hex() == want.weight.hex()
+    assert got.best_a == want.best_a
+    for key, (w, x, y) in want.bipartitions._data.items():
+        gw, gx, gy = got.bridge(*key)
+        assert (gw.hex(), gx, gy) == (w.hex(), x, y), key
+    for counter in ("extension_evals", "max_live_entries", "bip_entries"):
+        assert getattr(got.stats, counter) == getattr(want.stats, counter), counter
+    assert got.stats.quad_evals <= want.stats.quad_evals
+
+
 class TestFrozenReference:
     @pytest.mark.parametrize("k", [1, 2, 4, 16, None])
     @pytest.mark.parametrize("d", [1, 3, 4, 5])
     @pytest.mark.parametrize("name", sorted(INSTANCES))
     def test_bit_identical(self, cases, name, d, k):
-        inst, tree = cases[name, d]
-        want = reference_upsweep.upsweep(inst, tree, k=k, keep_bipartitions=True)
-        got = upsweep(inst, tree, k=k)
-        assert got.weight.hex() == want.weight.hex()
-        assert got.best_a == want.best_a
-        for key, (w, x, y) in want.bipartitions._data.items():
-            gw, gx, gy = got.bridge(*key)
-            assert (gw.hex(), gx, gy) == (w.hex(), x, y), key
-        for counter in ("extension_evals", "max_live_entries", "bip_entries"):
-            assert getattr(got.stats, counter) == getattr(want.stats, counter), counter
-        assert got.stats.quad_evals <= want.stats.quad_evals
+        _assert_bit_identical(*cases[name, d], k)
+
+    @pytest.mark.parametrize("k", [1, None])
+    @pytest.mark.parametrize("name", ["rounded-ties-90", "lattice-64"])
+    def test_bit_identical_degree_7(self, name, k):
+        # ties and many leaf siblings
+        inst = INSTANCES[name]()
+        _assert_bit_identical(inst, degree_increase(mst_tree(inst), 7), k)
+
+    @pytest.mark.parametrize("k", [1, 2, None])
+    @pytest.mark.parametrize("points", sorted(HAND_POINTS))
+    @pytest.mark.parametrize("shape", sorted(HAND_TREES))
+    def test_bit_identical_hand_built(self, shape, points, k):
+        parent = HAND_TREES[shape]
+        inst = make_instance(HAND_POINTS[points](len(parent)))
+        _assert_bit_identical(inst, RootedTree.from_parents(len(parent), 0, parent), k)
 
 
 class TestCounterPin:
-    """Work counters for uniform n=200, seed 1.  Extension, live and bridge
-    counts are those of the per-mask reference; quad_evals counts the (x, y)
-    pairs of the factored inner minimum and must stay below the reference's
-    figure (54 165 for dt, 3 206 329 for 5x16)."""
+    """Work counters for n=200, seed 1.  Extension, live and bridge counts are
+    those of the per-mask reference; quad_evals counts the (x, y) pairs of the
+    factored inner minimum and must stay below the reference's figure (54 165
+    for uniform dt, 3 206 329 for uniform 5x16)."""
 
     @pytest.mark.parametrize(
         "d, k, counters",
@@ -101,11 +136,25 @@ class TestCounterPin:
         ],
     )
     def test_counters(self, d, k, counters):
-        inst = generate_uniform(200, 1, 1e6)
-        mst = mst_tree(inst)
-        tree = degree_increase(mst, d) if d >= 3 else mst
-        s = upsweep(inst, tree, k=k).stats
-        assert (s.quad_evals, s.extension_evals, s.max_live_entries, s.bip_entries) == counters
+        assert _counters(generate_uniform, d, k) == counters
+
+    @pytest.mark.parametrize(
+        "generate, d, k, counters",
+        [
+            (generate_uniform, 5, None, (279_340, 406_464, 6_241, 17_160)),
+            (generate_clustered, 5, 16, (275_639, 256_320, 6_256, 16_908)),
+        ],
+    )
+    def test_counters_more(self, generate, d, k, counters):
+        assert _counters(generate, d, k) == counters
+
+
+def _counters(generate, d, k):
+    inst = generate(200, 1, 1e6)
+    mst = mst_tree(inst)
+    tree = degree_increase(mst, d) if d >= 3 else mst
+    s = upsweep(inst, tree, k=k).stats
+    return (s.quad_evals, s.extension_evals, s.max_live_entries, s.bip_entries)
 
 
 def _coords(n_min=4, n_max=30):

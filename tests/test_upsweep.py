@@ -92,6 +92,10 @@ def _mask_of(tree, u, v_nodes):
     return sum(1 << tree.children[u].index(v) for v in v_nodes)
 
 
+def _nodes_of(tree, u, mask):
+    return [v for i, v in enumerate(tree.children[u]) if mask >> i & 1]
+
+
 # --- bridge-sweep values -----------------------------------------------------
 
 
@@ -144,6 +148,26 @@ class TestBipartitionPathWeight:
                 res.bridge(1, V, W)
         with pytest.raises(InternalInvariantError):
             res.bridge(0, 0, 0)  # the root has no parent
+
+    def test_batched_leaf_bridges(self, star5):
+        # the centre's four leaf children are extended in one step per mask
+        tree = RootedTree.from_parents(5, 0, [None, 0, 0, 0, 0])
+        res = upsweep(star5, tree)
+        for i, v in enumerate(tree.children[0]):
+            w, xy = res.bridges[v]
+            assert w.shape == (16, 1) and xy.shape == (2, 16, 1)
+            for V in range(16):
+                if V >> i & 1:  # a row holding v itself is never computed
+                    with pytest.raises(InternalInvariantError):
+                        res.bridge(v, V, 0)
+                else:
+                    got = res.bridge(v, V, 0)
+                    assert got[0] == pytest.approx(
+                        bipartition_min_oracle(star5, tree, 0, _nodes_of(tree, 0, V), v, [])
+                    )
+                    assert got[2] == v
+        _, bridges = predicted_entries(tree)
+        assert bridges == sum(b[0].size for b in res.bridges if b is not None)
 
 
 class TestExtendSweep:
