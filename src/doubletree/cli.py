@@ -59,24 +59,13 @@ class RunConfig:
     gen: Optional[str] = None
     degree_limit: int = 1  # 1 disables the degree-increasing pass
     depth: Optional[int] = None  # None searches without a depth cap
-    seed: int = 0
     hk_iterations: int = 1000
-    timing: bool = True
 
     def __post_init__(self) -> None:
-        if self.degree_limit < 1 or self.degree_limit == 2:
-            raise ConfigError(
-                f"degree limit must be 1 (off) or >= 3, got {self.degree_limit}"
-            )
-        if self.depth is not None and self.depth < 1:
-            raise ConfigError(f"depth must be >= 1 or unlimited, got {self.depth}")
+        _check_cell(self.degree_limit, self.depth)
         _check_hk_iterations(self.hk_iterations)
         if (self.input is None) == (self.gen is None):
             raise ConfigError("exactly one of an input file or a generator spec is required")
-
-    @property
-    def heuristic_label(self) -> str:
-        return _grid_label(self.degree_limit, self.depth)
 
 
 @dataclass
@@ -123,6 +112,13 @@ def _grid_label(d: int, k: Optional[int]) -> str:
     return "DT" if (d == 1 and k is None) else f"DT_{d}_{_fmt_k(k)}"
 
 
+def _check_cell(d: int, k: Optional[int]) -> None:
+    if d < 1 or d == 2:
+        raise ConfigError(f"degree limit must be 1 (off) or >= 3, got {d}")
+    if k is not None and k < 1:
+        raise ConfigError(f"depth must be >= 1 or inf, got {k}")
+
+
 def _check_hk_iterations(iterations: int) -> None:
     if iterations < 1:
         raise ConfigError(f"hk iterations must be >= 1, got {iterations}")
@@ -161,6 +157,7 @@ def _parse_gen_spec(spec: str) -> tuple[Instance, int]:
 
 
 def _load_instance(cfg: RunConfig) -> tuple[Instance, int]:
+    """The instance and the seed its records report: the generator's, or 0 for a file."""
     if cfg.gen is not None:
         return _parse_gen_spec(cfg.gen)
     try:
@@ -168,7 +165,7 @@ def _load_instance(cfg: RunConfig) -> tuple[Instance, int]:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {cfg.input}: {exc}") from exc
-    return parse_tsplib(text), cfg.seed
+    return parse_tsplib(text), 0
 
 
 @dataclass(frozen=True)
@@ -258,7 +255,7 @@ def run_single(cfg: RunConfig) -> tuple[Instance, RunRecord, Construction]:
     if inst.n < 2:
         raise ConfigError("tour construction needs at least 2 nodes")
     [(record, built)] = build_records(
-        inst, [(cfg.degree_limit, cfg.depth)], cfg.hk_iterations, seed, cfg.timing
+        inst, [(cfg.degree_limit, cfg.depth)], cfg.hk_iterations, seed, timing=True
     )
     if not isinstance(built, Construction):
         raise built
@@ -287,10 +284,7 @@ def parse_grid(spec: str) -> list[Cell]:
             k = None if k_part == "inf" else int(k_part)
         except ValueError as exc:
             raise ConfigError(f"bad grid token {token!r}: {exc}") from exc
-        if d < 1 or d == 2:
-            raise ConfigError(f"grid degree limit must be 1 or >= 3, got {d}")
-        if k is not None and k < 1:
-            raise ConfigError(f"grid depth must be >= 1 or inf, got {k}")
+        _check_cell(d, k)
         out.append((d, k))
     if not out:
         raise ConfigError("empty heuristic grid")

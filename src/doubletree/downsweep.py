@@ -2,17 +2,22 @@
 
 The weight pass (:mod:`doubletree.upsweep`) yields the optimal weight and,
 per child, every bridge weight with its jump edge.  To recover the tour
-itself we walk the tree path between each sweep's two endpoints, pick the
-optimal split of every intermediate node's children via a shortest path in
-a small layered graph, and recurse into the resulting subtree sweeps.  All
-recursion is driven by an explicit work stack so path-shaped trees of any
-depth are safe.
+itself we walk the tree path between each sweep's two endpoints and split
+every path node's other children into those swept on entry and those swept
+on exit.  The splits come from one min-plus pass along the path: the step
+into path node v adds, to the best cost of each split of its parent, the
+bridge weights of v, read as one slice of v's bridge array.  Among equal
+costs the earliest tail (the parent's lowest entry mask) wins.  Each chosen
+bridge's jump edge then fixes where the subtree sweeps end, and those sweeps
+are rebuilt the same way.  An explicit work stack drives the recursion, so
+path-shaped trees of any depth are safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import InternalInvariantError
 from .instances import Instance, cycle_weight
@@ -50,58 +55,6 @@ def write_tour_plain(tour: Tour) -> str:
     return "\n".join(str(v) for v in tour.order) + "\n"
 
 
-@dataclass(frozen=True)
-class LayeredGraph:
-    """Layered DAG over child-set splits along one tree path.
-
-    ``layers[i]`` lists the vertex labels of layer i in the order they should
-    be scanned (ties in the shortest-path pass resolve toward earlier labels).
-    ``weight(i, tail, head)`` returns the arc weight from label ``tail`` in
-    layer i to label ``head`` in layer i+1.
-    """
-
-    layers: Sequence[Sequence[int]]
-    weight: Callable[[int, int, int], float]
-
-
-def layered_shortest_path(g: LayeredGraph) -> tuple[list[int], float]:
-    """Exact forward relaxation; returns one label per layer plus the total."""
-    layers = g.layers
-    if len(layers) < 2:
-        raise ValueError("layered graph needs at least source and sink layers")
-    dist: list[float] = [0.0] * len(layers[0])
-    back: list[list[int]] = []
-    for i in range(1, len(layers)):
-        nxt = [float("inf")] * len(layers[i])
-        choice = [-1] * len(layers[i])
-        for hj, head in enumerate(layers[i]):
-            best = float("inf")
-            pick = -1
-            for tj, tail in enumerate(layers[i - 1]):
-                d = dist[tj]
-                if d == float("inf"):
-                    continue
-                cand = d + g.weight(i - 1, tail, head)
-                if cand < best:
-                    best = cand
-                    pick = tj
-            nxt[hj] = best
-            choice[hj] = pick
-        if all(p < 0 for p in choice):
-            raise InternalInvariantError(f"layer {i} unreachable in layered graph")
-        dist = nxt
-        back.append(choice)
-    # unique sink by construction of the reconstruction graphs; general case:
-    # smallest-index minimum for determinism
-    end = min(range(len(dist)), key=lambda j: (dist[j], j))
-    total = dist[end]
-    path = [end]
-    for choice in reversed(back):
-        path.append(choice[path[-1]])
-    path.reverse()
-    return [layers[i][j] for i, j in enumerate(path)], total
-
-
 def _tree_path(tree: RootedTree, u: int, a: int) -> list[int]:
     """Path u -> ... -> a where a lies in u's subtree."""
     path = [a]
@@ -118,79 +71,92 @@ def _tree_path(tree: RootedTree, u: int, a: int) -> list[int]:
 class TourReconstructor:
     def __init__(self, tree: RootedTree, result: UpsweepResult):
         self.tree = tree
-        self.bridge = result.bridge
-        self.child_pos: list[dict[int, int]] = [
-            {c: i for i, c in enumerate(ch)} for ch in tree.children
-        ]
+        self.result = result
         self.path_edges = 0
+        self._submask_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def full_mask(self, v: int) -> int:
         return (1 << len(self.tree.children[v])) - 1
 
-    def _solve_layers(self, path: list[int], V: int) -> tuple[list[int], list[int], float]:
-        """Choose the child-set splits along ``path``; returns per-layer
-        (kept-behind mask, swept-on-entry mask) pairs encoded as avail/labels."""
-        tree = self.tree
+    def _bit(self, u: int, v: int) -> int:
+        return 1 << self.tree.children[u].index(v)
+
+    def _submasks(self, am: int) -> tuple[np.ndarray, np.ndarray]:
+        """The submasks of ``am`` in ascending order, and their complements
+        in ``am`` as a column."""
+        if am not in self._submask_cache:
+            m = np.arange(am + 1)
+            heads = m[(m & ~am) == 0]
+            self._submask_cache[am] = heads, (am ^ heads)[:, None]
+        return self._submask_cache[am]
+
+    def _solve_layers(self, path: list[int], V: int) -> tuple[list[int], list[int]]:
+        """Choose the child-set splits along ``path``.
+
+        Returns ``labels`` and ``avail``, one mask per path node: ``avail``
+        holds its children off the path (those in V at ``path[0]``) and
+        ``labels`` the part of them it sweeps on entry; it sweeps the rest
+        on exit.  ``path[0]`` sweeps nothing on entry, ``path[-1]`` all.
+        """
+        bridges = self.result.bridges
         k = len(path) - 1
-        avail: list[int] = []
-        layers: list[list[int]] = []
-        # layer 0: everything except the branch toward path[1] still ahead
-        v1_bit = 1 << self.child_pos[path[0]][path[1]]
-        avail.append(V & ~v1_bit)
-        layers.append([0])
-        for i in range(1, k):
-            nxt_bit = 1 << self.child_pos[path[i]][path[i + 1]]
-            am = self.full_mask(path[i]) & ~nxt_bit
-            avail.append(am)
-            labels = [x for x in range(am + 1) if (x & ~am) == 0]
-            layers.append(labels)
+        avail = [V & ~self._bit(path[0], path[1])]
+        avail += [self.full_mask(p) & ~self._bit(p, q) for p, q in zip(path[1:-1], path[2:])]
         avail.append(self.full_mask(path[k]))
-        layers.append([avail[k]])
-
-        def weight(i: int, tail: int, head: int) -> float:
-            return self.bridge(path[i + 1], avail[i] ^ tail, head)[0]
-
-        labels, total = layered_shortest_path(LayeredGraph(layers, weight))
-        return labels, avail, total
+        dist = np.zeros(1)
+        tails, rows = np.zeros(1, dtype=np.intp), np.array([[avail[0]]])
+        back = []
+        for i in range(k):
+            heads, next_rows = self._submasks(avail[i + 1])
+            if i + 1 == k:
+                heads = heads[-1:]  # the last node sweeps all of its children
+            # one min-plus step; argmin keeps the earliest tail among ties
+            cand = dist[:, None] + bridges[path[i + 1]][0][rows, heads]
+            back.append((tails, cand.argmin(axis=0)))
+            dist = cand.min(axis=0)
+            tails, rows = heads, next_rows
+        if not dist[0] < np.inf:
+            raise InternalInvariantError(f"no finite split along the path {path}")
+        labels = [avail[k]]
+        j = 0
+        for tails, pick in reversed(back):
+            j = pick[j]
+            labels.append(int(tails[j]))
+        labels.reverse()
+        return labels, avail
 
     def reconstruct(self, u: int, V: int, a: int) -> list[int]:
         """Node sequence sweeping u plus the subtrees selected by mask V,
         starting at u and finishing at a."""
         out: list[int] = []
-        # stack items: ("emit", node) or ("task", u, V, a, reversed)
-        stack: list[tuple] = [("task", u, V, a, False)]
+        stack: list[tuple[int, int, int, bool]] = [(u, V, a, False)]
         while stack:
-            item = stack.pop()
-            if item[0] == "emit":
-                out.append(item[1])
-                continue
-            _, u, V, a, rev = item
+            u, V, a, rev = stack.pop()
             if V == 0:
                 if a != u:
                     raise InternalInvariantError("empty sweep must start and end at its root")
                 out.append(u)
                 continue
             path = _tree_path(self.tree, u, a)
-            if len(path) < 2 or not (V >> self.child_pos[u][path[1]]) & 1:
+            if len(path) < 2 or not V & self._bit(u, path[1]):
                 raise InternalInvariantError(
                     f"destination {a} is outside the subtrees selected at {u}"
                 )
             k = len(path) - 1
             self.path_edges += k
-            labels, avail, _total = self._solve_layers(path, V)
+            labels, avail = self._solve_layers(path, V)
             # per arc i -> i+1: tail keeps behind avail[i] ^ labels[i],
             # head sweeps labels[i+1] on entry; the stored argmin gives the
             # jump edge endpoints inside those subtrees
-            segments: list[tuple] = []  # forward order
+            segments: list[tuple[int, int, int, bool]] = []  # forward order
             for i in range(k):
                 tail_mask = avail[i] ^ labels[i]
                 head_mask = labels[i + 1]
-                _w, x, y = self.bridge(path[i + 1], tail_mask, head_mask)
-                segments.append(("task", path[i], tail_mask, x, False))
-                segments.append(("task", path[i + 1], head_mask, y, True))
+                _w, x, y = self.result.bridge(path[i + 1], tail_mask, head_mask)
+                segments.append((path[i], tail_mask, x, False))
+                segments.append((path[i + 1], head_mask, y, True))
             if rev:
-                segments = [(t, uu, vv, aa, not rr) for (t, uu, vv, aa, rr) in segments]
-                segments.reverse()
+                segments = [(uu, vv, aa, not rr) for (uu, vv, aa, rr) in reversed(segments)]
             stack.extend(reversed(segments))
         # adjacent duplicates appear exactly where an entry sweep hands over
         # to the exit sweep of the same path node

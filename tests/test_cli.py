@@ -15,6 +15,7 @@ from doubletree import (
 from doubletree.cli import (
     CSV_HEADER,
     RunConfig,
+    _grid_label,
     construct_tour,
     main,
     parse_grid,
@@ -42,9 +43,9 @@ class TestRunConfig:
             RunConfig(input="x.tsp", gen="uniform:n=4")
 
     def test_labels(self):
-        assert RunConfig(gen="g:n=1").heuristic_label == "DT"
-        assert RunConfig(gen="g:n=1", degree_limit=5, depth=16).heuristic_label == "DT_5_16"
-        assert RunConfig(gen="g:n=1", degree_limit=3).heuristic_label == "DT_3_inf"
+        assert _grid_label(1, None) == "DT"
+        assert _grid_label(5, 16) == "DT_5_16"
+        assert _grid_label(3, None) == "DT_3_inf"
 
 
 class TestGridParsing:

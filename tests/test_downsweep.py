@@ -1,10 +1,9 @@
-import itertools
-import math
-
+import numpy as np
 import pytest
 
 from doubletree import (
     Tour,
+    degree_increase,
     downsweep,
     enumerate_conforming_min,
     is_conforming,
@@ -12,11 +11,7 @@ from doubletree import (
     write_tour_tsplib,
 )
 from doubletree import InternalInvariantError
-from doubletree.downsweep import (
-    LayeredGraph,
-    TourReconstructor,
-    layered_shortest_path,
-)
+from doubletree.downsweep import TourReconstructor
 from doubletree.instances import cycle_weight
 from doubletree.upsweep import upsweep
 
@@ -41,45 +36,6 @@ def reconstruct_path(tree, result, u, V, a):
     if seq[0] != u or seq[-1] != a:
         raise InternalInvariantError("reconstructed sweep has wrong endpoints")
     return seq
-
-
-class TestLayeredShortestPath:
-    def test_single_arc(self):
-        g = LayeredGraph(layers=[[0], [3]], weight=lambda i, t, h: 7.5)
-        labels, total = layered_shortest_path(g)
-        assert labels == [0, 3]
-        assert total == 7.5
-
-    def test_forced_two_layer_chain(self):
-        weights = {(0, 1, 2): 1.0, (1, 2, 5): 2.0}
-        g = LayeredGraph(
-            layers=[[1], [2], [5]], weight=lambda i, t, h: weights[(i, t, h)]
-        )
-        labels, total = layered_shortest_path(g)
-        assert labels == [1, 2, 5]
-        assert total == 3.0
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_graph_matches_enumeration(self, seed):
-        import random
-
-        rng = random.Random(seed)
-        layers = [[0]] + [
-            list(range(rng.randint(1, 8))) for _ in range(rng.randint(1, 3))
-        ] + [[0]]
-        table = {}
-        for i in range(len(layers) - 1):
-            for t in layers[i]:
-                for h in layers[i + 1]:
-                    table[(i, t, h)] = rng.uniform(0.0, 10.0)
-        g = LayeredGraph(layers=layers, weight=lambda i, t, h: table[(i, t, h)])
-        labels, total = layered_shortest_path(g)
-        best = min(
-            sum(table[(i, combo[i], combo[i + 1])] for i in range(len(layers) - 1))
-            for combo in itertools.product(*layers)
-        )
-        assert total == pytest.approx(best)
-        assert sum(table[(i, labels[i], labels[i + 1])] for i in range(len(layers) - 1)) == pytest.approx(total)
 
 
 class TestReconstructPath:
@@ -123,6 +79,25 @@ class TestReconstructPath:
         res = upsweep(star5, tree)
         with pytest.raises(InternalInvariantError):
             reconstruct_path(tree, res, 0, 0b001, 3)
+
+
+class TestSplitTies:
+    """Equal-weight splits along a path go to the earliest tail (lowest
+    mask); on these tie-rich inputs the latest tail gives other tours."""
+
+    def test_lattice_degree_five(self):
+        inst = make_instance([(float(i), float(j)) for i in range(5) for j in range(5)])
+        tree = degree_increase(mst_tree(inst), 5)
+        tour = downsweep(inst, tree, upsweep(inst, tree))
+        assert tour.order == (20, 15, 10, 5, 0, 1, 6, 2, 3, 4, 9, 14, 19, 24, 23, 18, 13,
+                              8, 7, 12, 17, 22, 21, 16, 11)
+
+    def test_rounded_exact_search(self):
+        xy = np.random.default_rng(3).integers(0, 30, (16, 2)).astype(float)
+        inst = make_instance(xy, rounded=True)
+        tree = mst_tree(inst)
+        tour = downsweep(inst, tree, upsweep(inst, tree))
+        assert tour.order == (0, 11, 3, 13, 8, 15, 2, 14, 1, 9, 4, 7, 5, 12, 10, 6)
 
 
 class TestDownsweep:
