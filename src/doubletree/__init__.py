@@ -18,7 +18,6 @@ from .hk_bound import AscentSummary, held_karp_ascent, held_karp_lower_bound
 from .instances import (
     Instance,
     Metric,
-    MetricKind,
     cycle_weight,
     generate_clustered,
     generate_uniform,
@@ -51,7 +50,6 @@ __all__ = [
     "Instance",
     "InternalInvariantError",
     "Metric",
-    "MetricKind",
     "ParseError",
     "RootedTree",
     "Tour",

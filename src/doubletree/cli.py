@@ -5,6 +5,12 @@ executes one heuristic on one instance, ``suite`` sweeps a heuristic grid
 over generated instances and emits CSV, ``verify`` cross-checks the solver
 against the exhaustive oracles on a small instance.
 
+Every subcommand reaches the pipeline the same way: the instance comes
+from a TSPLIB file or from ``GENERATORS`` (through ``_generate``, the one
+place a generator is called), grid cells are checked by ``_check_cell``
+before anything is built, and ``build_records`` runs MST, rooting, degree
+pass, upsweep, downsweep, checks and the lower bound.
+
 Exit codes: 0 success, 2 configuration error, 3 input/parse error, 4 guard
 violation, 5 internal invariant failure.
 """
@@ -23,7 +29,7 @@ from .errors import ConfigError, GuardError, InternalInvariantError, ParseError
 from .hk_bound import held_karp_lower_bound
 from .instances import (
     Instance,
-    MetricKind,
+    Metric,
     generate_clustered,
     generate_uniform,
     parse_tsplib,
@@ -49,23 +55,8 @@ CSV_HEADER = "instance,n,heuristic,D,k,mst_weight,tour_weight,hk_bound,excess_pc
 DEFAULT_GRID = "1x16,3x16,3x32,4x16,4x32,5x16,5x32"
 DEFAULT_BOX = 1e6
 FULL_DT_SIZE_CAP = 31623  # quadratic full-table cost beyond this is impractical
-
-
-@dataclass
-class RunConfig:
-    """One heuristic execution: instance source plus heuristic parameters."""
-
-    input: Optional[str] = None
-    gen: Optional[str] = None
-    degree_limit: int = 1  # 1 disables the degree-increasing pass
-    depth: Optional[int] = None  # None searches without a depth cap
-    hk_iterations: int = 1000
-
-    def __post_init__(self) -> None:
-        _check_cell(self.degree_limit, self.depth)
-        _check_hk_iterations(self.hk_iterations)
-        if (self.input is None) == (self.gen is None):
-            raise ConfigError("exactly one of an input file or a generator spec is required")
+PLOT_SIZE = 800  # side of the debug SVG, in pixels
+GENERATORS = {"uniform": generate_uniform, "clustered": generate_clustered}
 
 
 @dataclass
@@ -124,19 +115,44 @@ def _check_hk_iterations(iterations: int) -> None:
         raise ConfigError(f"hk iterations must be >= 1, got {iterations}")
 
 
+def _parse_depth(token: str) -> Optional[int]:
+    """A search depth: an integer, or ``inf`` for no cap (None)."""
+    if token == "inf":
+        return None
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise ConfigError(f"bad depth {token!r} (expected an integer or 'inf')") from exc
+
+
+def _check_generator(kind: str) -> None:
+    if kind not in GENERATORS:
+        raise ConfigError(f"unknown generator {kind!r} (expected {' or '.join(GENERATORS)})")
+
+
+def _generate(kind: str, n: int, seed: int, box: float, clusters: Optional[int]) -> Instance:
+    """The instance ``GENERATORS[kind]`` draws; only ``clustered`` takes ``clusters``."""
+    if clusters is not None and GENERATORS[kind] is not generate_clustered:
+        raise ConfigError(f"generator {kind!r} takes no clusters parameter")
+    extra = {} if clusters is None else {"clusters": clusters}
+    return GENERATORS[kind](n, seed, box, **extra)
+
+
 def _parse_gen_spec(spec: str) -> tuple[Instance, int]:
-    """Generator specs look like ``uniform:n=1000,seed=3,box=1e6``."""
+    """Generator specs look like ``uniform:n=1000,seed=3,box=1e6``; each key at most once."""
     head, _, rest = spec.partition(":")
     kind = head.strip().lower()
-    if kind not in ("uniform", "clustered"):
-        raise ConfigError(f"unknown generator {kind!r} (expected uniform or clustered)")
+    _check_generator(kind)
     params: dict[str, str] = {}
     if rest:
         for item in rest.split(","):
             key, eq, value = item.partition("=")
+            key = key.strip().lower()
             if not eq:
                 raise ConfigError(f"bad generator parameter {item!r} (expected key=value)")
-            params[key.strip().lower()] = value.strip()
+            if key in params:
+                raise ConfigError(f"generator parameter {key!r} given twice")
+            params[key] = value.strip()
     try:
         n = int(params.pop("n"))
         seed = int(params.pop("seed", "0"))
@@ -148,23 +164,18 @@ def _parse_gen_spec(spec: str) -> tuple[Instance, int]:
         raise ConfigError(f"bad generator parameter value: {exc}") from exc
     if params:
         raise ConfigError(f"unknown generator parameters: {sorted(params)}")
-    try:
-        if kind == "uniform":
-            return generate_uniform(n, seed, box), seed
-        return generate_clustered(n, seed, box, clusters=clusters), seed
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _generate(kind, n, seed, box, clusters), seed
 
 
-def _load_instance(cfg: RunConfig) -> tuple[Instance, int]:
+def _load_instance(path: Optional[str], gen_spec: Optional[str]) -> tuple[Instance, int]:
     """The instance and the seed its records report: the generator's, or 0 for a file."""
-    if cfg.gen is not None:
-        return _parse_gen_spec(cfg.gen)
+    if gen_spec is not None:
+        return _parse_gen_spec(gen_spec)
     try:
-        with open(cfg.input, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read {cfg.input}: {exc}") from exc
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_tsplib(text), 0
 
 
@@ -196,7 +207,7 @@ def construct_tour(
     mst_w = tree_weight(edges)
     mst_ms = (time.perf_counter() - t0) * 1000.0
     # integer rounding lets each of the <= n-2 shortcuts gain up to one unit
-    slack = float(inst.n) if inst.metric.kind is MetricKind.EUCLID_ROUNDED_TSPLIB else 0.0
+    slack = float(inst.n) if inst.metric is Metric.EUC_2D else 0.0
     out: list[Construction | Exception] = []
     for degree_limit, depth in cells:
         try:
@@ -249,19 +260,6 @@ def build_records(
     return out
 
 
-def run_single(cfg: RunConfig) -> tuple[Instance, RunRecord, Construction]:
-    """Full pipeline for one instance; verification failures raise."""
-    inst, seed = _load_instance(cfg)
-    if inst.n < 2:
-        raise ConfigError("tour construction needs at least 2 nodes")
-    [(record, built)] = build_records(
-        inst, [(cfg.degree_limit, cfg.depth)], cfg.hk_iterations, seed, timing=True
-    )
-    if not isinstance(built, Construction):
-        raise built
-    return inst, record, built
-
-
 # ---------------------------------------------------------------------------
 # suite
 
@@ -281,9 +279,9 @@ def parse_grid(spec: str) -> list[Cell]:
             raise ConfigError(f"bad grid token {token!r} (expected 'dt' or 'DxK')")
         try:
             d = int(d_part)
-            k = None if k_part == "inf" else int(k_part)
         except ValueError as exc:
             raise ConfigError(f"bad grid token {token!r}: {exc}") from exc
+        k = _parse_depth(k_part)
         _check_cell(d, k)
         out.append((d, k))
     if not out:
@@ -312,8 +310,7 @@ def run_suite(
     for size in sizes:
         if size < 4:
             raise ConfigError(f"suite sizes must be >= 4, got {size}")
-    if klass not in ("uniform", "clustered"):
-        raise ConfigError(f"unknown instance class {klass!r}")
+    _check_generator(klass)
     if any(k is None for _, k in grid) and max(sizes) > FULL_DT_SIZE_CAP:
         raise ConfigError(
             f"full-table search is capped at n <= {FULL_DT_SIZE_CAP}; "
@@ -325,10 +322,7 @@ def run_suite(
     for size in sizes:
         by_heuristic: dict[Cell, list[RunRecord]] = {g: [] for g in grid}
         for seed in range(1, seeds + 1):
-            if klass == "uniform":
-                inst = generate_uniform(size, seed, box)
-            else:
-                inst = generate_clustered(size, seed, box)
+            inst = _generate(klass, size, seed, box, None)
             for cell, (rec, built) in zip(grid, build_records(inst, grid, hk_iterations, seed,
                                                                timing)):
                 if isinstance(built, Construction):
@@ -361,25 +355,25 @@ def run_suite(
 # plotting
 
 
-def emit_plot(inst: Instance, tree: RootedTree, tour: Tour, path: str, size: int = 800) -> None:
+def emit_plot(inst: Instance, tree: RootedTree, tour: Tour, path: str) -> None:
     """Debug SVG: points, tree edges and tour edges in distinct strokes."""
     xy = inst.coords
     lo = xy.min(axis=0)
     hi = xy.max(axis=0)
     span = max(float((hi - lo).max()), 1e-12)
-    margin = 0.04 * size
-    scale = (size - 2 * margin) / span
+    margin = 0.04 * PLOT_SIZE
+    scale = (PLOT_SIZE - 2 * margin) / span
 
     def sx(x: float) -> float:
         return margin + (x - lo[0]) * scale
 
     def sy(y: float) -> float:
-        return size - margin - (y - lo[1]) * scale
+        return PLOT_SIZE - margin - (y - lo[1]) * scale
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{PLOT_SIZE}" height="{PLOT_SIZE}" '
+        f'viewBox="0 0 {PLOT_SIZE} {PLOT_SIZE}">',
+        f'<rect width="{PLOT_SIZE}" height="{PLOT_SIZE}" fill="white"/>',
     ]
     for v in range(inst.n):
         p = tree.parent[v]
@@ -457,11 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a random instance as a TSPLIB file")
-    p_gen.add_argument("klass", choices=["uniform", "clustered"])
+    p_gen.add_argument("klass", choices=GENERATORS)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--box", type=float, default=DEFAULT_BOX)
-    p_gen.add_argument("--clusters", type=int, default=None)
+    p_gen.add_argument("--clusters", type=int, default=None, help="clustered only")
     p_gen.add_argument("-o", "--output", default="-", help="output file ('-' = stdout)")
     p_gen.set_defaults(func=_cmd_gen)
 
@@ -487,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--grid", default=DEFAULT_GRID)
     p_suite.add_argument("--include-full", action="store_true",
                          help="add the unrestricted search to the grid")
-    p_suite.add_argument("--class", dest="klass", choices=["uniform", "clustered"],
+    p_suite.add_argument("--class", dest="klass", choices=GENERATORS,
                          default="uniform")
     p_suite.add_argument("--box", type=float, default=DEFAULT_BOX)
     p_suite.add_argument("--hk-iterations", type=int, default=1000)
@@ -504,15 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_depth_arg(value: Optional[str]) -> Optional[int]:
-    if value is None or value == "inf":
-        return None
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"bad depth {value!r} (expected an integer or 'inf')") from exc
-
-
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
@@ -522,32 +507,27 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        if args.klass == "uniform":
-            inst = generate_uniform(args.n, args.seed, args.box)
-        else:
-            inst = generate_clustered(args.n, args.seed, args.box, clusters=args.clusters)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    inst = _generate(args.klass, args.n, args.seed, args.box, args.clusters)
     _write_text(args.output, write_tsplib(inst))
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    depth = _parse_depth_arg(args.depth)
+    depth = None if args.depth is None else _parse_depth(args.depth)
     degree = args.degree_limit
     if args.heuristic == "dt":
         if depth is not None or degree != 1:
             raise ConfigError("heuristic 'dt' is the unrestricted search; "
                               "use --heuristic dtk with --depth/--degree-limit")
-    cfg = RunConfig(
-        input=args.input,
-        gen=args.gen,
-        degree_limit=degree,
-        depth=depth,
-        hk_iterations=args.hk_iterations,
-    )
-    inst, record, built = run_single(cfg)
+    _check_cell(degree, depth)
+    _check_hk_iterations(args.hk_iterations)
+    inst, seed = _load_instance(args.input, args.gen)
+    if inst.n < 2:
+        raise ConfigError("tour construction needs at least 2 nodes")
+    [(record, built)] = build_records(inst, [(degree, depth)], args.hk_iterations, seed,
+                                      timing=True)
+    if not isinstance(built, Construction):
+        raise built
     tour = built.tour
     if args.tour_out:
         text = (
@@ -597,8 +577,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = RunConfig(input=args.input)
-    inst, _ = _load_instance(cfg)
+    inst, _ = _load_instance(args.input, None)
     run_verify(inst, args.max_n, sys.stdout)
     return 0
 

@@ -26,24 +26,11 @@ from .errors import ParseError
 MATRIX_CACHE_LIMIT = 3200
 
 
-class MetricKind(Enum):
-    EUCLID_REAL = "EUC_2D_REAL"
-    EUCLID_ROUNDED_TSPLIB = "EUC_2D"
+class Metric(Enum):
+    """Distance semantics, named and valued by their TSPLIB ``EDGE_WEIGHT_TYPE``."""
 
-
-@dataclass(frozen=True)
-class Metric:
-    """Distance semantics for an instance: exact or TSPLIB-rounded Euclidean."""
-
-    kind: MetricKind
-
-    @staticmethod
-    def euclid() -> "Metric":
-        return Metric(MetricKind.EUCLID_REAL)
-
-    @staticmethod
-    def euclid_rounded() -> "Metric":
-        return Metric(MetricKind.EUCLID_ROUNDED_TSPLIB)
+    EUC_2D = "EUC_2D"  # Euclidean rounded half-up to an integer
+    EUC_2D_REAL = "EUC_2D_REAL"  # exact Euclidean
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +88,7 @@ class PairwiseDistances:
     def __init__(self, inst: Instance):
         self.n = inst.n
         self._xy = inst.coords
-        self._rounded = inst.metric.kind is MetricKind.EUCLID_ROUNDED_TSPLIB
+        self._rounded = inst.metric is Metric.EUC_2D
         self._matrix: Optional[np.ndarray] = None
         if inst.n <= MATRIX_CACHE_LIMIT:
             idx = np.arange(inst.n)
@@ -141,14 +128,14 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def generate_uniform(n: int, seed: int, box: float = 1.0, name: Optional[str] = None) -> Instance:
+def generate_uniform(n: int, seed: int, box: float = 1.0) -> Instance:
     """n points i.i.d. uniform on [0, box]^2, reproducible in (n, seed, box)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if box <= 0:
         raise ValueError("box must be positive")
     xy = _rng(seed).random((n, 2)) * box
-    return Instance(name or f"uniform-n{n}-s{seed}", xy, Metric.euclid())
+    return Instance(f"uniform-n{n}-s{seed}", xy, Metric.EUC_2D_REAL)
 
 
 def generate_clustered(
@@ -157,7 +144,6 @@ def generate_clustered(
     box: float = 1.0,
     clusters: Optional[int] = None,
     sigma: Optional[float] = None,
-    name: Optional[str] = None,
 ) -> Instance:
     """Clustered points: uniform centers, Gaussian offsets around them.
 
@@ -177,7 +163,7 @@ def generate_clustered(
     assign = rng.integers(0, clusters, size=n)
     offsets = rng.normal(0.0, sigma, size=(n, 2))
     xy = centers[assign] + offsets
-    return Instance(name or f"clustered-n{n}-c{clusters}-s{seed}", xy, Metric.euclid())
+    return Instance(f"clustered-n{n}-c{clusters}-s{seed}", xy, Metric.EUC_2D_REAL)
 
 
 # ---------------------------------------------------------------------------
@@ -263,26 +249,23 @@ def parse_tsplib(text: str) -> Instance:
     if not seen_coords:
         raise ParseError("missing NODE_COORD_SECTION")
     ew = header.get("EDGE_WEIGHT_TYPE", "").upper()
-    if ew == "EUC_2D":
-        metric = Metric.euclid_rounded()
-    elif ew == "EUC_2D_REAL":
-        metric = Metric.euclid()
-    elif not ew:
+    if not ew:
         raise ParseError("missing EDGE_WEIGHT_TYPE header")
-    else:
-        raise ParseError(f"unsupported EDGE_WEIGHT_TYPE {ew!r}")
+    try:
+        metric = Metric(ew)
+    except ValueError as exc:
+        raise ParseError(f"unsupported EDGE_WEIGHT_TYPE {ew!r}") from exc
     name = header.get("NAME", "unnamed")
     return Instance(name, coords, metric)
 
 
 def write_tsplib(inst: Instance) -> str:
     """Serialise an instance; parse_tsplib inverts this exactly."""
-    ew = "EUC_2D" if inst.metric.kind is MetricKind.EUCLID_ROUNDED_TSPLIB else "EUC_2D_REAL"
     out = [
         f"NAME : {inst.name}",
         "TYPE : TSP",
         f"DIMENSION : {inst.n}",
-        f"EDGE_WEIGHT_TYPE : {ew}",
+        f"EDGE_WEIGHT_TYPE : {inst.metric.value}",
         "NODE_COORD_SECTION",
     ]
     # tolist() yields Python floats, whose repr is the shortest exact form

@@ -112,9 +112,7 @@ class UpsweepResult:
     weight: float
     best_a: int
     n: int
-    k: Optional[int]
     tree_root: int
-    max_children: int
     stats: UpsweepStats
     bridges: list[Optional[Bridges]]  # per child v: rows V of its parent, columns W of v
 
@@ -308,4 +306,4 @@ def upsweep(inst: Instance, tree: RootedTree, k: Optional[int] = None) -> Upswee
         raise InternalInvariantError(f"live table entries {stats.max_live_entries} exceed 2^d n")
     if stats.bip_entries > (4**d) * n:
         raise InternalInvariantError("bridge table larger than 4^d n")
-    return UpsweepResult(weight, best_a, n, k, r, d, stats, bridges)
+    return UpsweepResult(weight, best_a, n, r, stats, bridges)

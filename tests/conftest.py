@@ -18,7 +18,7 @@ from doubletree.upsweep import PreorderLayout, UpsweepStats, node_table
 
 
 def make_instance(coords, name="test", rounded=False):
-    metric = Metric.euclid_rounded() if rounded else Metric.euclid()
+    metric = Metric.EUC_2D if rounded else Metric.EUC_2D_REAL
     return Instance(name, coords, metric)
 
 

@@ -14,12 +14,11 @@ from doubletree import (
 )
 from doubletree.cli import (
     CSV_HEADER,
-    RunConfig,
     _grid_label,
+    build_records,
     construct_tour,
     main,
     parse_grid,
-    run_single,
     run_suite,
 )
 from doubletree.errors import ConfigError
@@ -28,19 +27,24 @@ from conftest import mst_tree
 
 
 class TestRunConfig:
-    def test_rejects_degree_two(self):
-        with pytest.raises(ConfigError):
-            RunConfig(gen="uniform:n=8,seed=1", degree_limit=2)
+    """What ``dt run`` rejects (exit 2) before it builds any tree."""
 
-    def test_rejects_zero_depth(self):
-        with pytest.raises(ConfigError):
-            RunConfig(gen="uniform:n=8,seed=1", depth=0)
+    def test_rejects_degree_two(self, build_counts):
+        assert main(["run", "--gen", "uniform:n=8,seed=1", "--heuristic", "dtk",
+                     "--degree-limit", "2"]) == 2
+        assert build_counts["mst"] == 0
 
-    def test_requires_exactly_one_source(self):
-        with pytest.raises(ConfigError):
-            RunConfig()
-        with pytest.raises(ConfigError):
-            RunConfig(input="x.tsp", gen="uniform:n=4")
+    def test_rejects_zero_depth(self, build_counts):
+        assert main(["run", "--gen", "uniform:n=8,seed=1", "--heuristic", "dtk",
+                     "--depth", "0"]) == 2
+        assert main(["run", "--gen", "uniform:n=8,seed=1", "--heuristic", "dtk",
+                     "--depth", "deep"]) == 2
+        assert build_counts["mst"] == 0
+
+    def test_requires_exactly_one_source(self, build_counts):
+        assert main(["run"]) == 2
+        assert main(["run", "--input", "x.tsp", "--gen", "uniform:n=4"]) == 2
+        assert build_counts["mst"] == 0
 
     def test_labels(self):
         assert _grid_label(1, None) == "DT"
@@ -60,37 +64,54 @@ class TestGridParsing:
 
 
 class TestRunSingle:
+    """One instance, one cell through ``build_records``, as ``dt run`` does it."""
+
     def test_record_fields_and_bounds(self):
-        cfg = RunConfig(gen="uniform:n=40,seed=2,box=1.0", hk_iterations=200)
-        _, record, built = run_single(cfg)
+        inst = generate_uniform(40, 2, 1.0)
+        [(record, built)] = build_records(inst, [(1, None)], 200, 2, timing=True)
         tour = built.tour
-        assert record.n == 40
+        assert (record.instance, record.n, record.seed) == ("uniform-n40-s2", 40, 2)
         assert record.heuristic == "DT"
         assert record.tour_weight == pytest.approx(tour.weight)
         assert record.tour_weight <= 2 * record.mst_weight + 1e-9
         assert record.excess_pct >= 0.0
         assert record.hk_bound <= record.tour_weight + 1e-9
+        assert record.wall_time_ms == built.wall_ms > 0.0
 
     def test_unrestricted_solver_matches_oracle(self):
-        cfg = RunConfig(gen="uniform:n=8,seed=5,box=1.0", hk_iterations=50)
-        inst, record, built = run_single(cfg)
+        inst = generate_uniform(8, 5, 1.0)
+        [(_, built)] = build_records(inst, [(1, None)], 50, 5, timing=False)
         oracle = enumerate_conforming_min(inst, mst_tree(inst))
         assert built.tour.weight == pytest.approx(oracle.weight, abs=1e-9)
 
     def test_depth_limited_run(self):
-        cfg = RunConfig(gen="uniform:n=60,seed=3,box=1.0", degree_limit=5, depth=8,
-                        hk_iterations=100)
-        _, record, _ = run_single(cfg)
+        inst = generate_uniform(60, 3, 1.0)
+        [(record, _)] = build_records(inst, [(5, 8)], 100, 3, timing=False)
         assert record.heuristic == "DT_5_8"
         assert record.excess_pct >= 0.0
 
-    def test_bad_gen_spec(self):
-        with pytest.raises(ConfigError):
-            run_single(RunConfig(gen="hexagonal:n=5"))
-        with pytest.raises(ConfigError):
-            run_single(RunConfig(gen="uniform:n=5,bogus=1"))
-        with pytest.raises(ConfigError):
-            run_single(RunConfig(gen="uniform:seed=1"))
+    def test_bad_gen_spec(self, build_counts):
+        for spec in ("hexagonal:n=5", "uniform:n=5,bogus=1", "uniform:seed=1",
+                     "uniform:n=5,seed", "uniform:n=five", "clustered:n=5,clusters=9"):
+            assert main(["run", "--gen", spec]) == 2, spec
+        assert build_counts["mst"] == 0
+
+
+class TestGenSpec:
+    def test_clusters_only_for_the_clustered_generator(self, tmp_path, capsys, build_counts):
+        assert main(["run", "--gen", "uniform:n=10,seed=1,clusters=3"]) == 2
+        assert "takes no clusters parameter" in capsys.readouterr().err
+        out = tmp_path / "u.tsp"
+        assert main(["gen", "uniform", "--n", "5", "--clusters", "7", "-o", str(out)]) == 2
+        assert "takes no clusters parameter" in capsys.readouterr().err
+        assert not out.exists()
+        assert build_counts["mst"] == 0
+
+    def test_repeated_key_rejected(self, capsys, build_counts):
+        assert main(["run", "--gen", "uniform:n=10,seed=1,n=12"]) == 2
+        assert "'n' given twice" in capsys.readouterr().err
+        assert main(["run", "--gen", "uniform:n=10,SEED=1,seed=2"]) == 2
+        assert build_counts["mst"] == 0
 
 
 class TestSuite:
@@ -175,8 +196,16 @@ class TestCliCommands:
     def test_run_human_output(self, capsys):
         assert main(["run", "--gen", "uniform:n=12,seed=1,box=1.0",
                      "--hk-iterations", "50"]) == 0
-        out = capsys.readouterr().out
-        assert "tour weight" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 7 and lines[6].startswith("wall time     : ")
+        assert lines[:6] == [
+            "instance      : uniform-n12-s1 (n=12)",
+            "heuristic     : DT",
+            "tree weight   : 2.270168",
+            "tour weight   : 2.849333",
+            "lower bound   : 2.849333",
+            "excess        : -0.0000%",
+        ]
 
     def test_run_writes_tour_files(self, tmp_path):
         plain = tmp_path / "tour.txt"
@@ -271,7 +300,7 @@ class TestCliCommands:
         from doubletree import Instance, Metric, write_tsplib
 
         xy = generate_uniform(30, seed=13, box=100.0).coords
-        inst = Instance("int30", xy, Metric.euclid_rounded())
+        inst = Instance("int30", xy, Metric.EUC_2D)
         path = tmp_path / "int30.tsp"
         path.write_text(write_tsplib(inst))
         assert main(["run", "--input", str(path), "--hk-iterations", "100",
@@ -352,8 +381,6 @@ class TestOneBuildPerInstance:
 
 class TestEarlyValidation:
     def test_zero_hk_iterations_rejected_before_any_tour_work(self, tmp_path, build_counts):
-        with pytest.raises(ConfigError):
-            RunConfig(gen="uniform:n=10,seed=1", hk_iterations=0)
         with pytest.raises(ConfigError):
             run_suite([8], seeds=1, grid=[(1, 4)], hk_iterations=0)
         assert main(["run", "--gen", "uniform:n=1500,seed=1", "--hk-iterations", "0"]) == 2

@@ -43,7 +43,7 @@ CELLS = {"1xinf": (1, None), "1x4": (1, 4), "3x16": (3, 16), "5xinf": (5, None)}
 
 def int60():
     xy = generate_uniform(60, seed=13, box=1000.0).coords
-    return Instance("int60", xy, Metric.euclid_rounded())
+    return Instance("int60", xy, Metric.EUC_2D)
 
 
 @pytest.mark.parametrize("klass", ["uniform", "clustered"])

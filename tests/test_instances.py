@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from doubletree import (
     Instance,
     Metric,
-    MetricKind,
     ParseError,
     cycle_weight,
     generate_clustered,
@@ -75,7 +74,7 @@ class TestDistance:
 
     def test_triangle_inequality_rounded_metric_within_one_unit(self):
         xy = generate_uniform(40, seed=9, box=1000.0).coords
-        inst = Instance("r", xy, Metric.euclid_rounded())
+        inst = Instance("r", xy, Metric.EUC_2D)
         # rounding both sides half-up can overshoot by at most one unit
         assert max_triangle_violation(inst) <= 1.0
 
@@ -223,13 +222,13 @@ class TestTsplib:
         inst = parse_tsplib(MINIMAL_EUC2D)
         assert inst.n == 3
         assert inst.name == "tiny"
-        assert inst.metric.kind is MetricKind.EUCLID_ROUNDED_TSPLIB
+        assert inst.metric is Metric.EUC_2D
         assert inst.distance(0, 1) == 3
 
     def test_parse_real_metric_keyword(self):
         text = MINIMAL_EUC2D.replace("EUC_2D", "EUC_2D_REAL")
         inst = parse_tsplib(text)
-        assert inst.metric.kind is MetricKind.EUCLID_REAL
+        assert inst.metric is Metric.EUC_2D_REAL
 
     def test_dimension_mismatch_reports_line(self):
         text = MINIMAL_EUC2D.replace("DIMENSION : 3", "DIMENSION : 4")
@@ -271,14 +270,14 @@ class TestTsplib:
         again = parse_tsplib(write_tsplib(inst))
         assert again.n == inst.n
         assert np.array_equal(again.coords, inst.coords)
-        assert again.metric.kind is inst.metric.kind
+        assert again.metric is inst.metric
         assert again.name == inst.name
 
     def test_round_trip_rounded_metric(self):
         inst = make_instance([(0.5, 0.25), (100.125, 3.0)], rounded=True)
         again = parse_tsplib(write_tsplib(inst))
         assert np.array_equal(again.coords, inst.coords)
-        assert again.metric.kind is MetricKind.EUCLID_ROUNDED_TSPLIB
+        assert again.metric is Metric.EUC_2D
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_coordinate_rejected_with_line(self, bad):
