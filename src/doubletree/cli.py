@@ -37,6 +37,7 @@ from .instances import (
 )
 from .oracles import (
     brute_force_optimal,
+    check_oracle_size,
     depth_first_shortcut,
     enumerate_conforming_min,
     is_conforming,
@@ -249,6 +250,9 @@ def build_records(
             if excess < -1e-6:
                 outcome = InternalInvariantError(f"lower bound {hk} exceeds tour weight {weight}")
             else:
+                # inside the tolerance a bound above the tour is rounding: no
+                # excess; max keeps the NaN of a run without a bound
+                excess = max(excess, 0.0)
                 wall_ms = outcome.wall_ms if timing else 0.0
                 record = RunRecord(inst.name, inst.n, label, d, k, mst_w, weight, hk, excess,
                                    wall_ms, seed)
@@ -258,6 +262,18 @@ def build_records(
                            math.nan, math.nan, 0.0, seed)
         out.append((record, outcome))
     return out
+
+
+def _build_cell(
+    inst: Instance, cell: Cell, hk_iterations: int, seed: int, timing: bool
+) -> tuple[RunRecord, Construction]:
+    """``build_records`` on one cell, raising the cell's error in place of its record."""
+    if inst.n < 2:
+        raise ConfigError("tour construction needs at least 2 nodes")
+    [(record, built)] = build_records(inst, [cell], hk_iterations, seed, timing)
+    if not isinstance(built, Construction):
+        raise built
+    return record, built
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +422,9 @@ def emit_plot(inst: Instance, tree: RootedTree, tour: Tour, path: str) -> None:
 # verify
 
 
-def run_verify(inst: Instance, max_n: int, out: TextIO) -> None:
-    if inst.n > max_n:
-        raise GuardError(f"verify limited to n <= {max_n}, instance has n={inst.n}")
-    if inst.n < 2:
-        raise ConfigError("verification needs at least 2 nodes")
-    [(record, built)] = build_records(inst, [(1, None)], 1000, 0, False)
-    if not isinstance(built, Construction):
-        raise built
+def run_verify(inst: Instance, out: TextIO) -> None:
+    check_oracle_size(inst.n)
+    record, built = _build_cell(inst, (1, None), 1000, 0, False)
     tour, tree = built.tour, built.tree
     oracle = enumerate_conforming_min(inst, tree)
     optimal = brute_force_optimal(inst)
@@ -492,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="cross-check the solver against oracles")
     p_verify.add_argument("--input", required=True, help="TSPLIB file")
-    p_verify.add_argument("--max-n", type=int, default=11)
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser
@@ -522,12 +532,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _check_cell(degree, depth)
     _check_hk_iterations(args.hk_iterations)
     inst, seed = _load_instance(args.input, args.gen)
-    if inst.n < 2:
-        raise ConfigError("tour construction needs at least 2 nodes")
-    [(record, built)] = build_records(inst, [(degree, depth)], args.hk_iterations, seed,
-                                      timing=True)
-    if not isinstance(built, Construction):
-        raise built
+    record, built = _build_cell(inst, (degree, depth), args.hk_iterations, seed, timing=True)
     tour = built.tour
     if args.tour_out:
         text = (
@@ -578,7 +583,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     inst, _ = _load_instance(args.input, None)
-    run_verify(inst, args.max_n, sys.stdout)
+    run_verify(inst, sys.stdout)
     return 0
 
 

@@ -143,12 +143,12 @@ def generate_clustered(
     seed: int,
     box: float = 1.0,
     clusters: Optional[int] = None,
-    sigma: Optional[float] = None,
 ) -> Instance:
     """Clustered points: uniform centers, Gaussian offsets around them.
 
-    Defaults: clusters = max(1, n // 100) and sigma = box / (50 * sqrt(clusters)).
-    Points may fall slightly outside the box; offsets are not clipped.
+    clusters defaults to max(1, n // 100); the offsets' standard deviation is
+    box / (50 * sqrt(clusters)).  Points may fall slightly outside the box;
+    offsets are not clipped.
     """
     if clusters is None:
         clusters = max(1, n // 100)
@@ -156,8 +156,7 @@ def generate_clustered(
         raise ValueError(f"need n >= clusters >= 1, got n={n}, clusters={clusters}")
     if box <= 0:
         raise ValueError("box must be positive")
-    if sigma is None:
-        sigma = box / (50.0 * math.sqrt(clusters))
+    sigma = box / (50.0 * math.sqrt(clusters))
     rng = _rng(seed)
     centers = rng.random((clusters, 2)) * box
     assign = rng.integers(0, clusters, size=n)

@@ -5,7 +5,10 @@ checked as "every subtree occupies one contiguous arc of the cycle", and the
 optima come from exhaustive enumeration of Hamiltonian cycles (canonicalised
 by fixing node 0 first and orienting so the second node is smaller than the
 last).  These functions are the reference the dynamic program is tested
-against, so they deliberately share none of its machinery.
+against, so they deliberately share none of its machinery.  Subtree
+membership comes from the tree's stored preorder, in which T(u) is the run
+of ``subtree_size[u]`` nodes starting at u; ``is_conforming`` walks parent
+links alone.
 """
 
 from __future__ import annotations
@@ -74,7 +77,8 @@ def is_conforming(tour: Union[Tour, Sequence[int]], tree: RootedTree) -> bool:
 # exhaustive enumeration
 
 
-def _check_oracle_size(n: int) -> None:
+def check_oracle_size(n: int) -> None:
+    """Refuse (GuardError) an instance too large for exhaustive enumeration."""
     if n > ORACLE_SIZE_LIMIT:
         raise GuardError(
             f"exhaustive search limited to n <= {ORACLE_SIZE_LIMIT}, got n={n}"
@@ -124,16 +128,16 @@ def conforming_mask(tree: RootedTree, cycles: np.ndarray) -> np.ndarray:
     mask = np.ones(cycles.shape[0], dtype=bool)
     if n <= 3:
         return mask
-    member = np.zeros(n, dtype=bool)
+    pos = np.empty(n, dtype=np.intp)
+    pos[np.array(tree.preorder)] = np.arange(n)
+    at = pos[cycles]  # preorder position of every cycle entry
     for u in range(n):
         if u == tree.root or tree.subtree_size[u] < 2:
             continue  # leaves and the whole tree are always contiguous
-        nodes = tree.subtree_nodes(u)
-        member[nodes] = True
-        inside = member[cycles]
+        lo = pos[u]
+        inside = (at >= lo) & (at < lo + tree.subtree_size[u])
         crossings = np.count_nonzero(inside != np.roll(inside, -1, axis=1), axis=1)
         mask &= crossings == 2
-        member[nodes] = False
     return mask
 
 
@@ -143,7 +147,7 @@ def _chunk_weights(dist: np.ndarray, cycles: np.ndarray) -> np.ndarray:
 
 def _best_cycle(inst: Instance, tree: RootedTree | None) -> Tour:
     n = inst.n
-    _check_oracle_size(n)
+    check_oracle_size(n)
     if n == 1:
         return Tour((0,), 0.0)
     dist = inst.distances.matrix()
@@ -181,11 +185,4 @@ def depth_first_shortcut(inst: Instance, tree: RootedTree) -> Tour:
     """Preorder traversal of the tree taken as a tour; always admissible."""
     if tree.n != inst.n:
         raise ValueError("instance and tree disagree on n")
-    order: list[int] = []
-    stack = [tree.root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for v in reversed(tree.children[u]):
-            stack.append(v)
-    return Tour(tuple(order), cycle_weight(inst, order))
+    return Tour(tree.preorder, cycle_weight(inst, tree.preorder))

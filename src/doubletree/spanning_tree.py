@@ -4,6 +4,11 @@ The MST is built with a dense O(n^2) Prim scan, which matches the complete
 graph induced by a metric instance.  Ties are broken toward the
 lexicographically smallest (min(a,b), max(a,b)) edge pair, so the tree is
 deterministic even for degenerate inputs with duplicate points.
+
+A tree's traversal order is decided here alone: ``RootedTree.from_parents``
+walks the tree once and stores its preorder and postorder, children in
+ascending id order, which the table pass and the oracles read instead of
+walking the tree again.
 """
 
 from __future__ import annotations
@@ -29,7 +34,10 @@ class TreeEdge:
 class RootedTree:
     """Rooted tree over nodes 0..n-1 with per-node ordered child lists.
 
-    children lists are sorted ascending by node index; ``max_children`` is the
+    children lists are sorted ascending by node index, and ``preorder`` and
+    ``postorder`` visit children in that order, so every subtree T(u) is the
+    preorder run of ``subtree_size[u]`` nodes starting at u, and every child
+    comes before its parent in ``postorder``.  ``max_children`` is the
     largest child count over all nodes (the branching bound the subset tables
     grow exponentially in).
     """
@@ -41,10 +49,12 @@ class RootedTree:
     depth: tuple[int, ...]
     subtree_size: tuple[int, ...]
     max_children: int
+    preorder: tuple[int, ...]
+    postorder: tuple[int, ...]
 
     @staticmethod
     def from_parents(n: int, root: int, parent: Sequence[Optional[int]]) -> "RootedTree":
-        """Build the derived fields from parent links (iterative, path-safe)."""
+        """Build the derived fields from parent links in one iterative walk."""
         children: list[list[int]] = [[] for _ in range(n)]
         for v in range(n):
             p = parent[v]
@@ -59,24 +69,24 @@ class RootedTree:
             c.sort()
 
         depth = [0] * n
-        order: list[int] = []
-        stack = [root]
-        seen = 0
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            seen += 1
-            for v in children[u]:
-                depth[v] = depth[u] + 1
-                stack.append(v)
-        if seen != n:
-            raise ValueError("parent links do not form a single tree")
-
         size = [1] * n
-        for u in reversed(order):  # children appear after their parent
-            p = parent[u]
-            if p is not None:
-                size[p] += size[u]
+        preorder: list[int] = []
+        postorder: list[int] = []
+        stack: list[tuple[int, bool]] = [(root, False)]
+        while stack:
+            u, done = stack.pop()
+            if done:
+                postorder.append(u)
+                if u != root:
+                    size[parent[u]] += size[u]
+                continue
+            preorder.append(u)
+            stack.append((u, True))
+            for v in reversed(children[u]):
+                depth[v] = depth[u] + 1
+                stack.append((v, False))
+        if len(preorder) != n:
+            raise ValueError("parent links do not form a single tree")
         return RootedTree(
             n=n,
             root=root,
@@ -85,31 +95,9 @@ class RootedTree:
             depth=tuple(depth),
             subtree_size=tuple(size),
             max_children=max((len(c) for c in children), default=0),
+            preorder=tuple(preorder),
+            postorder=tuple(postorder),
         )
-
-    def postorder(self) -> list[int]:
-        """Nodes with every child before its parent (iterative)."""
-        out: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
-        while stack:
-            u, expanded = stack.pop()
-            if expanded:
-                out.append(u)
-            else:
-                stack.append((u, True))
-                for v in reversed(self.children[u]):
-                    stack.append((v, False))
-        return out
-
-    def subtree_nodes(self, u: int) -> list[int]:
-        """All descendants of u including u itself (iterative)."""
-        out: list[int] = []
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            out.append(x)
-            stack.extend(self.children[x])
-        return out
 
 
 def minimum_spanning_tree(inst: Instance) -> list[TreeEdge]:

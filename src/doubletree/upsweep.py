@@ -29,11 +29,11 @@ are the columns within depth k of u, put in id order once per node.
 
 Leaves.  A leaf child v has the 1x1 row-0 table, so B = 0: its bridge for
 mask V is ``min_x A_V[x] + d(x, v)``, and the extension writes that same
-value into column v of row ``V | bit_v``.  A node with two or more leaf
-children extends V by all of its leaves outside V in one step, one
-``(x, leaf)`` block per mask.  With B = 0 the full sum equals the inner sum,
-and the x candidates are in id order, so the first argmin along x is already
-the lowest attaining x and the tie pass of the general step is not needed.
+value into column v of row ``V | bit_v``.  A node with leaf children
+extends V by all of its leaves outside V in one step, one ``(x, leaf)``
+block per mask.  With B = 0 the full sum equals the inner sum, and the x
+candidates are in id order, so the first argmin along x is already the
+lowest attaining x and the tie pass of the general step is not needed.
 
 Each child's bridges are kept as ``(2^c_u, 2^c_v)`` weight and jump-edge
 arrays for tour reconstruction (the ``(2^c_u, 1)`` arrays of batched leaves
@@ -89,13 +89,7 @@ class PreorderLayout:
 
     @staticmethod
     def of(tree: RootedTree) -> "PreorderLayout":
-        order: list[int] = []
-        stack = [tree.root]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            stack.extend(reversed(tree.children[u]))
-        ids = np.array(order, dtype=np.intp)
+        ids = np.array(tree.preorder, dtype=np.intp)
         pre = np.empty(tree.n, dtype=np.intp)
         pre[ids] = np.arange(tree.n)
         return PreorderLayout(tree, ids, pre, np.array(tree.depth)[ids])
@@ -169,11 +163,9 @@ def node_table(
     n = inst.n
     limit = None if k is None else tree.depth[u] + k
 
-    # leaf children share one step per mask; a lone leaf takes the per-child one
+    # leaf children share one step per mask
     leaves = [i for i, v in enumerate(cu) if not tree.children[v]]
-    if len(leaves) < 2:
-        leaves = []
-    else:
+    if leaves:
         lid = np.array([cu[i] for i in leaves])
         lcol = layout.pre[lid] - p0
         lbit = np.array([1 << i for i in leaves])
@@ -282,7 +274,7 @@ def upsweep(inst: Instance, tree: RootedTree, k: Optional[int] = None) -> Upswee
     bridges: list[Optional[Bridges]] = [None] * inst.n
     tables: dict[int, np.ndarray] = {}
     live: dict[int, int] = {}
-    for u in tree.postorder():
+    for u in tree.postorder:
         tables[u] = node_table(inst, layout, u, tables, k, stats, bridges)
         live[u] = int(np.count_nonzero(tables[u][1:] < np.inf))
         stats.live_entries += live[u]

@@ -26,6 +26,17 @@ def mst_tree(inst):
     return root_tree(minimum_spanning_tree(inst), inst.n)
 
 
+def subtree_nodes(tree, u):
+    """All descendants of u including u itself, by a stack walk over children."""
+    out = []
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        out.append(x)
+        stack.extend(tree.children[x])
+    return out
+
+
 def tree_distance(tree, a, b):
     """Number of edges on the unique a-b path (walk both ends up to the LCA)."""
     da, db = tree.depth[a], tree.depth[b]
@@ -65,7 +76,7 @@ class SweepTables:
         self.stats = UpsweepStats()
         self.bridges = [None] * inst.n
         self.tables = {}
-        for u in schedule or tree.postorder():
+        for u in schedule or tree.postorder:
             self.tables[u] = node_table(
                 inst, self.layout, u, self.tables, k, self.stats, self.bridges
             )

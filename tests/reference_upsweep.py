@@ -339,6 +339,6 @@ def upsweep(
         keep_bipartitions=keep_bipartitions,
         keep_sweep_tables=keep_sweep_tables,
     )
-    for u in tree.postorder():
+    for u in tree.postorder:
         run.process_node(u)
     return run.finish()

@@ -204,8 +204,14 @@ class TestCliCommands:
             "tree weight   : 2.270168",
             "tour weight   : 2.849333",
             "lower bound   : 2.849333",
-            "excess        : -0.0000%",
+            "excess        : 0.0000%",
         ]
+        # the bound lands one ulp above the tour weight: rounding, not a
+        # negative excess
+        assert main(["run", "--gen", "uniform:n=12,seed=1,box=1.0",
+                     "--hk-iterations", "50", "--csv"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[CSV_HEADER.split(",").index("excess_pct")] == "0.0000"
 
     def test_run_writes_tour_files(self, tmp_path):
         plain = tmp_path / "tour.txt"
@@ -279,7 +285,7 @@ class TestCliCommands:
         # guard violation: verify on an oversized instance
         big = tmp_path / "big.tsp"
         assert main(["gen", "uniform", "--n", "14", "--seed", "1", "-o", str(big)]) == 0
-        assert main(["verify", "--input", str(big), "--max-n", "11"]) == 4
+        assert main(["verify", "--input", str(big)]) == 4
         # argparse usage error
         assert main(["run"]) == 2
 
@@ -386,6 +392,17 @@ class TestEarlyValidation:
         assert main(["run", "--gen", "uniform:n=1500,seed=1", "--hk-iterations", "0"]) == 2
         assert main(["suite", "--sizes", "8", "--seeds", "1", "--grid", "1x4",
                      "--hk-iterations", "0", "-o", str(tmp_path / "s.csv")]) == 2
+        assert build_counts["mst"] == 0
+
+    def test_verify_above_the_oracle_limit_rejected_before_any_tour_work(
+        self, tmp_path, capsys, build_counts
+    ):
+        inst_file = tmp_path / "n12.tsp"
+        assert main(["gen", "uniform", "--n", "12", "--seed", "1", "-o", str(inst_file)]) == 0
+        assert main(["verify", "--input", str(inst_file)]) == 4
+        assert "exhaustive search limited to n <= 11" in capsys.readouterr().err
+        # no option raises the limit
+        assert main(["verify", "--input", str(inst_file), "--max-n", "12"]) == 2
         assert build_counts["mst"] == 0
 
     def test_oversized_tables_rejected_before_the_upsweep_reads_a_distance(

@@ -75,8 +75,9 @@ HAND_TREES = {
     "leaf-hub-6": [None, 0, 0, 0, 0, 0, 0],
     # a hub with four leaves and two subtrees (children 2 and 5) between them
     "leaves-and-subtrees": [None, 0, 0, 0, 0, 0, 0, 2, 2, 5, 9, 9],
-    # node 1 has exactly one leaf child, and so has the root (child 2) among
-    # two subtrees; node 3 has one leaf child and one subtree
+    # a single leaf child takes the batched step too: node 1 has exactly one
+    # leaf child, and so has the root (child 2) among two subtrees; node 3 has
+    # one leaf child and one subtree
     "lone-leaf": [None, 0, 0, 0, 1, 3, 3, 6],
 }
 

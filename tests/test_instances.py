@@ -123,8 +123,12 @@ class TestGenerators:
             generate_uniform(5, seed=1, box=0.0)
 
     def test_clustered_degenerate_cluster(self):
-        inst = generate_clustered(10, seed=4, clusters=1, sigma=1e-12)
-        assert np.ptp(inst.coords, axis=0).max() < 1e-9
+        # one cluster: every point lies within 6 sigma of the cluster mean
+        inst = generate_clustered(200, seed=4, box=1.0, clusters=1)
+        sigma = 1.0 / 50.0
+        offsets = inst.coords - inst.coords.mean(axis=0)
+        assert np.hypot(*offsets.T).max() < 6.0 * sigma
+        assert offsets.std() > 0.5 * sigma
 
     def test_clustered_determinism(self):
         a = generate_clustered(100, seed=3, clusters=10)

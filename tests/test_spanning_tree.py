@@ -2,12 +2,16 @@ import itertools
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubletree import (
     InternalInvariantError,
     RootedTree,
     TreeEdge,
     degree_increase,
+    depth_first_shortcut,
+    generate_uniform,
     minimum_spanning_tree,
     root_tree,
     tree_weight,
@@ -87,6 +91,77 @@ class TestMst:
     def test_single_node(self):
         inst = make_instance([(0, 0)])
         assert minimum_spanning_tree(inst) == []
+
+
+@st.composite
+def parent_links(draw):
+    """(root, parent links) of a random tree on up to 40 nodes, labels shuffled."""
+    n = draw(st.integers(1, 40))
+    attach = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    label = draw(st.permutations(range(n)))
+    parent = [None] * n
+    for i, j in enumerate(attach, start=1):
+        parent[label[i]] = label[j]
+    return label[0], parent
+
+
+def stack_orders(root, parent):
+    """Preorder and postorder, children ascending, by plain stack walks."""
+    children = [[] for _ in parent]
+    for v, p in enumerate(parent):
+        if p is not None:
+            children[p].append(v)
+    pre, stack = [], [root]
+    while stack:
+        u = stack.pop()
+        pre.append(u)
+        stack.extend(reversed(children[u]))
+    # reversed, the preorder of the mirrored tree is the postorder
+    mirrored, stack = [], [root]
+    while stack:
+        u = stack.pop()
+        mirrored.append(u)
+        stack.extend(children[u])
+    return tuple(pre), tuple(reversed(mirrored))
+
+
+def root_path(parent, x):
+    out = []
+    while x is not None:
+        out.append(x)
+        x = parent[x]
+    return out
+
+
+class TestStoredOrders:
+    @settings(max_examples=100, deadline=None)
+    @given(parent_links())
+    def test_orders_match_parent_walks(self, links):
+        root, parent = links
+        n = len(parent)
+        tree = RootedTree.from_parents(n, root, parent)
+        assert (tree.preorder, tree.postorder) == stack_orders(root, parent)
+        pos = {u: i for i, u in enumerate(tree.preorder)}
+        above = [set(root_path(parent, x)) for x in range(n)]
+        for u in range(n):
+            run = tree.preorder[pos[u] : pos[u] + tree.subtree_size[u]]
+            assert len(run) == tree.subtree_size[u]
+            assert set(run) == {x for x in range(n) if u in above[x]}
+        rank = {u: i for i, u in enumerate(tree.postorder)}
+        assert all(rank[v] < rank[parent[v]] for v in range(n) if v != root)
+        inst = generate_uniform(n, 1)
+        assert depth_first_shortcut(inst, tree).order == tree.preorder
+
+    def test_long_path_is_walked_iteratively(self):
+        n = 5000
+        parent = [None] + list(range(n - 1))
+        tree = RootedTree.from_parents(n, 0, parent)
+        assert (tree.preorder, tree.postorder) == stack_orders(0, parent)
+        assert tree.preorder == tuple(range(n))
+        assert tree.subtree_size == tuple(range(n, 0, -1))
+        assert tree.depth[-1] == n - 1
+        inst = generate_uniform(n, 1)
+        assert depth_first_shortcut(inst, tree).order == tree.preorder
 
 
 class TestRootTree:

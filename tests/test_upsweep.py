@@ -24,7 +24,14 @@ from doubletree.upsweep import (
     upsweep,
 )
 
-from conftest import STAR5_BEST, SweepTables, make_instance, mst_tree, random_instance
+from conftest import (
+    STAR5_BEST,
+    SweepTables,
+    make_instance,
+    mst_tree,
+    random_instance,
+    subtree_nodes,
+)
 
 
 # --- independent brute-force oracles for sweep values -----------------------
@@ -34,8 +41,8 @@ def _contiguity_sets(tree, roots):
     """Node sets that must be consecutive inside a sweep of the given subtrees."""
     sets = []
     for v in roots:
-        for w in tree.subtree_nodes(v):
-            sub = tree.subtree_nodes(w)
+        for w in subtree_nodes(tree, v):
+            sub = subtree_nodes(tree, w)
             if len(sub) >= 2:
                 sets.append(frozenset(sub))
     return sets
@@ -59,7 +66,7 @@ def sweep_min_oracle(inst, tree, u, v_nodes, a):
     inner subtree consecutive.  Pure enumeration."""
     nodes = {u}
     for v in v_nodes:
-        nodes.update(tree.subtree_nodes(v))
+        nodes.update(subtree_nodes(tree, v))
     sets = _contiguity_sets(tree, v_nodes)
     middle = sorted(nodes - {u, a})
     best = math.inf
@@ -74,10 +81,10 @@ def bipartition_min_oracle(inst, tree, u, v_nodes, v, w_nodes):
     """Cheapest sequence sweeping {u}+T(V) first, then T(W)+{v}, u to v."""
     part1 = {u}
     for x in v_nodes:
-        part1.update(tree.subtree_nodes(x))
+        part1.update(subtree_nodes(tree, x))
     part2 = {v}
     for x in w_nodes:
-        part2.update(tree.subtree_nodes(x))
+        part2.update(subtree_nodes(tree, x))
     sets = _contiguity_sets(tree, v_nodes) + _contiguity_sets(tree, w_nodes)
     best = math.inf
     for p1 in itertools.permutations(sorted(part1 - {u})):
@@ -215,7 +222,7 @@ class TestProcessNode:
                     ids, wts = st.dests(u, mask)
                     expected_set = set()
                     for v in v_nodes:
-                        expected_set.update(tree.subtree_nodes(v))
+                        expected_set.update(subtree_nodes(tree, v))
                     assert set(ids.tolist()) == expected_set
                     for a, got in zip(ids.tolist(), wts.tolist()):
                         want = sweep_min_oracle(inst, tree, u, v_nodes, a)
