@@ -8,8 +8,11 @@ against the exhaustive oracles on a small instance.
 Every subcommand reaches the pipeline the same way: the instance comes
 from a TSPLIB file or from ``GENERATORS`` (through ``_generate``, the one
 place a generator is called), grid cells are checked by ``_check_cell``
-before anything is built, and ``build_records`` runs MST, rooting, degree
-pass, upsweep, downsweep, checks and the lower bound.
+and ``_check_full_search`` before anything is built, and ``build_records``
+runs MST, rooting, degree pass, upsweep, downsweep, checks and the lower
+bound.  It returns one ``RunRecord`` per cell, and every subcommand reads
+that record: its CSV fields, its tour and tree (``--tour-out``, ``--plot``
+and the oracles of ``verify``) or, for a ``#FAILED`` cell, its error.
 
 Exit codes: 0 success, 2 configuration error, 3 input/parse error, 4 guard
 violation, 5 internal invariant failure.
@@ -62,6 +65,11 @@ GENERATORS = {"uniform": generate_uniform, "clustered": generate_clustered}
 
 @dataclass
 class RunRecord:
+    """One grid cell on one instance: the CSV fields, the tour, and the tree it was solved on.
+
+    A ``#FAILED`` record has no tour or tree and holds the error that stopped it.
+    """
+
     instance: str
     n: int
     heuristic: str
@@ -73,6 +81,9 @@ class RunRecord:
     excess_pct: float
     wall_time_ms: float
     seed: int
+    tour: Optional[Tour] = None
+    tree: Optional[RootedTree] = None
+    error: Optional[Exception] = None
 
     def csv_row(self) -> str:
         return ",".join(
@@ -85,7 +96,7 @@ class RunRecord:
                 _fmt(self.mst_weight),
                 _fmt(self.tour_weight),
                 _fmt(self.hk_bound),
-                f"{self.excess_pct:.4f}" if math.isfinite(self.excess_pct) else "nan",
+                f"{self.excess_pct:.4f}",  # nan without a bound, inf over a zero one
                 f"{self.wall_time_ms:.3f}",
                 str(self.seed),
             ]
@@ -180,27 +191,28 @@ def _load_instance(path: Optional[str], gen_spec: Optional[str]) -> tuple[Instan
     return parse_tsplib(text), 0
 
 
-@dataclass(frozen=True)
-class Construction:
-    """One grid cell's verified tour and the tree the table pass solved on."""
-
-    tour: Tour
-    tree: RootedTree
-    wall_ms: float  # MST construction through tour reconstruction
-
-
 Cell = tuple[int, Optional[int]]  # (degree limit D, search depth k; None = unlimited)
 
 
-def construct_tour(
-    inst: Instance, cells: Sequence[Cell]
-) -> tuple[RootedTree, float, list[Construction | Exception]]:
+def _check_full_search(n: int, cells: Sequence[Cell]) -> None:
+    if n > FULL_DT_SIZE_CAP and any(k is None for _, k in cells):
+        raise ConfigError(
+            f"full-table search (depth inf) is capped at n <= {FULL_DT_SIZE_CAP}, got n = {n}; "
+            "use a finite depth or a smaller instance"
+        )
+
+
+def build_records(
+    inst: Instance, cells: Sequence[Cell], hk_iterations: int, seed: int
+) -> list[RunRecord]:
     """MST -> root once, then per cell: reattachment -> table pass -> reconstruction.
 
-    Returns the rooted MST, its weight and, per cell, its Construction or the
-    error that stopped it.  Every emitted tour has been verified: a
-    permutation, admissible for the tree it was built on, weight in agreement
-    with the table pass, and within twice the tree weight.
+    The one pipeline function: one record per cell, all sharing one lower
+    bound.  Every tour in a record has been verified: a permutation,
+    admissible for the tree it was built on, weight in agreement with the
+    table pass, within twice the tree weight and not below the bound.  A cell
+    that fails any of this gets a ``#FAILED`` record holding the error.
+    ``wall_time_ms`` runs from MST construction through tour reconstruction.
     """
     t0 = time.perf_counter()
     edges = minimum_spanning_tree(inst)
@@ -209,13 +221,14 @@ def construct_tour(
     mst_ms = (time.perf_counter() - t0) * 1000.0
     # integer rounding lets each of the <= n-2 shortcuts gain up to one unit
     slack = float(inst.n) if inst.metric is Metric.EUC_2D else 0.0
-    out: list[Construction | Exception] = []
-    for degree_limit, depth in cells:
+    records: list[RunRecord] = []
+    hk: Optional[float] = None
+    for d, k in cells:
+        label = _grid_label(d, k)
         try:
             t1 = time.perf_counter()
-            tree = degree_increase(mst, degree_limit) if degree_limit >= 3 else mst
-            result = upsweep(inst, tree, k=depth)
-            tour = downsweep(inst, tree, result)
+            tree = degree_increase(mst, d) if d >= 3 else mst
+            tour = downsweep(inst, tree, upsweep(inst, tree, k=k))
             wall_ms = mst_ms + (time.perf_counter() - t1) * 1000.0
             if not is_conforming(tour, tree):
                 raise InternalInvariantError("emitted tour violates subtree contiguity")
@@ -223,57 +236,39 @@ def construct_tour(
                 raise InternalInvariantError(
                     f"tour weight {tour.weight} exceeds twice the tree weight {mst_w}"
                 )
-            out.append(Construction(tour, tree, wall_ms))
         except (GuardError, InternalInvariantError, ValueError) as exc:
-            out.append(exc)
-    return mst, mst_w, out
-
-
-def build_records(
-    inst: Instance, cells: Sequence[Cell], hk_iterations: int, seed: int, timing: bool
-) -> list[tuple[RunRecord, Construction | Exception]]:
-    """One record per cell of ``construct_tour``, all sharing one lower bound.
-
-    A failed cell, or one whose tour falls below the bound, gets a
-    ``#FAILED`` record and its error in place of the Construction.
-    """
-    mst, mst_w, built = construct_tour(inst, cells)
-    hk = math.nan
-    if inst.n >= 3 and any(isinstance(b, Construction) for b in built):
-        hk = held_karp_lower_bound(inst, mst, hk_iterations)
-    out: list[tuple[RunRecord, Construction | Exception]] = []
-    for (d, k), outcome in zip(cells, built):
-        label = _grid_label(d, k)
-        if isinstance(outcome, Construction):
-            weight = outcome.tour.weight
-            excess = 100.0 * (weight / hk - 1.0)
+            error = exc
+        else:
+            if hk is None:  # computed once, when the first cell has a tour
+                hk = held_karp_lower_bound(inst, mst, hk_iterations) if inst.n >= 3 else math.nan
+            if hk == 0.0:  # coincident points: only a zero tour meets a zero bound
+                excess = 0.0 if tour.weight == 0.0 else math.inf
+            else:
+                excess = 100.0 * (tour.weight / hk - 1.0)
             if excess < -1e-6:
-                outcome = InternalInvariantError(f"lower bound {hk} exceeds tour weight {weight}")
+                error = InternalInvariantError(
+                    f"lower bound {hk} exceeds tour weight {tour.weight}"
+                )
             else:
                 # inside the tolerance a bound above the tour is rounding: no
                 # excess; max keeps the NaN of a run without a bound
-                excess = max(excess, 0.0)
-                wall_ms = outcome.wall_ms if timing else 0.0
-                record = RunRecord(inst.name, inst.n, label, d, k, mst_w, weight, hk, excess,
-                                   wall_ms, seed)
-                out.append((record, outcome))
+                records.append(RunRecord(inst.name, inst.n, label, d, k, mst_w, tour.weight, hk,
+                                         max(excess, 0.0), wall_ms, seed, tour, tree))
                 continue
-        record = RunRecord(f"{inst.name}#FAILED", inst.n, label, d, k, math.nan, math.nan,
-                           math.nan, math.nan, 0.0, seed)
-        out.append((record, outcome))
-    return out
+        records.append(RunRecord(f"{inst.name}#FAILED", inst.n, label, d, k, math.nan, math.nan,
+                                 math.nan, math.nan, 0.0, seed, error=error))
+    return records
 
 
-def _build_cell(
-    inst: Instance, cell: Cell, hk_iterations: int, seed: int, timing: bool
-) -> tuple[RunRecord, Construction]:
+def _build_cell(inst: Instance, cell: Cell, hk_iterations: int, seed: int) -> RunRecord:
     """``build_records`` on one cell, raising the cell's error in place of its record."""
     if inst.n < 2:
         raise ConfigError("tour construction needs at least 2 nodes")
-    [(record, built)] = build_records(inst, [cell], hk_iterations, seed, timing)
-    if not isinstance(built, Construction):
-        raise built
-    return record, built
+    _check_full_search(inst.n, [cell])
+    [record] = build_records(inst, [cell], hk_iterations, seed)
+    if record.error is not None:
+        raise record.error
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -327,42 +322,31 @@ def run_suite(
         if size < 4:
             raise ConfigError(f"suite sizes must be >= 4, got {size}")
     _check_generator(klass)
-    if any(k is None for _, k in grid) and max(sizes) > FULL_DT_SIZE_CAP:
-        raise ConfigError(
-            f"full-table search is capped at n <= {FULL_DT_SIZE_CAP}; "
-            "drop 'dt'/'...xinf' entries or reduce sizes"
-        )
+    _check_full_search(max(sizes), grid)
     _check_hk_iterations(hk_iterations)
     rows: list[str] = [CSV_HEADER]
     means: list[str] = []
     for size in sizes:
-        by_heuristic: dict[Cell, list[RunRecord]] = {g: [] for g in grid}
+        # only the numeric fields, so no tour or tree outlives its instance
+        by_cell: dict[Cell, list[tuple[float, ...]]] = {g: [] for g in grid}
         for seed in range(1, seeds + 1):
             inst = _generate(klass, size, seed, box, None)
-            for cell, (rec, built) in zip(grid, build_records(inst, grid, hk_iterations, seed,
-                                                               timing)):
-                if isinstance(built, Construction):
-                    by_heuristic[cell].append(rec)
-                elif log is not None:
-                    print(f"FAILED {inst.name} {rec.heuristic}: {built}", file=log)
+            for cell, rec in zip(grid, build_records(inst, grid, hk_iterations, seed)):
+                if not timing:
+                    rec.wall_time_ms = 0.0
                 rows.append(rec.csv_row())
+                if rec.error is None:
+                    by_cell[cell].append((rec.mst_weight, rec.tour_weight, rec.hk_bound,
+                                          rec.excess_pct, rec.wall_time_ms))
+                elif log is not None:
+                    print(f"FAILED {inst.name} {rec.heuristic}: {rec.error}", file=log)
         for d, k in grid:
-            recs = by_heuristic[(d, k)]
+            recs = by_cell[(d, k)]
             if not recs:
                 continue
-            mean = RunRecord(
-                instance=f"mean-{klass}-n{size}",
-                n=size,
-                heuristic=_grid_label(d, k),
-                D=d,
-                k=k,
-                mst_weight=sum(r.mst_weight for r in recs) / len(recs),
-                tour_weight=sum(r.tour_weight for r in recs) / len(recs),
-                hk_bound=sum(r.hk_bound for r in recs) / len(recs),
-                excess_pct=sum(r.excess_pct for r in recs) / len(recs),
-                wall_time_ms=sum(r.wall_time_ms for r in recs) / len(recs),
-                seed=-1,
-            )
+            mst_w, tour_w, hk, excess, wall_ms = (sum(col) / len(recs) for col in zip(*recs))
+            mean = RunRecord(f"mean-{klass}-n{size}", size, _grid_label(d, k), d, k,
+                             mst_w, tour_w, hk, excess, wall_ms, seed=-1)
             means.append(mean.csv_row())
     return "\n".join(rows + means) + "\n"
 
@@ -424,8 +408,8 @@ def emit_plot(inst: Instance, tree: RootedTree, tour: Tour, path: str) -> None:
 
 def run_verify(inst: Instance, out: TextIO) -> None:
     check_oracle_size(inst.n)
-    record, built = _build_cell(inst, (1, None), 1000, 0, False)
-    tour, tree = built.tour, built.tree
+    record = _build_cell(inst, (1, None), 1000, 0)
+    tour, tree = record.tour, record.tree
     oracle = enumerate_conforming_min(inst, tree)
     optimal = brute_force_optimal(inst)
     dfs = depth_first_shortcut(inst, tree)
@@ -532,8 +516,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _check_cell(degree, depth)
     _check_hk_iterations(args.hk_iterations)
     inst, seed = _load_instance(args.input, args.gen)
-    record, built = _build_cell(inst, (degree, depth), args.hk_iterations, seed, timing=True)
-    tour = built.tour
+    record = _build_cell(inst, (degree, depth), args.hk_iterations, seed)
+    tour = record.tour
     if args.tour_out:
         text = (
             write_tour_tsplib(tour, name=record.instance)
@@ -542,7 +526,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         _write_text(args.tour_out, text)
     if args.plot:
-        emit_plot(inst, built.tree, tour, args.plot)
+        emit_plot(inst, record.tree, tour, args.plot)
     if args.csv:
         print(CSV_HEADER)
         print(record.csv_row())

@@ -55,6 +55,10 @@ class RootedTree:
     @staticmethod
     def from_parents(n: int, root: int, parent: Sequence[Optional[int]]) -> "RootedTree":
         """Build the derived fields from parent links in one iterative walk."""
+        if len(parent) != n:
+            raise ValueError(f"expected {n} parent links, got {len(parent)}")
+        if not 0 <= root < n:
+            raise ValueError(f"root {root} outside 0..{n - 1}")
         children: list[list[int]] = [[] for _ in range(n)]
         for v in range(n):
             p = parent[v]
@@ -64,6 +68,8 @@ class RootedTree:
                 continue
             if p is None:
                 raise ValueError(f"non-root node {v} has no parent")
+            if not 0 <= p < n:
+                raise ValueError(f"node {v} has parent {p} outside 0..{n - 1}")
             children[p].append(v)
         for c in children:
             c.sort()

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,6 @@ from doubletree.cli import (
     CSV_HEADER,
     _grid_label,
     build_records,
-    construct_tour,
     main,
     parse_grid,
     run_suite,
@@ -68,25 +68,26 @@ class TestRunSingle:
 
     def test_record_fields_and_bounds(self):
         inst = generate_uniform(40, 2, 1.0)
-        [(record, built)] = build_records(inst, [(1, None)], 200, 2, timing=True)
-        tour = built.tour
+        [record] = build_records(inst, [(1, None)], 200, 2)
+        tour = record.tour
+        assert record.error is None
         assert (record.instance, record.n, record.seed) == ("uniform-n40-s2", 40, 2)
         assert record.heuristic == "DT"
         assert record.tour_weight == pytest.approx(tour.weight)
         assert record.tour_weight <= 2 * record.mst_weight + 1e-9
         assert record.excess_pct >= 0.0
         assert record.hk_bound <= record.tour_weight + 1e-9
-        assert record.wall_time_ms == built.wall_ms > 0.0
+        assert record.wall_time_ms > 0.0
 
     def test_unrestricted_solver_matches_oracle(self):
         inst = generate_uniform(8, 5, 1.0)
-        [(_, built)] = build_records(inst, [(1, None)], 50, 5, timing=False)
+        [record] = build_records(inst, [(1, None)], 50, 5)
         oracle = enumerate_conforming_min(inst, mst_tree(inst))
-        assert built.tour.weight == pytest.approx(oracle.weight, abs=1e-9)
+        assert record.tour.weight == pytest.approx(oracle.weight, abs=1e-9)
 
     def test_depth_limited_run(self):
         inst = generate_uniform(60, 3, 1.0)
-        [(record, _)] = build_records(inst, [(5, 8)], 100, 3, timing=False)
+        [record] = build_records(inst, [(5, 8)], 100, 3)
         assert record.heuristic == "DT_5_8"
         assert record.excess_pct >= 0.0
 
@@ -166,6 +167,16 @@ class TestSuite:
     def test_full_search_size_cap(self):
         with pytest.raises(ConfigError):
             run_suite([40000], seeds=1, grid=[(1, None)])
+
+    def test_wall_times_only_with_timing(self):
+        wall = CSV_HEADER.split(",").index("wall_time_ms")
+        kwargs = dict(sizes=[8], seeds=2, grid=[(1, 4), (3, None)], hk_iterations=50)
+        timed = run_suite(timing=True, **kwargs).splitlines()[1:]
+        assert len(timed) == 6 and sum(l.startswith("mean-") for l in timed) == 2
+        assert all(float(l.split(",")[wall]) > 0.0 for l in timed)
+        plain = run_suite(**kwargs).splitlines()[1:]
+        assert len(plain) == 6
+        assert all(l.split(",")[wall] == "0.000" for l in plain)
 
 
 class TestCliCommands:
@@ -296,6 +307,7 @@ class TestCliCommands:
              "--n", "5", "--seed", "1", "-o", str(out)],
             capture_output=True,
             text=True,
+            cwd=Path(cli_mod.__file__).parents[1],  # where this process found the package
         )
         assert proc.returncode == 0
         assert out.exists()
@@ -333,12 +345,12 @@ class TestCliCommands:
 
 
 class TestEmitPlot:
-    def test_construct_tour_matches_components(self):
+    def test_build_records_matches_components(self):
         inst = generate_uniform(25, seed=8, box=1.0)
-        mst, mst_w, [built] = construct_tour(inst, [(1, None)])
-        assert built.wall_ms >= 0.0
-        assert built.tree is mst
-        assert built.tour.weight <= 2 * mst_w + 1e-9
+        [record] = build_records(inst, [(1, None)], 50, 8)
+        assert record.wall_time_ms >= 0.0
+        assert record.tree.parent == mst_tree(inst).parent
+        assert record.tour.weight == record.tour_weight <= 2 * record.mst_weight + 1e-9
 
 
 @pytest.fixture
@@ -385,6 +397,49 @@ class TestOneBuildPerInstance:
         assert build_counts == {"mst": 1, "distances": 1}
 
 
+def write_euc2d(path, coords):
+    rows = "".join(f"{i} {x} {y}\n" for i, (x, y) in enumerate(coords, 1))
+    path.write_text(f"NAME : {path.stem}\nTYPE : TSP\nDIMENSION : {len(coords)}\n"
+                    f"EDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n{rows}EOF\n")
+    return str(path)
+
+
+class TestDegenerateBounds:
+    """Two nodes have no bound (excess nan); coincident points a zero one (0 or inf)."""
+
+    def fields(self, out):
+        return dict(zip(CSV_HEADER.split(","), out.splitlines()[1].split(",")))
+
+    def test_run_two_nodes(self, capsys):
+        assert main(["run", "--gen", "uniform:n=2,seed=1", "--csv"]) == 0
+        row = self.fields(capsys.readouterr().out)
+        assert row["instance"] == "uniform-n2-s1"
+        assert [row[f] for f in ("hk_bound", "excess_pct")] == ["nan", "nan"]
+
+    def test_run_coincident_points(self, tmp_path, capsys):
+        path = write_euc2d(tmp_path / "dup3.tsp", [(5, 5)] * 3)
+        assert main(["run", "--input", path, "--csv"]) == 0
+        row = self.fields(capsys.readouterr().out)
+        assert [row[f] for f in ("tour_weight", "hk_bound", "excess_pct")] == [
+            "0.000000", "0.000000", "0.0000"]
+
+    def test_verify_coincident_points(self, tmp_path, capsys):
+        path = write_euc2d(tmp_path / "dup3.tsp", [(5, 5)] * 3)
+        assert main(["verify", "--input", path]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert "verified dup3: tour=0.000000 optimal=0.000000" in out
+
+    def test_positive_tour_over_zero_bound(self, tmp_path, capsys):
+        # rounded distances under 0.5 are zero: the 1-tree without potentials
+        # costs 0, but node 4 has one zero edge, so every tour costs >= 1
+        path = write_euc2d(tmp_path / "kite4.tsp", [(0.225, 0.1), (0, 0), (0.45, 0), (0.9, 0)])
+        assert main(["run", "--input", path, "--hk-iterations", "1", "--csv"]) == 0
+        row = self.fields(capsys.readouterr().out)
+        assert [row[f] for f in ("tour_weight", "hk_bound", "excess_pct")] == [
+            "1.000000", "0.000000", "inf"]
+
+
 class TestEarlyValidation:
     def test_zero_hk_iterations_rejected_before_any_tour_work(self, tmp_path, build_counts):
         with pytest.raises(ConfigError):
@@ -393,6 +448,14 @@ class TestEarlyValidation:
         assert main(["suite", "--sizes", "8", "--seeds", "1", "--grid", "1x4",
                      "--hk-iterations", "0", "-o", str(tmp_path / "s.csv")]) == 2
         assert build_counts["mst"] == 0
+
+    def test_full_search_cap_rejected_before_any_tour_work(self, capsys, build_counts):
+        # the cap dt suite applies holds for dt run too
+        assert main(["run", "--gen", "uniform:n=40000,seed=1", "--heuristic", "dt"]) == 2
+        assert "capped at n <= 31623" in capsys.readouterr().err
+        assert main(["run", "--gen", "uniform:n=40000,seed=1", "--heuristic", "dtk",
+                     "--degree-limit", "5", "--depth", "inf"]) == 2
+        assert build_counts == {"mst": 0, "distances": 0}
 
     def test_verify_above_the_oracle_limit_rejected_before_any_tour_work(
         self, tmp_path, capsys, build_counts

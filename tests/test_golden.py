@@ -30,11 +30,10 @@ from doubletree import (
     Metric,
     generate_clustered,
     generate_uniform,
-    held_karp_lower_bound,
     parse_tsplib,
     write_tsplib,
 )
-from doubletree.cli import CSV_HEADER, construct_tour, main
+from doubletree.cli import CSV_HEADER, build_records, main
 
 DATA = Path(__file__).parent / "data"
 WALL_COLUMN = CSV_HEADER.split(",").index("wall_time_ms")
@@ -85,9 +84,9 @@ def test_full_precision_values(name):
         "int60": lambda: parse_tsplib((DATA / "golden_int60.tsp").read_text()),
     }[name]()
     golden = json.loads((DATA / "golden_values.json").read_text())[name]
-    mst, mst_w, built = construct_tour(inst, list(CELLS.values()))
-    assert repr(mst_w) == golden["mst_weight"]
-    assert repr(held_karp_lower_bound(inst, mst, iterations=50)) == golden["hk_bound_50"]
-    for label, b in zip(CELLS, built):
-        assert repr(b.tour.weight) == golden["cells"][label]["weight"]
-        assert list(b.tour.order) == golden["cells"][label]["order"]
+    records = build_records(inst, list(CELLS.values()), hk_iterations=50, seed=0)
+    for label, rec in zip(CELLS, records):
+        assert repr(rec.mst_weight) == golden["mst_weight"]
+        assert repr(rec.hk_bound) == golden["hk_bound_50"]
+        assert repr(rec.tour.weight) == golden["cells"][label]["weight"]
+        assert list(rec.tour.order) == golden["cells"][label]["order"]

@@ -164,6 +164,19 @@ class TestStoredOrders:
         assert depth_first_shortcut(inst, tree).order == tree.preorder
 
 
+class TestFromParents:
+    @pytest.mark.parametrize("n, root, parent", [
+        (3, 0, [None, -1, 0]),  # a negative id would index from the end
+        (3, 0, [None, 0, 3]),  # an id >= n
+        (3, 0, [None, 0, 1, 0]),  # more links than nodes
+        (3, 0, [None, 0]),  # fewer links than nodes
+        (3, 3, [2, 0, 1]),  # the root outside the nodes
+    ])
+    def test_rejects_links_outside_the_nodes(self, n, root, parent):
+        with pytest.raises(ValueError):
+            RootedTree.from_parents(n, root, parent)
+
+
 class TestRootTree:
     def test_path_rooted_at_end(self, collinear3):
         tree = mst_tree(collinear3)
