@@ -276,16 +276,14 @@ def _build_cell(inst: Instance, cell: Cell, hk_iterations: int, seed: int) -> Ru
 
 
 def parse_grid(spec: str) -> list[Cell]:
-    """Grid tokens: ``dt`` (full search) or ``DxK`` with K an int or ``inf``."""
+    """Grid tokens: ``dt`` (full search) or ``DxK`` with K an int or ``inf``; each cell once."""
     out: list[Cell] = []
     for token in spec.split(","):
         token = token.strip().lower()
         if not token:
             continue
-        if token == "dt":
-            out.append((1, None))
-            continue
-        d_part, sep, k_part = token.partition("x")
+        # dt is the cell 1xinf
+        d_part, sep, k_part = ("1xinf" if token == "dt" else token).partition("x")
         if not sep:
             raise ConfigError(f"bad grid token {token!r} (expected 'dt' or 'DxK')")
         try:
@@ -294,6 +292,8 @@ def parse_grid(spec: str) -> list[Cell]:
             raise ConfigError(f"bad grid token {token!r}: {exc}") from exc
         k = _parse_depth(k_part)
         _check_cell(d, k)
+        if (d, k) in out:
+            raise ConfigError(f"grid token {token!r} repeats cell {_grid_label(d, k)}")
         out.append((d, k))
     if not out:
         raise ConfigError("empty heuristic grid")

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -173,65 +174,31 @@ _SUPPORTED_KEYWORDS = {"NAME", "TYPE", "COMMENT", "DIMENSION", "EDGE_WEIGHT_TYPE
 
 
 def parse_tsplib(text: str) -> Instance:
-    """Parse the supported TSPLIB subset (EUC_2D / EUC_2D_REAL node coords)."""
-    lines = text.splitlines()
-    header: dict[str, str] = {}
-    coords: list[Optional[tuple[float, float]]] = []
-    dim: Optional[int] = None
-    seen_coords = False
+    """Parse the supported TSPLIB subset (EUC_2D / EUC_2D_REAL node coords).
 
-    i = 0
-    while i < len(lines):
-        lineno = i + 1
-        line = lines[i].strip()
-        i += 1
-        if not line:
-            continue
-        if line == "EOF":
+    One forward pass over the non-blank lines: keyword lines (each keyword at
+    most once), ``NODE_COORD_SECTION`` (after DIMENSION), exactly DIMENSION
+    coordinate lines, then ``EOF`` or the end of the text.  Text after ``EOF``
+    is ignored.  Any departure raises ``ParseError``, with a line number where
+    one applies.
+    """
+    lines = text.splitlines()
+    # the end of the text reads as an EOF on its last line
+    rows = chain(((no, s) for no, raw in enumerate(lines, start=1) if (s := raw.strip())),
+                 [(len(lines), "EOF")])
+    header: dict[str, str] = {}
+    dim: Optional[int] = None
+    for lineno, line in rows:
+        if line in ("EOF", "NODE_COORD_SECTION"):
             break
-        if line == "NODE_COORD_SECTION":
-            if dim is None:
-                raise ParseError("NODE_COORD_SECTION before DIMENSION", lineno)
-            coords = [None] * dim
-            count = 0
-            while count < dim:
-                if i >= len(lines):
-                    raise ParseError(
-                        f"expected {dim} coordinate lines, found {count}", len(lines)
-                    )
-                lineno = i + 1
-                row = lines[i].strip()
-                i += 1
-                if not row:
-                    continue
-                if row == "EOF" or _KEYWORD_RE.match(row):
-                    raise ParseError(
-                        f"expected {dim} coordinate lines, found {count}", lineno
-                    )
-                parts = row.split()
-                if len(parts) != 3:
-                    raise ParseError(f"malformed coordinate line: {row!r}", lineno)
-                try:
-                    idx = int(parts[0])
-                    x, y = float(parts[1]), float(parts[2])
-                except ValueError as exc:
-                    raise ParseError(f"malformed coordinate line: {row!r}", lineno) from exc
-                if not (1 <= idx <= dim):
-                    raise ParseError(f"node index {idx} outside 1..{dim}", lineno)
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise ParseError("point coordinates must be finite", lineno)
-                if coords[idx - 1] is not None:
-                    raise ParseError(f"duplicate node index {idx}", lineno)
-                coords[idx - 1] = (x, y)
-                count += 1
-            seen_coords = True
-            continue
         m = _KEYWORD_RE.match(line)
         if not m:
             raise ParseError(f"unrecognised line: {line!r}", lineno)
         key, value = m.group(1).upper(), m.group(2)
         if key not in _SUPPORTED_KEYWORDS:
             raise ParseError(f"unsupported keyword {key!r}", lineno)
+        if key in header:
+            raise ParseError(f"keyword {key!r} given twice", lineno)
         if key == "TYPE" and value.upper() != "TSP":
             raise ParseError(f"unsupported TYPE {value!r} (only TSP)", lineno)
         if key == "DIMENSION":
@@ -242,11 +209,37 @@ def parse_tsplib(text: str) -> Instance:
             if dim < 1:
                 raise ParseError(f"DIMENSION must be >= 1, got {dim}", lineno)
         header[key] = value
-
     if dim is None:
+        if line == "NODE_COORD_SECTION":
+            raise ParseError("NODE_COORD_SECTION before DIMENSION", lineno)
         raise ParseError("missing DIMENSION header")
-    if not seen_coords:
+    if line == "EOF":
         raise ParseError("missing NODE_COORD_SECTION")
+
+    coords: dict[int, tuple[float, float]] = {}
+    while len(coords) < dim:
+        lineno, row = next(rows)
+        if row == "EOF" or _KEYWORD_RE.match(row):
+            raise ParseError(f"expected {dim} coordinate lines, found {len(coords)}", lineno)
+        parts = row.split()
+        if len(parts) != 3:
+            raise ParseError(f"malformed coordinate line: {row!r}", lineno)
+        try:
+            idx = int(parts[0])
+            x, y = float(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise ParseError(f"malformed coordinate line: {row!r}", lineno) from exc
+        if not (1 <= idx <= dim):
+            raise ParseError(f"node index {idx} outside 1..{dim}", lineno)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError("point coordinates must be finite", lineno)
+        if idx in coords:
+            raise ParseError(f"duplicate node index {idx}", lineno)
+        coords[idx] = (x, y)
+    lineno, line = next(rows)
+    if line != "EOF":
+        raise ParseError(f"expected EOF after {dim} coordinate lines, found {line!r}", lineno)
+
     ew = header.get("EDGE_WEIGHT_TYPE", "").upper()
     if not ew:
         raise ParseError("missing EDGE_WEIGHT_TYPE header")
@@ -255,7 +248,8 @@ def parse_tsplib(text: str) -> Instance:
     except ValueError as exc:
         raise ParseError(f"unsupported EDGE_WEIGHT_TYPE {ew!r}") from exc
     name = header.get("NAME", "unnamed")
-    return Instance(name, coords, metric)
+    # dim distinct indices in 1..dim: every node has its line
+    return Instance(name, [coords[i] for i in range(1, dim + 1)], metric)
 
 
 def write_tsplib(inst: Instance) -> str:

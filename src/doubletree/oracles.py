@@ -49,8 +49,6 @@ def is_conforming(tour: Union[Tour, Sequence[int]], tree: RootedTree) -> bool:
         raise ValueError(f"tour has {len(order)} nodes, tree has {n}")
     if sorted(order) != list(range(n)):
         raise ValueError("tour is not a permutation of the tree's nodes")
-    if n <= 3:
-        return True
     depth, parent = tree.depth, tree.parent
     crossings = [0] * n
     for i in range(n):
@@ -126,8 +124,6 @@ def conforming_mask(tree: RootedTree, cycles: np.ndarray) -> np.ndarray:
     """Boolean mask of admissible cycles (contiguity of every proper subtree)."""
     n = tree.n
     mask = np.ones(cycles.shape[0], dtype=bool)
-    if n <= 3:
-        return mask
     pos = np.empty(n, dtype=np.intp)
     pos[np.array(tree.preorder)] = np.arange(n)
     at = pos[cycles]  # preorder position of every cycle entry
@@ -148,8 +144,6 @@ def _chunk_weights(dist: np.ndarray, cycles: np.ndarray) -> np.ndarray:
 def _best_cycle(inst: Instance, tree: RootedTree | None) -> Tour:
     n = inst.n
     check_oracle_size(n)
-    if n == 1:
-        return Tour((0,), 0.0)
     dist = inst.distances.matrix()
     best_w = np.inf
     best: np.ndarray | None = None

@@ -116,8 +116,6 @@ def minimum_spanning_tree(inst: Instance) -> list[TreeEdge]:
     moves a node to the smaller pair.
     """
     n = inst.n
-    if n == 1:
-        return []
     dist = inst.distances
     key = np.full(n, np.inf)
     key[0] = 0.0

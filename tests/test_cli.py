@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,43 @@ class TestSuite:
         with pytest.raises(ConfigError):
             run_suite([40000], seeds=1, grid=[(1, None)])
 
+    @pytest.mark.parametrize("sizes", ["8,x", ","])
+    def test_bad_sizes(self, tmp_path, sizes, build_counts):
+        assert main(["suite", "--sizes", sizes, "--seeds", "1", "--grid", "1x4",
+                     "-o", str(tmp_path / "s.csv")]) == 2
+        assert build_counts["mst"] == 0
+
+    def test_rejects_zero_seeds(self):
+        with pytest.raises(ConfigError, match="at least one seed"):
+            run_suite([8], seeds=0, grid=[(1, 4)])
+
+    def test_failed_cell_reported_on_stderr(self, monkeypatch, tmp_path, capsys):
+        from doubletree import GuardError
+
+        def failing(tree, limit_D):
+            raise GuardError("forced failure")
+
+        monkeypatch.setattr(cli_mod, "degree_increase", failing)
+        out = tmp_path / "s.csv"
+        assert main(["suite", "--sizes", "8", "--seeds", "1", "--grid", "1x4,3x4",
+                     "--hk-iterations", "50", "-o", str(out)]) == 0
+        assert capsys.readouterr().err == "FAILED uniform-n8-s1 DT_3_4: forced failure\n"
+        assert "uniform-n8-s1#FAILED,8,DT_3_4," in out.read_text()
+
+    def test_repeated_grid_cells_rejected(self, tmp_path, capsys, build_counts):
+        out = tmp_path / "s.csv"
+        base = ["suite", "--sizes", "8", "--seeds", "1", "--hk-iterations", "50", "-o", str(out)]
+        assert main(base + ["--grid", "1x4,1x4,dt,1xinf"]) == 2
+        assert "grid token '1x4' repeats cell DT_1_4" in capsys.readouterr().err
+        assert main(base + ["--grid", "dt,1x4,1xinf"]) == 2  # dt and 1xinf are one cell
+        assert "grid token '1xinf' repeats cell DT" in capsys.readouterr().err
+        assert build_counts["mst"] == 0
+        assert not out.exists()
+        # --include-full still drops a full search the grid already holds
+        assert main(base + ["--grid", "1x4,1xinf", "--include-full"]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["DT", "DT_1_4", "DT", "DT_1_4"]
+
     def test_wall_times_only_with_timing(self):
         wall = CSV_HEADER.split(",").index("wall_time_ms")
         kwargs = dict(sizes=[8], seeds=2, grid=[(1, 4), (3, None)], hk_iterations=50)
@@ -299,6 +337,12 @@ class TestCliCommands:
         assert main(["verify", "--input", str(big)]) == 4
         # argparse usage error
         assert main(["run"]) == 2
+
+    def test_internal_invariant_failure_exits_5(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli_mod, "is_conforming", lambda tour, tree: False)
+        assert main(["run", "--gen", "uniform:n=8,seed=1", "--hk-iterations", "50"]) == 5
+        assert capsys.readouterr().err == (
+            "internal invariant failure: emitted tour violates subtree contiguity\n")
 
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "x.tsp"
@@ -501,3 +545,52 @@ class TestEarlyValidation:
         assert main(["run", "--input", str(bad)]) == 3
         assert "line 7: point coordinates must be finite" in capsys.readouterr().err
         assert main(["verify", "--input", str(bad)]) == 3
+
+
+TRIANGLE = ("NAME : tri\nTYPE : TSP\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\n"
+            "NODE_COORD_SECTION\n1 0 0\n2 3 0\n3 0 4\nEOF\n")
+
+
+class TestTsplibInput:
+    """``dt run --input`` on a malformed file: exit 3, with its line where it has one."""
+
+    def run(self, tmp_path, capsys, text):
+        path = tmp_path / "in.tsp"
+        path.write_text(text)
+        code = main(["run", "--input", str(path), "--csv"])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        (TRIANGLE.replace("DIMENSION : 3", "DIMENSION : 100000000000").replace("3 0 4\n", ""),
+         "line 8: expected 100000000000 coordinate lines, found 2"),
+        (TRIANGLE.replace("EOF", "NODE_COORD_SECTION\n1 0 0\n2 30 0\n3 0 40\nEOF"),
+         "line 9: expected EOF after 3 coordinate lines, found 'NODE_COORD_SECTION'"),
+        (TRIANGLE.replace("NODE_COORD_SECTION", "EDGE_WEIGHT_TYPE : EUC_2D_REAL\nNODE_COORD_SECTION"),
+         "line 5: keyword 'EDGE_WEIGHT_TYPE' given twice"),
+        (TRIANGLE.replace("EOF", "DIMENSION : 7\nEOF"),
+         "line 9: expected EOF after 3 coordinate lines, found 'DIMENSION : 7'"),
+    ], ids=["huge-dimension", "second-coord-section", "repeated-keyword", "keyword-after-coords"])
+    def test_each_part_read_once(self, tmp_path, capsys, text, message):
+        tracemalloc.start()
+        try:
+            code, err = self.run(tmp_path, capsys, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (3, f"parse error: {message}\n")
+        assert peak < 1 << 20  # nothing sized by DIMENSION
+
+    @pytest.mark.parametrize("text, message", [
+        (TRIANGLE.replace("DIMENSION : 3\n", ""), "line 4: NODE_COORD_SECTION before DIMENSION"),
+        ("NAME : tri\nEOF\n", "missing DIMENSION header"),
+        (TRIANGLE.split("NODE_COORD_SECTION")[0], "missing NODE_COORD_SECTION"),
+        (TRIANGLE.replace("EDGE_WEIGHT_TYPE : EUC_2D\n", ""), "missing EDGE_WEIGHT_TYPE header"),
+        (TRIANGLE.replace("TYPE : TSP", "TSP"), "line 2: unrecognised line: 'TSP'"),
+        (TRIANGLE.replace("2 3 0", "2 3"), "line 7: malformed coordinate line: '2 3'"),
+        (TRIANGLE.replace("2 3 0", "2 three 0"), "line 7: malformed coordinate line: '2 three 0'"),
+        (TRIANGLE.replace("DIMENSION : 3", "DIMENSION : 0"), "line 3: DIMENSION must be >= 1, got 0"),
+        (TRIANGLE.replace("3 0 4\nEOF\n", ""), "line 7: expected 3 coordinate lines, found 2"),
+    ], ids=["section-before-dimension", "no-dimension", "no-section", "no-edge-weight-type",
+            "unrecognised", "field-count", "non-numeric", "zero-dimension", "ends-in-section"])
+    def test_error_paths(self, tmp_path, capsys, text, message):
+        assert self.run(tmp_path, capsys, text) == (3, f"parse error: {message}\n")

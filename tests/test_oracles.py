@@ -1,12 +1,14 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubletree import (
     GuardError,
+    RootedTree,
     Tour,
     TreeEdge,
     brute_force_optimal,
@@ -38,6 +40,24 @@ class TestIsConforming:
         tree = path_tree(3)
         for perm in itertools.permutations(range(3)):
             assert is_conforming(perm, tree)
+
+    def test_every_order_admissible_on_at_most_three_nodes(self):
+        # no arc of a cycle on <= 3 nodes can split a subtree, and the general
+        # crossing counts say so without a small-n shortcut
+        for n in (1, 2, 3):
+            orders = np.array(list(itertools.permutations(range(n))))
+            for root in range(n):
+                for links in itertools.product(range(n), repeat=n - 1):
+                    parent = [*links[:root], None, *links[root:]]
+                    try:
+                        tree = RootedTree.from_parents(n, root, parent)
+                    except ValueError:
+                        continue  # a self-link or a cycle, not a tree
+                    assert conforming_mask(tree, orders).all()
+                    assert all(is_conforming(order, tree) for order in orders.tolist())
+        one = make_instance([(2, 5)])
+        tree = mst_tree(one)
+        assert brute_force_optimal(one) == enumerate_conforming_min(one, tree) == Tour((0,), 0.0)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
