@@ -32,11 +32,9 @@ from .oracles import (
 )
 from .spanning_tree import (
     RootedTree,
-    TreeEdge,
     degree_increase,
     minimum_spanning_tree,
     root_tree,
-    tree_weight,
 )
 from .upsweep import UpsweepResult, upsweep
 
@@ -53,7 +51,6 @@ __all__ = [
     "ParseError",
     "RootedTree",
     "Tour",
-    "TreeEdge",
     "UpsweepResult",
     "brute_force_optimal",
     "cycle_weight",
@@ -69,7 +66,6 @@ __all__ = [
     "minimum_spanning_tree",
     "parse_tsplib",
     "root_tree",
-    "tree_weight",
     "upsweep",
     "write_tour_plain",
     "write_tour_tsplib",

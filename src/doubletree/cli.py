@@ -50,7 +50,6 @@ from .spanning_tree import (
     degree_increase,
     minimum_spanning_tree,
     root_tree,
-    tree_weight,
 )
 from .upsweep import upsweep
 
@@ -215,9 +214,8 @@ def build_records(
     ``wall_time_ms`` runs from MST construction through tour reconstruction.
     """
     t0 = time.perf_counter()
-    edges = minimum_spanning_tree(inst)
-    mst = root_tree(edges, inst.n)
-    mst_w = tree_weight(edges)
+    parent, mst_w = minimum_spanning_tree(inst)
+    mst = root_tree(parent)
     mst_ms = (time.perf_counter() - t0) * 1000.0
     # integer rounding lets each of the <= n-2 shortcuts gain up to one unit
     slack = float(inst.n) if inst.metric is Metric.EUC_2D else 0.0

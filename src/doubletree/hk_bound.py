@@ -95,7 +95,8 @@ def held_karp_ascent(inst: Instance, tree: RootedTree, iterations: int = 1000) -
     """Subgradient ascent on 1-tree potentials, with its summary.
 
     ``tree`` is the instance's rooted minimum spanning tree (``root_tree`` of
-    ``minimum_spanning_tree``); its depth-first tour sets the step target.
+    the parent links ``minimum_spanning_tree`` returns); its depth-first tour
+    sets the step target.
     The bound is always a valid lower bound on the optimal tour weight;
     deterministic for fixed (inst, iterations).
     """

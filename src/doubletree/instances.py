@@ -64,11 +64,6 @@ class Instance:
     def distances(self) -> "PairwiseDistances":
         return PairwiseDistances(self)
 
-    def distance(self, a: int, b: int) -> float:
-        if not (0 <= a < self.n) or not (0 <= b < self.n):
-            raise IndexError(f"node index out of range: ({a}, {b}) for n={self.n}")
-        return float(self.distances.pairs(a, b))
-
 
 def cycle_weight(inst: Instance, order) -> float:
     """Total weight of the Hamiltonian cycle visiting ``order`` then closing."""

@@ -3,7 +3,9 @@
 The MST is built with a dense O(n^2) Prim scan, which matches the complete
 graph induced by a metric instance.  Ties are broken toward the
 lexicographically smallest (min(a,b), max(a,b)) edge pair, so the tree is
-deterministic even for degenerate inputs with duplicate points.
+deterministic even for degenerate inputs with duplicate points.  The scan
+hands over its parent links, rooted at node 0, and ``root_tree`` re-roots
+them at the lowest-indexed leaf by reversing the links on one path.
 
 A tree's traversal order is decided here alone: ``RootedTree.from_parents``
 walks the tree once and stores its preorder and postorder, children in
@@ -21,13 +23,6 @@ import numpy as np
 
 from .errors import InternalInvariantError
 from .instances import Instance
-
-
-@dataclass(frozen=True)
-class TreeEdge:
-    a: int
-    b: int
-    w: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,12 +101,14 @@ class RootedTree:
         )
 
 
-def minimum_spanning_tree(inst: Instance) -> list[TreeEdge]:
+def minimum_spanning_tree(inst: Instance) -> tuple[np.ndarray, float]:
     """Prim's algorithm with a dense row-at-a-time scan; deterministic under ties.
 
-    Each step reads one distance row; tree nodes carry NaN in the added mask,
-    so they never compare below or equal to a key, and their key is +inf.
-    The tie rules only run when a tie exists: among equal minimum keys the
+    Returns Prim's parent links, rooted at node 0 (-1 there), and the tree
+    weight: the picked keys summed left to right in pick order.  Each step
+    reads one distance row; tree nodes carry NaN in the added mask, so they
+    never compare below or equal to a key, and their key is +inf.  The tie
+    rules only run when a tie exists: among equal minimum keys the
     lexicographically smallest (min, max) edge wins, and an equal row value
     moves a node to the smaller pair.
     """
@@ -124,7 +121,7 @@ def minimum_spanning_tree(inst: Instance) -> list[TreeEdge]:
     row = np.empty(n)
     better = np.empty(n, dtype=bool)
     tied = np.empty(n, dtype=bool)
-    edges: list[TreeEdge] = []
+    weight = 0.0
     for _ in range(n):
         j = int(key.argmin())
         m = key[j]
@@ -137,8 +134,7 @@ def minimum_spanning_tree(inst: Instance) -> list[TreeEdge]:
             ]
             pairs.sort()
             j = int(pairs[0][2])
-        if best_parent[j] >= 0:
-            edges.append(TreeEdge(int(best_parent[j]), j, float(key[j])))
+        weight += float(key[j])
         key[j] = np.inf
         tree_mask[j] = np.nan
         np.add(dist.pairs(j, slice(None)), tree_mask, out=row)
@@ -156,49 +152,36 @@ def minimum_spanning_tree(inst: Instance) -> list[TreeEdge]:
             cur_hi = np.maximum(cur, idx)
             prefer = (new_lo < cur_lo) | ((new_lo == cur_lo) & (new_hi < cur_hi))
             best_parent[idx[prefer]] = j
-    if len(edges) != n - 1:
-        raise InternalInvariantError("Prim produced a non-spanning edge set")
-    return edges
+    if np.count_nonzero(best_parent < 0) != 1:
+        raise InternalInvariantError("Prim produced a non-spanning tree")
+    return best_parent, weight
 
 
-def tree_weight(edges: Sequence[TreeEdge]) -> float:
-    return float(sum(e.w for e in edges))
+def root_tree(parent: Sequence[int]) -> RootedTree:
+    """Re-root a spanning tree's parent links at its lowest-indexed degree-1 node.
 
-
-def root_tree(edges: Sequence[TreeEdge], n: int) -> RootedTree:
-    """Root a spanning tree at its lowest-indexed degree-1 node."""
+    ``parent`` holds one link per node with -1 at the current root, as
+    ``minimum_spanning_tree`` returns them; the links on the path from the
+    new root up to the old one are reversed.
+    """
+    links = np.asarray(parent, dtype=np.int64)
+    n = links.size
+    linked = links >= 0
+    if np.count_nonzero(~linked) != 1:
+        raise ValueError("parent links need exactly one root (-1)")
     if n == 1:
-        if edges:
-            raise ValueError("single node tree cannot have edges")
         return RootedTree.from_parents(1, 0, [None])
-    if len(edges) != n - 1:
-        raise ValueError(f"a spanning tree on {n} nodes needs {n - 1} edges, got {len(edges)}")
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for e in edges:
-        if e.a == e.b or not (0 <= e.a < n and 0 <= e.b < n):
-            raise ValueError(f"bad edge ({e.a}, {e.b})")
-        adj[e.a].append(e.b)
-        adj[e.b].append(e.a)
-    root = next((u for u in range(n) if len(adj[u]) == 1), -1)
-    if root < 0:
-        raise ValueError("tree has no degree-1 node; input is not a tree")
-
-    parent: list[Optional[int]] = [None] * n
-    visited = [False] * n
-    visited[root] = True
-    stack = [root]
-    seen = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not visited[v]:
-                visited[v] = True
-                parent[v] = u
-                seen += 1
-                stack.append(v)
-    if seen != n:
-        raise ValueError("edges do not connect all nodes; input is not a tree")
-    return RootedTree.from_parents(n, root, parent)
+    degree = np.bincount(links[linked], minlength=n) + linked
+    root = int(np.argmax(degree == 1))
+    rerooted: list[Optional[int]] = [p if p >= 0 else None for p in links.tolist()]
+    v, below = root, None
+    for _ in range(n):  # the path has at most n nodes, so links with a cycle cannot hang it
+        if v is None:
+            break
+        above = rerooted[v]
+        rerooted[v] = below
+        below, v = v, above
+    return RootedTree.from_parents(n, root, rerooted)
 
 
 def degree_increase(tree: RootedTree, limit_D: int) -> RootedTree:

@@ -23,7 +23,12 @@ def make_instance(coords, name="test", rounded=False):
 
 
 def mst_tree(inst):
-    return root_tree(minimum_spanning_tree(inst), inst.n)
+    return root_tree(minimum_spanning_tree(inst)[0])
+
+
+def distance(inst, a, b):
+    """d(a, b) as a Python float, read through the instance's distance object."""
+    return float(inst.distances.pairs(a, b))
 
 
 def subtree_nodes(tree, u):

@@ -2,9 +2,10 @@
 
 This is ``hk_bound._one_tree``, ``hk_bound.held_karp_lower_bound`` and
 ``spanning_tree.minimum_spanning_tree`` as they stood before the
-row-at-a-time rewrite, kept verbatim (only their imports changed) so the
-differential tests can compare 1-trees, bounds and spanning trees bit for
-bit against them.  Do not edit or optimise it.
+row-at-a-time rewrite, kept verbatim (only their imports changed, and the
+spanning tree's edges are plain ``(a, b, w)`` tuples) so the differential
+tests can compare 1-trees, bounds and spanning trees bit for bit against
+them.  Do not edit or optimise it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from doubletree.errors import InternalInvariantError
 from doubletree.instances import Instance, PairwiseDistances
 from doubletree.oracles import depth_first_shortcut
-from doubletree.spanning_tree import RootedTree, TreeEdge
+from doubletree.spanning_tree import RootedTree
 
 
 def _one_tree(dist: PairwiseDistances, pi: np.ndarray) -> tuple[float, np.ndarray]:
@@ -111,7 +112,7 @@ def held_karp_lower_bound(inst: Instance, tree: RootedTree, iterations: int = 10
     return float(best)
 
 
-def minimum_spanning_tree(inst: Instance) -> list[TreeEdge]:
+def minimum_spanning_tree(inst: Instance) -> list[tuple[int, int, float]]:
     """Prim's algorithm with a dense scan; deterministic under ties."""
     n = inst.n
     if n == 1:
@@ -122,7 +123,7 @@ def minimum_spanning_tree(inst: Instance) -> list[TreeEdge]:
     best_parent = np.full(n, -1, dtype=np.int64)
     in_tree = np.zeros(n, dtype=bool)
     key[0] = 0.0
-    edges: list[TreeEdge] = []
+    edges: list[tuple[int, int, float]] = []
     for _ in range(n):
         masked = np.where(in_tree, INF, key)
         candidates = np.flatnonzero(masked == masked.min())
@@ -138,7 +139,7 @@ def minimum_spanning_tree(inst: Instance) -> list[TreeEdge]:
         j = int(j)
         in_tree[j] = True
         if best_parent[j] >= 0:
-            edges.append(TreeEdge(int(best_parent[j]), j, float(key[j])))
+            edges.append((int(best_parent[j]), j, float(key[j])))
         row = dist.pairs(j, slice(None))
         out = ~in_tree
         better = out & (row < key)

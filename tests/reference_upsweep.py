@@ -1,8 +1,9 @@
 """Frozen reference: the per-mask subset DP the dense upsweep replaced.
 
 This is the upsweep as it stood before the dense preorder layout, kept
-verbatim (only its imports changed) so the differential tests can compare
-the shipped tables bit for bit against it.  Do not edit or optimise it.
+verbatim (only its imports and its one scalar distance call changed) so the
+differential tests can compare the shipped tables bit for bit against it.
+Do not edit or optimise it.
 
 Bottom-up subset dynamic program for the optimal tree-admissible tour.
 
@@ -36,6 +37,8 @@ import numpy as np
 from doubletree.errors import GuardError, InternalInvariantError
 from doubletree.instances import Instance
 from doubletree.spanning_tree import RootedTree
+
+from conftest import distance
 
 # 4^d tables explode well before this; planar Euclidean trees stay <= 4-5
 MASK_WIDTH_LIMIT = 20
@@ -168,7 +171,7 @@ class UpsweepRun:
         """
         if V == 0 and W == 0:
             self.stats.quad_evals += 1
-            return (self.inst.distance(u, v), u, v)
+            return (distance(self.inst, u, v), u, v)
         if V == 0:
             ids, wts = self.dests(v, W)
             if ids.size == 0:

@@ -26,7 +26,6 @@ from doubletree import (
     is_conforming,
     minimum_spanning_tree,
     root_tree,
-    tree_weight,
     upsweep,
 )
 from doubletree.cli import run_suite
@@ -66,7 +65,7 @@ def small_corpus():
     for i in range(SMALL_CORPUS_SIZE):
         n = 4 + i % 6
         inst = generate_uniform(n, seed=10_000 + i, box=1.0)
-        tree = root_tree(minimum_spanning_tree(inst), n)
+        tree = root_tree(minimum_spanning_tree(inst)[0])
         result = upsweep(inst, tree)
         tour = downsweep(inst, tree, result)
         cases.append(
@@ -101,8 +100,8 @@ def benchmark_runs():
     rows = []
     for seed in BIG_SEEDS:
         inst = generate_uniform(BIG_N, seed=seed, box=BOX)
-        edges = minimum_spanning_tree(inst)
-        tree = root_tree(edges, BIG_N)
+        parent, mst_w = minimum_spanning_tree(inst)
+        tree = root_tree(parent)
         hk = held_karp_lower_bound(inst, tree)
         weights = {}
         trees = {1: tree}
@@ -115,7 +114,7 @@ def benchmark_runs():
                 "seed": seed,
                 "inst": inst,
                 "tree": tree,
-                "mst_weight": tree_weight(edges),
+                "mst_weight": mst_w,
                 "hk": hk,
                 "weights": weights,
             }
@@ -191,7 +190,7 @@ def test_criterion_4_grid_ordering(benchmark_runs):
 def test_criterion_5_scaling_and_counters():
     def best_time(n):
         inst = generate_uniform(n, seed=7, box=BOX)
-        tree = root_tree(minimum_spanning_tree(inst), n)
+        tree = root_tree(minimum_spanning_tree(inst)[0])
         best, res = math.inf, None
         for _ in range(3):
             t0 = time.perf_counter()
@@ -242,7 +241,7 @@ def test_criterion_7_degree_increase_soundness():
     for i in range(200):
         n = 4 + i % 5  # 4..8
         inst = generate_uniform(n, seed=20_000 + i, box=1.0)
-        tree = root_tree(minimum_spanning_tree(inst), n)
+        tree = root_tree(minimum_spanning_tree(inst)[0])
         wider = degree_increase(tree, 5)
         cycles = _small_cycles(n)
         before = conforming_mask(tree, cycles)
@@ -271,7 +270,7 @@ def test_criterion_8_lower_bound_validity(small_corpus, benchmark_runs):
     extra = 0
     for i in range(60):  # top up the corpus at the largest oracle-friendly size
         inst = generate_uniform(10, seed=30_000 + i, box=1.0)
-        hk = held_karp_lower_bound(inst, root_tree(minimum_spanning_tree(inst), 10))
+        hk = held_karp_lower_bound(inst, root_tree(minimum_spanning_tree(inst)[0]))
         if hk > brute_force_optimal(inst).weight + 1e-9:
             violations += 1
         extra += 1

@@ -7,7 +7,7 @@ import pytest
 
 import doubletree.cli as cli_mod
 from doubletree.instances import PairwiseDistances
-from doubletree.spanning_tree import minimum_spanning_tree
+from doubletree.spanning_tree import minimum_spanning_tree, root_tree
 
 from doubletree import (
     enumerate_conforming_min,
@@ -399,18 +399,24 @@ class TestEmitPlot:
 
 @pytest.fixture
 def build_counts(monkeypatch):
-    """Count MST builds and distance-object constructions, wherever called."""
-    counts = {"mst": 0, "distances": 0}
+    """Count MST builds, rootings and distance-object constructions, wherever called."""
+    counts = {"mst": 0, "root": 0, "distances": 0}
 
-    def counted_mst(inst):
-        counts["mst"] += 1
-        return minimum_spanning_tree(inst)
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
 
+        return wrapper
+
+    # keyed by identity: module globals include unhashable values
+    wrappers = {id(fn): counted(key, fn)
+                for key, fn in (("mst", minimum_spanning_tree), ("root", root_tree))}
     for name, mod in list(sys.modules.items()):
         if name == "doubletree" or name.startswith("doubletree."):
             for attr, value in list(vars(mod).items()):
-                if value is minimum_spanning_tree:
-                    monkeypatch.setattr(mod, attr, counted_mst)
+                if id(value) in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[id(value)])
     orig_init = PairwiseDistances.__init__
 
     def counted_init(self, inst):
@@ -427,18 +433,18 @@ class TestOneBuildPerInstance:
                      "--degree-limit", "4", "--hk-iterations", "20",
                      "--tour-out", str(tmp_path / "t.tour"),
                      "--plot", str(tmp_path / "t.svg")]) == 0
-        assert build_counts == {"mst": 1, "distances": 1}
+        assert build_counts == {"mst": 1, "root": 1, "distances": 1}
 
     def test_suite(self, build_counts):
         run_suite([10], seeds=2, grid=[(1, None), (1, 4), (3, 16), (5, None)],
                   hk_iterations=20)
-        assert build_counts == {"mst": 2, "distances": 2}
+        assert build_counts == {"mst": 2, "root": 2, "distances": 2}
 
     def test_verify(self, tmp_path, build_counts):
         inst_file = tmp_path / "v.tsp"
         assert main(["gen", "uniform", "--n", "7", "--seed", "2", "-o", str(inst_file)]) == 0
         assert main(["verify", "--input", str(inst_file)]) == 0
-        assert build_counts == {"mst": 1, "distances": 1}
+        assert build_counts == {"mst": 1, "root": 1, "distances": 1}
 
 
 def write_euc2d(path, coords):
@@ -499,7 +505,7 @@ class TestEarlyValidation:
         assert "capped at n <= 31623" in capsys.readouterr().err
         assert main(["run", "--gen", "uniform:n=40000,seed=1", "--heuristic", "dtk",
                      "--degree-limit", "5", "--depth", "inf"]) == 2
-        assert build_counts == {"mst": 0, "distances": 0}
+        assert build_counts == {"mst": 0, "root": 0, "distances": 0}
 
     def test_verify_above_the_oracle_limit_rejected_before_any_tour_work(
         self, tmp_path, capsys, build_counts

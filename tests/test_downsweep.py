@@ -15,11 +15,18 @@ from doubletree.downsweep import TourReconstructor
 from doubletree.instances import cycle_weight
 from doubletree.upsweep import upsweep
 
-from conftest import STAR5_BEST, SweepTables, make_instance, mst_tree, random_instance
+from conftest import (
+    STAR5_BEST,
+    SweepTables,
+    distance,
+    make_instance,
+    mst_tree,
+    random_instance,
+)
 
 
 def _seq_weight(inst, seq):
-    return sum(inst.distance(seq[i], seq[i + 1]) for i in range(len(seq) - 1))
+    return sum(distance(inst, seq[i], seq[i + 1]) for i in range(len(seq) - 1))
 
 
 def reconstruct_path(tree, result, u, V, a):

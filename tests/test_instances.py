@@ -19,36 +19,29 @@ from doubletree import (
 from doubletree import instances
 from doubletree.instances import PairwiseDistances
 
-from conftest import make_instance, max_triangle_violation
+from conftest import distance, make_instance, max_triangle_violation
 
 
 class TestDistance:
     def test_pythagorean_triple(self):
         inst = make_instance([(0, 0), (3, 4)])
-        assert inst.distance(0, 1) == 5.0
+        assert distance(inst, 0, 1) == 5.0
 
     def test_self_distance_is_zero(self):
         inst = make_instance([(2, 3), (5, 1)])
-        assert inst.distance(0, 0) == 0.0
-        assert inst.distance(1, 1) == 0.0
+        assert distance(inst, 0, 0) == 0.0
+        assert distance(inst, 1, 1) == 0.0
 
     def test_rounded_unit_diagonal(self):
         inst = make_instance([(0, 0), (1, 1)], rounded=True)
         # sqrt(2) = 1.414... rounds down to 1
-        assert inst.distance(0, 1) == 1
+        assert distance(inst, 0, 1) == 1
 
     def test_rounding_is_half_up(self):
         inst = make_instance([(0, 0), (0.5, 0), (2.5, 0)], rounded=True)
-        assert inst.distance(0, 1) == 1  # 0.5 -> 1, not banker's 0
-        assert inst.distance(1, 2) == 2
-        assert inst.distance(0, 2) == 3  # 2.5 -> 3
-
-    def test_index_out_of_range(self):
-        inst = make_instance([(0, 0), (1, 1)])
-        with pytest.raises(IndexError):
-            inst.distance(0, 2)
-        with pytest.raises(IndexError):
-            inst.distance(-1, 0)
+        assert distance(inst, 0, 1) == 1  # 0.5 -> 1, not banker's 0
+        assert distance(inst, 1, 2) == 2
+        assert distance(inst, 0, 2) == 3  # 2.5 -> 3
 
     @given(
         st.lists(
@@ -64,9 +57,9 @@ class TestDistance:
     def test_symmetry_and_zero_diagonal(self, coords):
         inst = make_instance(coords)
         for a in range(inst.n):
-            assert inst.distance(a, a) == 0.0
+            assert distance(inst, a, a) == 0.0
             for b in range(a + 1, inst.n):
-                assert inst.distance(a, b) == inst.distance(b, a)
+                assert distance(inst, a, b) == distance(inst, b, a)
 
     def test_triangle_inequality_on_generated_points(self):
         inst = generate_uniform(50, seed=3)
@@ -95,7 +88,7 @@ class TestValidation:
         xy = np.array([[0.0, 0.0], [3.0, 4.0]])
         inst = make_instance(xy)
         xy[1, 0] = 100.0
-        assert inst.distance(0, 1) == 5.0
+        assert distance(inst, 0, 1) == 5.0
         with pytest.raises(ValueError):
             inst.coords[0, 0] = 1.0
 
@@ -156,7 +149,7 @@ class TestPairwiseDistances:
         block = dist.pairs(rows[:, None], cols)
         for i, a in enumerate(rows):
             for j, b in enumerate(cols):
-                assert block[i, j] == pytest.approx(inst.distance(a, b), abs=0)
+                assert block[i, j] == pytest.approx(distance(inst, a, b), abs=0)
 
     def test_uncached_block_matches_cached(self, monkeypatch):
         xy = generate_uniform(30, seed=12, box=1000.0).coords
@@ -193,7 +186,7 @@ class TestPairwiseDistances:
     def test_instance_builds_one_shared_distance_object(self):
         inst = generate_uniform(12, seed=1)
         assert inst.distances is inst.distances
-        assert inst.distance(3, 5) == inst.distances.matrix()[3, 5]
+        assert distance(inst, 3, 5) == inst.distances.matrix()[3, 5]
 
     def test_cycle_weight_closes_the_cycle(self):
         inst = make_instance([(0, 0), (1, 0), (1, 1)])
@@ -204,7 +197,7 @@ class TestPairwiseDistances:
         order = list(np.random.default_rng(5).permutation(200))
         total = 0.0
         for i in range(200):
-            total += inst.distance(order[i], order[(i + 1) % 200])
+            total += distance(inst, order[i], order[(i + 1) % 200])
         assert cycle_weight(inst, order) == total  # bit for bit
 
 
@@ -227,7 +220,7 @@ class TestTsplib:
         assert inst.n == 3
         assert inst.name == "tiny"
         assert inst.metric is Metric.EUC_2D
-        assert inst.distance(0, 1) == 3
+        assert distance(inst, 0, 1) == 3
 
     def test_parse_real_metric_keyword(self):
         text = MINIMAL_EUC2D.replace("EUC_2D", "EUC_2D_REAL")

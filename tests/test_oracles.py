@@ -10,13 +10,10 @@ from doubletree import (
     GuardError,
     RootedTree,
     Tour,
-    TreeEdge,
     brute_force_optimal,
     depth_first_shortcut,
     enumerate_conforming_min,
     is_conforming,
-    root_tree,
-    tree_weight,
     minimum_spanning_tree,
 )
 from doubletree.oracles import _cycle_chunks, conforming_mask
@@ -25,7 +22,7 @@ from conftest import STAR5_BEST, make_instance, mst_tree, random_instance
 
 
 def path_tree(n):
-    return root_tree([TreeEdge(i, i + 1, 1.0) for i in range(n - 1)], n)
+    return RootedTree.from_parents(n, 0, [None] + list(range(n - 1)))
 
 
 class TestIsConforming:
@@ -161,8 +158,7 @@ class TestDepthFirstShortcut:
             assert is_conforming(depth_first_shortcut(inst, tree), tree)
 
     def test_children_visited_in_index_order(self):
-        edges = [TreeEdge(0, leaf, 1.0) for leaf in (1, 2, 3, 4)]
-        tree = root_tree(edges, 5)
+        tree = RootedTree.from_parents(5, 1, [1, None, 0, 0, 0])
         tour = depth_first_shortcut(make_instance([(0, 0)] * 5), tree)
         assert tour.order == (1, 0, 2, 3, 4)
 
@@ -176,7 +172,7 @@ class TestOracleRelations:
         conf = enumerate_conforming_min(inst, tree)
         opt = brute_force_optimal(inst)
         dfs = depth_first_shortcut(inst, tree)
-        mst_w = tree_weight(minimum_spanning_tree(inst))
+        mst_w = minimum_spanning_tree(inst)[1]
         assert conf.weight >= opt.weight - 1e-9
         assert conf.weight <= dfs.weight + 1e-9
         assert conf.weight <= 2 * opt.weight + 1e-9

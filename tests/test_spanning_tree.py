@@ -8,17 +8,15 @@ from hypothesis import strategies as st
 from doubletree import (
     InternalInvariantError,
     RootedTree,
-    TreeEdge,
     degree_increase,
     depth_first_shortcut,
     generate_uniform,
     minimum_spanning_tree,
     root_tree,
-    tree_weight,
 )
 from doubletree.oracles import conforming_mask, _small_cycles
 
-from conftest import make_instance, mst_tree, random_instance, tree_distance
+from conftest import distance, make_instance, mst_tree, random_instance, tree_distance
 
 
 def prufer_trees(n):
@@ -52,45 +50,48 @@ def prufer_trees(n):
 def brute_force_mst_weight(inst):
     best = float("inf")
     for edges in prufer_trees(inst.n):
-        w = sum(inst.distance(a, b) for a, b in edges)
+        w = sum(distance(inst, a, b) for a, b in edges)
         best = min(best, w)
     return best
 
 
 class TestMst:
     def test_two_points(self):
-        inst = make_instance([(0, 0), (3, 4)])
-        edges = minimum_spanning_tree(inst)
-        assert len(edges) == 1
-        assert edges[0].w == 5.0
+        parent, weight = minimum_spanning_tree(make_instance([(0, 0), (3, 4)]))
+        assert parent.tolist() == [-1, 0]
+        assert weight == 5.0
 
     def test_collinear_three(self, collinear3):
-        edges = minimum_spanning_tree(collinear3)
-        pairs = {tuple(sorted((e.a, e.b))) for e in edges}
-        assert pairs == {(0, 1), (1, 2)}
-        assert tree_weight(edges) == 2.0
+        parent, weight = minimum_spanning_tree(collinear3)
+        assert parent.tolist() == [-1, 0, 1]
+        assert weight == 2.0
 
     def test_unit_square_weight(self, unit_square):
         # all 16 labelled trees enumerated independently
         assert brute_force_mst_weight(unit_square) == pytest.approx(3.0)
-        assert tree_weight(minimum_spanning_tree(unit_square)) == pytest.approx(3.0)
+        assert minimum_spanning_tree(unit_square)[1] == pytest.approx(3.0)
 
     @pytest.mark.parametrize("n,seed", [(4, 0), (5, 1), (5, 2), (6, 3), (6, 4)])
     def test_matches_exhaustive_minimum(self, n, seed):
         inst = random_instance(n, seed)
-        got = tree_weight(minimum_spanning_tree(inst))
+        parent, got = minimum_spanning_tree(inst)
         assert got == pytest.approx(brute_force_mst_weight(inst), abs=1e-9)
+        links = sum(distance(inst, v, int(p)) for v, p in enumerate(parent) if p >= 0)
+        assert got == pytest.approx(links, abs=1e-9)
 
     def test_deterministic_with_duplicate_points(self):
         inst = make_instance([(0, 0), (0, 0), (1, 0), (1, 0), (0.5, 2)])
-        first = [(e.a, e.b, e.w) for e in minimum_spanning_tree(inst)]
-        second = [(e.a, e.b, e.w) for e in minimum_spanning_tree(inst)]
-        assert first == second
-        root_tree(minimum_spanning_tree(inst), inst.n)  # still a valid tree
+        first, w1 = minimum_spanning_tree(inst)
+        second, w2 = minimum_spanning_tree(inst)
+        # ties go to the smallest (min, max) pair: 2 and 4 join 0, not its twin 1
+        assert first.tolist() == second.tolist() == [-1, 0, 0, 2, 0]
+        assert w1 == w2
+        root_tree(first)  # still a valid tree
 
     def test_single_node(self):
-        inst = make_instance([(0, 0)])
-        assert minimum_spanning_tree(inst) == []
+        parent, weight = minimum_spanning_tree(make_instance([(0, 0)]))
+        assert parent.tolist() == [-1]
+        assert weight == 0.0
 
 
 @st.composite
@@ -171,6 +172,9 @@ class TestFromParents:
         (3, 0, [None, 0, 1, 0]),  # more links than nodes
         (3, 0, [None, 0]),  # fewer links than nodes
         (3, 3, [2, 0, 1]),  # the root outside the nodes
+        (4, 0, [None, 2, 1, 0]),  # a 2-cycle that never reaches the root
+        (3, 0, [1, 0, 0]),  # a root with a parent
+        (3, 0, [None, 0, None]),  # a non-root without one
     ])
     def test_rejects_links_outside_the_nodes(self, n, root, parent):
         with pytest.raises(ValueError):
@@ -187,36 +191,59 @@ class TestRootTree:
         assert tree.subtree_size == (3, 2, 1)
 
     def test_star_roots_at_lowest_leaf(self):
-        edges = [TreeEdge(0, leaf, 1.0) for leaf in (1, 2, 3, 4)]
-        tree = root_tree(edges, 5)
+        tree = root_tree([-1, 0, 0, 0, 0])
         assert tree.root == 1
         assert tree.children[1] == (0,)
         assert tree.children[0] == (2, 3, 4)
         assert tree.max_children == 3
 
     def test_single_edge_roots_at_lower_index(self):
-        tree = root_tree([TreeEdge(1, 0, 2.5)], 2)
+        tree = root_tree([1, -1])
         assert tree.root == 0
         assert tree.children[0] == (1,)
+
+    def test_single_node(self):
+        tree = root_tree([-1])
+        assert (tree.root, tree.parent, tree.preorder) == (0, (None,), (0,))
+
+    @pytest.mark.parametrize("parent", [
+        [1, 0],  # no root
+        [-1, -1, 0],  # two roots
+        [-1, 0, 3, 2],  # a cycle beside the root
+        [-1, 2, 3, 2],  # the new root's path runs into a cycle
+    ])
+    def test_rejects_links_that_are_not_one_tree(self, parent):
+        with pytest.raises(ValueError):
+            root_tree(parent)
 
     def test_root_is_leaf_of_unrooted_tree(self):
         for seed in range(5):
             tree = mst_tree(random_instance(30, seed))
             assert len(tree.children[tree.root]) == 1
 
-    def test_rejects_cycle(self):
-        edges = [TreeEdge(0, 1, 1), TreeEdge(1, 2, 1), TreeEdge(2, 0, 1)]
-        with pytest.raises(ValueError):
-            root_tree(edges, 4)
-
-    def test_rejects_disconnected(self):
-        edges = [TreeEdge(0, 1, 1), TreeEdge(2, 3, 1), TreeEdge(0, 1, 2)]
-        with pytest.raises(ValueError):
-            root_tree(edges, 4)
-
-    def test_rejects_wrong_edge_count(self):
-        with pytest.raises(ValueError):
-            root_tree([TreeEdge(0, 1, 1)], 3)
+    @settings(max_examples=100, deadline=None)
+    @given(parent_links())
+    def test_matches_a_walk_from_the_lowest_leaf(self, links):
+        _, parent = links
+        n = len(parent)
+        tree = root_tree([-1 if p is None else p for p in parent])
+        adj = [[] for _ in range(n)]
+        for v, p in enumerate(parent):
+            if p is not None:
+                adj[v].append(p)
+                adj[p].append(v)
+        leaf = next((u for u in range(n) if len(adj[u]) == 1), 0)
+        want = [None] * n
+        stack, seen = [leaf], {leaf}
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    want[v] = u
+                    stack.append(v)
+        assert tree.root == leaf
+        assert tree.parent == tuple(want)
 
 
 class TestTreeDistance:
@@ -252,7 +279,7 @@ class TestTreeDistance:
 
 
 def path_tree(n):
-    return root_tree([TreeEdge(i, i + 1, 1.0) for i in range(n - 1)], n)
+    return RootedTree.from_parents(n, 0, [None] + list(range(n - 1)))
 
 
 class TestDegreeIncrease:

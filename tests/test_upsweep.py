@@ -8,13 +8,11 @@ from doubletree import (
     GuardError,
     InternalInvariantError,
     RootedTree,
-    TreeEdge,
     degree_increase,
     enumerate_conforming_min,
     generate_uniform,
     minimum_spanning_tree,
     root_tree,
-    tree_weight,
 )
 from doubletree.upsweep import (
     PreorderLayout,
@@ -27,6 +25,7 @@ from doubletree.upsweep import (
 from conftest import (
     STAR5_BEST,
     SweepTables,
+    distance,
     make_instance,
     mst_tree,
     random_instance,
@@ -58,7 +57,7 @@ def _blocks_ok(seq, sets):
 
 
 def _seq_weight(inst, seq):
-    return sum(inst.distance(seq[i], seq[i + 1]) for i in range(len(seq) - 1))
+    return sum(distance(inst, seq[i], seq[i + 1]) for i in range(len(seq) - 1))
 
 
 def sweep_min_oracle(inst, tree, u, v_nodes, a):
@@ -110,7 +109,7 @@ class TestBipartitionPathWeight:
     def test_both_masks_empty_is_plain_edge(self, unit_square):
         tree = RootedTree.from_parents(4, 0, [None, 0, 1, 2])
         res = upsweep(unit_square, tree)
-        assert res.bridge(1, 0, 0) == (unit_square.distance(0, 1), 0, 1)
+        assert res.bridge(1, 0, 0) == (distance(unit_square, 0, 1), 0, 1)
 
     def test_collinear_enter_through_grandchild(self, collinear3):
         tree = mst_tree(collinear3)
@@ -264,10 +263,9 @@ class TestUpsweep:
     def test_never_above_twice_tree_weight(self):
         for seed in range(10):
             inst = random_instance(30, 700 + seed)
-            edges = minimum_spanning_tree(inst)
-            tree = root_tree(edges, inst.n)
-            res = upsweep(inst, tree)
-            assert res.weight <= 2 * tree_weight(edges) + 1e-9
+            parent, mst_w = minimum_spanning_tree(inst)
+            res = upsweep(inst, root_tree(parent))
+            assert res.weight <= 2 * mst_w + 1e-9
 
     @pytest.mark.parametrize("seed", range(6))
     def test_depth_limit_monotone(self, seed):
@@ -343,8 +341,7 @@ class TestUpsweep:
         n = 23
         coords = [(math.cos(i), math.sin(i)) for i in range(n)]
         inst = make_instance(coords)
-        edges = [TreeEdge(0, i, 1.0) for i in range(1, n)]
-        tree = root_tree(edges, n)
+        tree = RootedTree.from_parents(n, 1, [1, None] + [0] * (n - 2))
         assert tree.max_children == 21
         with pytest.raises(GuardError):
             upsweep(inst, tree)
@@ -361,7 +358,7 @@ class TestUpsweep:
 
     def test_rejects_tiny_instances(self):
         inst = make_instance([(0, 0)])
-        tree = root_tree([], 1)
+        tree = RootedTree.from_parents(1, 0, [None])
         with pytest.raises(ValueError):
             upsweep(inst, tree)
 
