@@ -58,6 +58,8 @@ CSV_HEADER = "instance,n,heuristic,D,k,mst_weight,tour_weight,hk_bound,excess_pc
 DEFAULT_GRID = "1x16,3x16,3x32,4x16,4x32,5x16,5x32"
 DEFAULT_BOX = 1e6
 FULL_DT_SIZE_CAP = 31623  # quadratic full-table cost beyond this is impractical
+# largest generated instance: 16 bytes of coordinates a node, 160 MB at the cap
+MAX_NODES = 10**7
 PLOT_SIZE = 800  # side of the debug SVG, in pixels
 GENERATORS = {"uniform": generate_uniform, "clustered": generate_clustered}
 
@@ -141,10 +143,16 @@ def _check_generator(kind: str) -> None:
         raise ConfigError(f"unknown generator {kind!r} (expected {' or '.join(GENERATORS)})")
 
 
+def _check_generated_size(n: int) -> None:
+    if n > MAX_NODES:
+        raise GuardError(f"generated instances are capped at n <= {MAX_NODES}, got n = {n}")
+
+
 def _generate(kind: str, n: int, seed: int, box: float, clusters: Optional[int]) -> Instance:
     """The instance ``GENERATORS[kind]`` draws; only ``clustered`` takes ``clusters``."""
     if clusters is not None and GENERATORS[kind] is not generate_clustered:
         raise ConfigError(f"generator {kind!r} takes no clusters parameter")
+    _check_generated_size(n)
     extra = {} if clusters is None else {"clusters": clusters}
     return GENERATORS[kind](n, seed, box, **extra)
 
@@ -322,6 +330,7 @@ def run_suite(
     _check_generator(klass)
     _check_full_search(max(sizes), grid)
     _check_hk_iterations(hk_iterations)
+    _check_generated_size(max(sizes))
     rows: list[str] = [CSV_HEADER]
     means: list[str] = []
     for size in sizes:

@@ -110,11 +110,6 @@ class PairwiseDistances:
             np.floor(dx, out=dx)  # round half up, the TSPLIB convention
         return dx[()]
 
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            raise MemoryError(f"full matrix not cached for n={self.n}")
-        return self._matrix
-
 
 # ---------------------------------------------------------------------------
 # Random generators

@@ -137,14 +137,9 @@ def conforming_mask(tree: RootedTree, cycles: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _chunk_weights(dist: np.ndarray, cycles: np.ndarray) -> np.ndarray:
-    return dist[cycles, np.roll(cycles, -1, axis=1)].sum(axis=1)
-
-
 def _best_cycle(inst: Instance, tree: RootedTree | None) -> Tour:
     n = inst.n
     check_oracle_size(n)
-    dist = inst.distances.matrix()
     best_w = np.inf
     best: np.ndarray | None = None
     for cycles in _cycle_chunks(n):
@@ -152,7 +147,7 @@ def _best_cycle(inst: Instance, tree: RootedTree | None) -> Tour:
             cycles = cycles[conforming_mask(tree, cycles)]
             if cycles.shape[0] == 0:
                 continue
-        w = _chunk_weights(dist, cycles)
+        w = inst.distances.pairs(cycles, np.roll(cycles, -1, axis=1)).sum(axis=1)
         j = int(np.argmin(w))
         if w[j] < best_w:
             best_w = float(w[j])

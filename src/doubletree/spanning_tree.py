@@ -1,11 +1,11 @@
 """Minimum spanning trees, rooting, and the degree-increasing transformation.
 
 The MST is built with a dense O(n^2) Prim scan, which matches the complete
-graph induced by a metric instance.  Ties are broken toward the
-lexicographically smallest (min(a,b), max(a,b)) edge pair, so the tree is
-deterministic even for degenerate inputs with duplicate points.  The scan
-hands over its parent links, rooted at node 0, and ``root_tree`` re-roots
-them at the lowest-indexed leaf by reversing the links on one path.
+graph induced by a metric instance.  It returns the unique MST under one
+strict edge order (weight, then lower end id, then higher end id), so the
+tree is deterministic even with duplicate points.  The scan hands over its
+parent links, rooted at node 0, and ``root_tree`` re-roots them at the
+lowest-indexed leaf by reversing the links on one path.
 
 A tree's traversal order is decided here alone: ``RootedTree.from_parents``
 walks the tree once and stores its preorder and postorder, children in
@@ -48,26 +48,21 @@ class RootedTree:
     postorder: tuple[int, ...]
 
     @staticmethod
-    def from_parents(n: int, root: int, parent: Sequence[Optional[int]]) -> "RootedTree":
-        """Build the derived fields from parent links in one iterative walk."""
-        if len(parent) != n:
-            raise ValueError(f"expected {n} parent links, got {len(parent)}")
-        if not 0 <= root < n:
-            raise ValueError(f"root {root} outside 0..{n - 1}")
+    def from_parents(parent: Sequence[Optional[int]]) -> "RootedTree":
+        """Build the derived fields from one link per node, in one iterative walk.
+
+        The root is the one node whose link is None.
+        """
+        n = len(parent)
+        if parent.count(None) != 1:
+            raise ValueError("parent links need exactly one root (None)")
+        root = parent.index(None)
         children: list[list[int]] = [[] for _ in range(n)]
-        for v in range(n):
-            p = parent[v]
-            if v == root:
-                if p is not None:
-                    raise ValueError("root must have no parent")
-                continue
-            if p is None:
-                raise ValueError(f"non-root node {v} has no parent")
-            if not 0 <= p < n:
-                raise ValueError(f"node {v} has parent {p} outside 0..{n - 1}")
-            children[p].append(v)
-        for c in children:
-            c.sort()
+        for v, p in enumerate(parent):  # ascending v, so every child list is sorted
+            if p is not None:
+                if not 0 <= p < n:
+                    raise ValueError(f"node {v} has parent {p} outside 0..{n - 1}")
+                children[p].append(v)
 
         depth = [0] * n
         size = [1] * n
@@ -105,12 +100,13 @@ def minimum_spanning_tree(inst: Instance) -> tuple[np.ndarray, float]:
     """Prim's algorithm with a dense row-at-a-time scan; deterministic under ties.
 
     Returns Prim's parent links, rooted at node 0 (-1 there), and the tree
-    weight: the picked keys summed left to right in pick order.  Each step
-    reads one distance row; tree nodes carry NaN in the added mask, so they
-    never compare below or equal to a key, and their key is +inf.  The tie
-    rules only run when a tie exists: among equal minimum keys the
-    lexicographically smallest (min, max) edge wins, and an equal row value
-    moves a node to the smaller pair.
+    weight: the picked keys summed left to right in pick order.  The links
+    are the unique MST under the edge order (weight, lower end id, higher end
+    id).  Each step reads one distance row; tree nodes carry NaN in the added
+    mask, so they never compare below or equal to a key, and their key is
+    +inf.  Ties are tested for at each step and resolved only when they
+    exist: the pick takes the smallest edge pair among equal minimum keys,
+    and an equal row value moves a node to a smaller parent id.
     """
     n = inst.n
     dist = inst.distances
@@ -126,14 +122,10 @@ def minimum_spanning_tree(inst: Instance) -> tuple[np.ndarray, float]:
         j = int(key.argmin())
         m = key[j]
         if best_parent[j] >= 0 and np.count_nonzero(key == m) > 1:
-            # among equal-key vertices prefer the lexicographically smallest
-            # (min, max) edge pair to the tree, then the smallest vertex index
-            pairs = [
-                (min(best_parent[c], c), max(best_parent[c], c), c)
-                for c in np.flatnonzero(key == m)
-            ]
-            pairs.sort()
-            j = int(pairs[0][2])
+            # no two share an edge pair: parents are in the tree, candidates not
+            cand = np.flatnonzero(key == m)
+            par = best_parent[cand]
+            j = int(cand[np.lexsort((np.maximum(par, cand), np.minimum(par, cand)))[0]])
         weight += float(key[j])
         key[j] = np.inf
         tree_mask[j] = np.nan
@@ -143,15 +135,7 @@ def minimum_spanning_tree(inst: Instance) -> tuple[np.ndarray, float]:
         np.copyto(key, row, where=better)
         np.copyto(best_parent, j, where=better)
         if tied.any():
-            # ties on key: keep the edge with the smaller (min, max) pair
-            idx = np.flatnonzero(tied & (best_parent >= 0))
-            cur = best_parent[idx]
-            new_lo = np.minimum(j, idx)
-            new_hi = np.maximum(j, idx)
-            cur_lo = np.minimum(cur, idx)
-            cur_hi = np.maximum(cur, idx)
-            prefer = (new_lo < cur_lo) | ((new_lo == cur_lo) & (new_hi < cur_hi))
-            best_parent[idx[prefer]] = j
+            best_parent[tied & (best_parent > j)] = j
     if np.count_nonzero(best_parent < 0) != 1:
         raise InternalInvariantError("Prim produced a non-spanning tree")
     return best_parent, weight
@@ -166,11 +150,12 @@ def root_tree(parent: Sequence[int]) -> RootedTree:
     """
     links = np.asarray(parent, dtype=np.int64)
     n = links.size
+    bad = np.flatnonzero((links < -1) | (links >= n))
+    if bad.size:
+        raise ValueError(f"node {bad[0]} has parent {links[bad[0]]} outside 0..{n - 1}")
     linked = links >= 0
     if np.count_nonzero(~linked) != 1:
         raise ValueError("parent links need exactly one root (-1)")
-    if n == 1:
-        return RootedTree.from_parents(1, 0, [None])
     degree = np.bincount(links[linked], minlength=n) + linked
     root = int(np.argmax(degree == 1))
     rerooted: list[Optional[int]] = [p if p >= 0 else None for p in links.tolist()]
@@ -181,7 +166,7 @@ def root_tree(parent: Sequence[int]) -> RootedTree:
         above = rerooted[v]
         rerooted[v] = below
         below, v = v, above
-    return RootedTree.from_parents(n, root, rerooted)
+    return RootedTree.from_parents(rerooted)
 
 
 def degree_increase(tree: RootedTree, limit_D: int) -> RootedTree:
@@ -217,4 +202,4 @@ def degree_increase(tree: RootedTree, limit_D: int) -> RootedTree:
                 parent[c] = p
                 children[p].append(c)
             children[v] = []
-    return RootedTree.from_parents(n, tree.root, parent)
+    return RootedTree.from_parents(parent)

@@ -31,6 +31,12 @@ def distance(inst, a, b):
     return float(inst.distances.pairs(a, b))
 
 
+def distance_matrix(dist):
+    """Every d(a, b) of a distance object as one (n, n) block."""
+    idx = np.arange(dist.n)
+    return dist.pairs(idx[:, None], idx)
+
+
 def subtree_nodes(tree, u):
     """All descendants of u including u itself, by a stack walk over children."""
     out = []
@@ -63,7 +69,7 @@ def tree_distance(tree, a, b):
 
 def max_triangle_violation(inst):
     """Largest d(a,c) - d(a,b) - d(b,c) over all triples (<= 0 for a metric)."""
-    d = inst.distances.matrix()
+    d = distance_matrix(inst.distances)
     worst = -math.inf
     for b in range(inst.n):
         # d[a,c] - d[a,b] - d[b,c] maximised over a, c for fixed midpoint b

@@ -2,8 +2,9 @@
 
 This is ``hk_bound._one_tree``, ``hk_bound.held_karp_lower_bound`` and
 ``spanning_tree.minimum_spanning_tree`` as they stood before the
-row-at-a-time rewrite, kept verbatim (only their imports changed, and the
-spanning tree's edges are plain ``(a, b, w)`` tuples) so the differential
+row-at-a-time rewrite, kept verbatim (only their imports changed, the full
+matrix is read through ``conftest.distance_matrix``, and the spanning
+tree's edges are plain ``(a, b, w)`` tuples) so the differential
 tests can compare 1-trees, bounds and spanning trees bit for bit against
 them.  Do not edit or optimise it.
 """
@@ -17,6 +18,8 @@ from doubletree.instances import Instance, PairwiseDistances
 from doubletree.oracles import depth_first_shortcut
 from doubletree.spanning_tree import RootedTree
 
+from conftest import distance_matrix
+
 
 def _one_tree(dist: PairwiseDistances, pi: np.ndarray) -> tuple[float, np.ndarray]:
     """Minimum 1-tree under distances reduced by the potentials.
@@ -27,7 +30,7 @@ def _one_tree(dist: PairwiseDistances, pi: np.ndarray) -> tuple[float, np.ndarra
     """
     n = dist.n
     try:
-        reduced = dist.matrix() - pi[:, None] - pi[None, :]
+        reduced = distance_matrix(dist) - pi[:, None] - pi[None, :]
     except MemoryError:
         reduced = None
 

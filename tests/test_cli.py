@@ -13,9 +13,12 @@ from doubletree import (
     enumerate_conforming_min,
     generate_uniform,
     parse_tsplib,
+    write_tsplib,
 )
 from doubletree.cli import (
     CSV_HEADER,
+    DEFAULT_BOX,
+    MAX_NODES,
     _grid_label,
     build_records,
     main,
@@ -228,6 +231,10 @@ class TestCliCommands:
         assert main(argv) == 0
         assert out.read_bytes() == first
 
+    def test_gen_writes_stdout_by_default(self, capsys):
+        assert main(["gen", "uniform", "--n", "3", "--seed", "1"]) == 0
+        assert capsys.readouterr().out == write_tsplib(generate_uniform(3, 1, DEFAULT_BOX))
+
     def test_gen_clustered(self, tmp_path):
         out = tmp_path / "c.tsp"
         assert main(["gen", "clustered", "--n", "30", "--seed", "1", "--clusters", "3",
@@ -311,6 +318,12 @@ class TestCliCommands:
         assert main(argv) == 0
         assert out.read_bytes() == first  # rerun is byte-identical
         assert out.read_text().startswith(CSV_HEADER)
+
+    def test_suite_unwritable_output(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "suite.csv"
+        assert main(["suite", "--sizes", "8", "--seeds", "1", "--grid", "1x4",
+                     "--hk-iterations", "5", "-o", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
 
     def test_verify_small_instance(self, tmp_path, capsys):
         inst_file = tmp_path / "v.tsp"
@@ -543,6 +556,35 @@ class TestEarlyValidation:
                      "--degree-limit", "12", "--depth", "16"]) == 4
         assert counts == {"upsweep": 1, "lookups": 0}
         assert "bridge entries" in capsys.readouterr().err
+
+    def test_one_node_file_rejected_before_any_tour_work(self, tmp_path, capsys, build_counts):
+        path = write_euc2d(tmp_path / "one.tsp", [(1, 2)])
+        for command in ("run", "verify"):
+            assert main([command, "--input", path]) == 2
+            assert capsys.readouterr().err == (
+                "config error: tour construction needs at least 2 nodes\n")
+        assert build_counts["mst"] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "uniform", "--n", "100000000000"],
+        ["run", "--gen", "uniform:n=100000000000,seed=1", "--heuristic", "dtk",
+         "--depth", "16"],
+        # the cap holds before the first, small instance is built
+        ["suite", "--sizes", "8,100000000000", "--seeds", "1", "--grid", "1x16", "-o", "-"],
+    ], ids=["gen", "run", "suite"])
+    def test_generated_size_capped_before_any_point(self, argv, capsys, build_counts):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"guard violation: generated instances are capped at n <= {MAX_NODES}, "
+            "got n = 100000000000\n")
+        assert build_counts == {"mst": 0, "root": 0, "distances": 0}
+        assert peak < 1 << 20
 
     def test_non_finite_coordinate_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "nan.tsp"

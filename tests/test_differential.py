@@ -120,7 +120,7 @@ class TestFrozenReference:
     def test_bit_identical_hand_built(self, shape, points, k):
         parent = HAND_TREES[shape]
         inst = make_instance(HAND_POINTS[points](len(parent)))
-        _assert_bit_identical(inst, RootedTree.from_parents(len(parent), 0, parent), k)
+        _assert_bit_identical(inst, RootedTree.from_parents(parent), k)
 
 
 class TestCounterPin:
@@ -181,7 +181,7 @@ class TestMetamorphic:
         for v in range(n):
             if tree.parent[v] is not None:
                 parent[perm[v]] = int(perm[tree.parent[v]])
-        relabelled = RootedTree.from_parents(n, int(perm[tree.root]), parent)
+        relabelled = RootedTree.from_parents(parent)
         a = upsweep(inst, tree, k=k).weight
         b = upsweep(moved, relabelled, k=k).weight
         assert b == pytest.approx(a, rel=1e-12, abs=1e-9)

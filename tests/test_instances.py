@@ -19,7 +19,7 @@ from doubletree import (
 from doubletree import instances
 from doubletree.instances import PairwiseDistances
 
-from conftest import distance, make_instance, max_triangle_violation
+from conftest import distance, distance_matrix, make_instance, max_triangle_violation
 
 
 class TestDistance:
@@ -160,8 +160,6 @@ class TestPairwiseDistances:
             with monkeypatch.context() as m:
                 m.setattr(instances, "MATRIX_CACHE_LIMIT", 10)
                 uncached = PairwiseDistances(inst)
-            with pytest.raises(MemoryError):
-                uncached.matrix()
             for a, b in [(rows[:, None], rows), (7, rows), (7, slice(None)), (rows, rows[::-1])]:
                 assert np.array_equal(cached.pairs(a, b), uncached.pairs(a, b))
             scalar = uncached.pairs(3, 11)
@@ -186,7 +184,7 @@ class TestPairwiseDistances:
     def test_instance_builds_one_shared_distance_object(self):
         inst = generate_uniform(12, seed=1)
         assert inst.distances is inst.distances
-        assert distance(inst, 3, 5) == inst.distances.matrix()[3, 5]
+        assert distance(inst, 3, 5) == distance_matrix(inst.distances)[3, 5]
 
     def test_cycle_weight_closes_the_cycle(self):
         inst = make_instance([(0, 0), (1, 0), (1, 1)])

@@ -22,7 +22,7 @@ from conftest import STAR5_BEST, make_instance, mst_tree, random_instance
 
 
 def path_tree(n):
-    return RootedTree.from_parents(n, 0, [None] + list(range(n - 1)))
+    return RootedTree.from_parents([None] + list(range(n - 1)))
 
 
 class TestIsConforming:
@@ -47,7 +47,7 @@ class TestIsConforming:
                 for links in itertools.product(range(n), repeat=n - 1):
                     parent = [*links[:root], None, *links[root:]]
                     try:
-                        tree = RootedTree.from_parents(n, root, parent)
+                        tree = RootedTree.from_parents(parent)
                     except ValueError:
                         continue  # a self-link or a cycle, not a tree
                     assert conforming_mask(tree, orders).all()
@@ -158,7 +158,7 @@ class TestDepthFirstShortcut:
             assert is_conforming(depth_first_shortcut(inst, tree), tree)
 
     def test_children_visited_in_index_order(self):
-        tree = RootedTree.from_parents(5, 1, [1, None, 0, 0, 0])
+        tree = RootedTree.from_parents([1, None, 0, 0, 0])
         tour = depth_first_shortcut(make_instance([(0, 0)] * 5), tree)
         assert tour.order == (1, 0, 2, 3, 4)
 

@@ -107,7 +107,7 @@ def _nodes_of(tree, u, mask):
 
 class TestBipartitionPathWeight:
     def test_both_masks_empty_is_plain_edge(self, unit_square):
-        tree = RootedTree.from_parents(4, 0, [None, 0, 1, 2])
+        tree = RootedTree.from_parents([None, 0, 1, 2])
         res = upsweep(unit_square, tree)
         assert res.bridge(1, 0, 0) == (distance(unit_square, 0, 1), 0, 1)
 
@@ -157,7 +157,7 @@ class TestBipartitionPathWeight:
 
     def test_batched_leaf_bridges(self, star5):
         # the centre's four leaf children are extended in one step per mask
-        tree = RootedTree.from_parents(5, 0, [None, 0, 0, 0, 0])
+        tree = RootedTree.from_parents([None, 0, 0, 0, 0])
         res = upsweep(star5, tree)
         for i, v in enumerate(tree.children[0]):
             w, xy = res.bridges[v]
@@ -341,7 +341,7 @@ class TestUpsweep:
         n = 23
         coords = [(math.cos(i), math.sin(i)) for i in range(n)]
         inst = make_instance(coords)
-        tree = RootedTree.from_parents(n, 1, [1, None] + [0] * (n - 2))
+        tree = RootedTree.from_parents([1, None] + [0] * (n - 2))
         assert tree.max_children == 21
         with pytest.raises(GuardError):
             upsweep(inst, tree)
@@ -358,7 +358,7 @@ class TestUpsweep:
 
     def test_rejects_tiny_instances(self):
         inst = make_instance([(0, 0)])
-        tree = RootedTree.from_parents(1, 0, [None])
+        tree = RootedTree.from_parents([None])
         with pytest.raises(ValueError):
             upsweep(inst, tree)
 
