@@ -3,18 +3,44 @@
 A 1-tree (spanning tree over nodes 1..n-1 plus the two cheapest edges out of
 node 0) relaxes the tour polytope, so its weight under any potential vector
 is a valid lower bound on the optimal tour.  Subgradient ascent pushes the
-potentials toward equal node degrees; the best bound seen is returned, so the
-result is valid regardless of convergence.
+potentials toward equal node degrees (Held & Karp 1970/71).
+
+The ascent runs its steps on two graphs (Helsgaun 2000, as in LKH):
+
+* Step 1 is an exact dense 1-tree at zero potentials, from the one Prim
+  scan (``spanning_tree.prim_scan``), which reads one distance row per step.
+* Steps 2..N build their 1-trees on a sparse candidate graph by a
+  vectorised Boruvka pass.  The graph holds, for each node, its
+  ``NEAREST`` nearest neighbours and its ``PER_QUADRANT`` nearest in each
+  quadrant around it, plus the spanning edges of step 1's 1-tree, so nodes
+  1..n-1 are always connected.  Up to ``COMPLETE_UP_TO`` nodes it holds
+  every pair.  Node 0's two edges still come from its dense row.  The graph
+  is built only when a second step runs.
+* Certificates: the steps run in ``ROUNDS`` rounds of equal length.  At
+  the end of each, the potentials of the best step so far get a dense
+  1-tree if a sparse step gave them, and so once more after the last
+  step.  The exact value becomes the one later steps must beat, and the
+  dense tree's spanning edges join the candidate graph, so the graph grows
+  where it overstated the 1-tree.
+
+A sparse 1-tree may miss a lighter edge, so its value is no bound by
+itself.  The result is the largest value of a dense 1-tree: step 1's or a
+certificate's, so it is a valid lower bound whatever the candidate graph
+missed.
 
 Defaults: 1000 iterations, step factor 2.0 halved after every
-``iterations // 10`` consecutive non-improving steps, upper bound from the
-depth-first traversal tour of the rooted minimum spanning tree.  The ascent
-is fully deterministic.
+``patience = max(5, iterations // 20)`` consecutive non-improving steps,
+upper bound from the depth-first traversal tour of the rooted minimum
+spanning tree.  (With ``iterations // 10`` the ascent was still climbing at
+its last steps, and where it ended moved by half a percent under a small
+change of its path; the floor of 5 keeps short ascents from halving every
+step or two.)  The ascent is fully deterministic.
 
-Each 1-tree is a dense Prim scan that reads one distance row per step and
-reduces it by the potentials on the fly, so the ascent needs O(n) memory
-beyond the instance's distance object; above the distance cache the row is
-recomputed from coordinates.
+Memory: the dense scans read one row at a time, and the candidate graph is
+built from blocks of at most ``BLOCK_ENTRIES`` distances (recomputed from
+coordinates above the distance cache), so beyond the instance's distance
+object the ascent needs O(n K) memory for K candidate edges per node (each
+certificate adds at most n - 2 edges).
 """
 
 from __future__ import annotations
@@ -23,55 +49,157 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import InternalInvariantError
 from .instances import Instance, PairwiseDistances
 from .oracles import depth_first_shortcut
-from .spanning_tree import RootedTree
+from .spanning_tree import RootedTree, prim_scan
+
+NEAREST = 5  # nearest neighbours per node in the candidate graph
+PER_QUADRANT = 2  # nearest neighbours per quadrant, for clustered points
+COMPLETE_UP_TO = 12  # up to this n every pair is a candidate
+BLOCK_ENTRIES = 1 << 17  # distances per block while the candidates are picked
+ROUNDS = 5  # each ascent is cut into this many rounds, each ended by a certificate
 
 
-def _one_tree(dist: PairwiseDistances, pi: np.ndarray) -> tuple[float, np.ndarray]:
-    """Minimum 1-tree under distances reduced by the potentials.
+def _add_node_zero(
+    d0: np.ndarray, pi: np.ndarray, spanning: float, degrees: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Close a spanning tree of 1..n-1 into a 1-tree with node 0's two edges.
 
-    Returns its reduced weight and the node degree vector.  Node 0 is the
-    special node; the spanning tree covers 1..n-1.  Prim reads one row per
-    step, reduced as ``(d[j] - pi[j]) - pi``; tree nodes carry NaN in the
-    subtracted copy of ``pi``, so they never compare below a key.  Ties go to
-    the smallest index (first argmin, strict improvement), and the weight is
-    summed left to right in pick order.
+    ``d0`` is node 0's distance row.  The two cheapest reduced edges are
+    taken, ties to the smaller id; ``degrees`` is updated in place.
     """
-    n = dist.n
-    masked_pi = pi.copy()
-    masked_pi[0] = np.nan
-    # tree nodes (and the excluded node 0) keep key = +inf, so a plain argmin
-    # always picks the cheapest candidate
-    key = np.full(n, np.inf)
-    key[1] = 0.0
-    best_parent = np.full(n, -1, dtype=np.int64)
-    picked = np.empty(n - 1)
-    row = np.empty(n)
-    better = np.empty(n, dtype=bool)
-    for i in range(n - 1):
-        j = int(key.argmin())
-        picked[i] = key[j]
-        key[j] = np.inf
-        masked_pi[j] = np.nan
-        np.subtract(dist.pairs(j, slice(None)), pi[j], out=row)
-        np.subtract(row, masked_pi, out=row)
-        np.less(row, key, out=better)
-        np.copyto(key, row, where=better)
-        np.copyto(best_parent, j, where=better)
-    row0 = (dist.pairs(0, slice(None)) - pi[0]) - pi
+    row0 = (d0 - pi[0]) - pi
     row0[0] = np.inf
-    order = np.argsort(row0, kind="stable")
-    e1, e2 = int(order[0]), int(order[1])
-    # node 1 is picked first, with key 0.0 and no parent
-    total = np.add.accumulate(picked)[-1] + float(row0[e1] + row0[e2])
-    degrees = np.zeros(n, dtype=np.int64)
-    degrees[2:] = 1
-    np.add.at(degrees, best_parent[2:], 1)
+    e1 = int(row0.argmin())
+    w1 = row0[e1]
+    row0[e1] = np.inf
+    e2 = int(row0.argmin())
     degrees[0] += 2
     degrees[e1] += 1
     degrees[e2] += 1
-    return total, degrees
+    return spanning + float(w1 + row0[e2]), degrees
+
+
+def _one_tree(dist: PairwiseDistances, pi: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Minimum 1-tree under distances reduced by the potentials.
+
+    Returns its reduced weight, the node degree vector and the parent links
+    of its spanning part (-1 at nodes 0 and 1).  Node 0 is the special node;
+    the spanning tree over 1..n-1 is ``prim_scan``'s with potentials (ties to
+    the smallest index), and the weight is summed left to right in pick
+    order.
+    """
+    parent, picked = prim_scan(dist, pi)
+    degrees = np.zeros(dist.n, dtype=np.int64)
+    degrees[2:] = 1
+    np.add.at(degrees, parent[2:], 1)
+    # node 1 is picked first, with key 0.0 and no parent
+    total, degrees = _add_node_zero(dist.pairs(0, slice(None)), pi,
+                                    np.add.accumulate(picked)[-1], degrees)
+    return total, degrees, parent
+
+
+def _candidate_edges(inst: Instance, spanning: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate edges over nodes 1..n-1 as (u, v) arrays with u < v, sorted.
+
+    ``spanning`` holds the parent links of a spanning tree of 1..n-1 (-1 at
+    its root and at node 0); its edges are always candidates.  The nearest
+    neighbours come from row blocks of at most ``BLOCK_ENTRIES`` distances,
+    so no n x n block is ever held.  The quadrants around a node are
+    half-open: east and not south, north and not east, west and not north,
+    south and not west.  A coincident point is in none of them; it is among
+    the nearest.
+    """
+    n = inst.n
+    if n <= COMPLETE_UP_TO:
+        u, v = np.triu_indices(n - 1, 1)
+        return u + 1, v + 1
+    xy = inst.coords
+    dist = inst.distances
+    cols = np.arange(n)
+    us, vs = [], []
+    step = max(1, BLOCK_ENTRIES // n)
+    for lo in range(1, n, step):
+        rows = np.arange(lo, min(n, lo + step))
+        block = dist.pairs(rows[:, None], cols)
+        block[:, 0] = np.inf
+        block[np.arange(rows.size), rows] = np.inf
+        us.append(np.repeat(rows, NEAREST))
+        vs.append(np.argpartition(block, NEAREST - 1, axis=1)[:, :NEAREST].ravel())
+        east, west = xy[:, 0] > xy[rows, 0, None], xy[:, 0] < xy[rows, 0, None]
+        north, south = xy[:, 1] > xy[rows, 1, None], xy[:, 1] < xy[rows, 1, None]
+        for quadrant in (east & ~south, north & ~east, west & ~north, south & ~west):
+            masked = np.where(quadrant, block, np.inf)
+            pick = np.argpartition(masked, PER_QUADRANT - 1, axis=1)[:, :PER_QUADRANT]
+            found = np.take_along_axis(masked, pick, axis=1) < np.inf
+            us.append(np.broadcast_to(rows[:, None], pick.shape)[found])
+            vs.append(pick[found])
+    return _with_tree_edges(n, np.concatenate(us), np.concatenate(vs), spanning)
+
+
+def _with_tree_edges(
+    n: int, u: np.ndarray, v: np.ndarray, parent: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The edges (u, v) and the tree edges of ``parent`` (-1 where a node
+    has none) as sorted (u, v) arrays with u < v and no repeats."""
+    children = np.flatnonzero(parent >= 0)
+    u, v = np.concatenate([u, children]), np.concatenate([v, parent[children]])
+    key = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
+    return key // n, key % n
+
+
+def _sparse_one_tree(
+    n: int, u: np.ndarray, v: np.ndarray, length: np.ndarray, d0: np.ndarray, pi: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Minimum 1-tree whose spanning part uses only the candidate edges (u, v).
+
+    A vectorised Boruvka pass under the strict edge order (reduced weight,
+    edge id), so the tree is unique even under ties.  Each round every
+    component takes its lightest live edge: ``np.minimum.at`` finds the
+    lightest weight at each component, then the smallest id among the edges
+    that attain it.  The components then merge by pointer jumping.  Node 0's
+    two edges come from its dense row ``d0``.
+    """
+    w = (length - pi[u]) - pi[v]
+    ids = np.arange(u.size)
+    eu, ev, ew = u, v, w
+    comp = np.arange(n)
+    taken = np.zeros(u.size, dtype=bool)
+    while True:
+        cu, cv = comp[eu], comp[ev]
+        live = cu != cv
+        if not live.any():
+            break
+        eu, ev, ew, ids, cu, cv = eu[live], ev[live], ew[live], ids[live], cu[live], cv[live]
+        lightest = np.full(n, np.inf)
+        np.minimum.at(lightest, cu, ew)
+        np.minimum.at(lightest, cv, ew)
+        first = np.full(n, u.size)
+        at_u, at_v = ew == lightest[cu], ew == lightest[cv]
+        np.minimum.at(first, cu[at_u], ids[at_u])
+        np.minimum.at(first, cv[at_v], ids[at_v])
+        roots = np.flatnonzero(first < u.size)
+        e = first[roots]
+        taken[e] = True  # the two ends of an edge may both take it
+        other = np.where(comp[u[e]] == roots, comp[v[e]], comp[u[e]])
+        link = np.arange(n)
+        link[roots] = other
+        # only the two ends of a shared lightest edge point at each other:
+        # the smaller one becomes the merged component's root
+        mutual = roots[(link[other] == roots) & (roots < other)]
+        link[mutual] = mutual
+        while True:
+            jumped = link[link]
+            if np.array_equal(jumped, link):
+                break
+            link = jumped
+        comp = link[comp]
+    tree = np.flatnonzero(taken)
+    if tree.size != n - 2:
+        raise InternalInvariantError("the candidate graph does not span nodes 1..n-1")
+    degrees = np.bincount(u[tree], minlength=n) + np.bincount(v[tree], minlength=n)
+    return _add_node_zero(d0, pi, w[tree].sum(), degrees)
 
 
 class AscentSummary(NamedTuple):
@@ -80,8 +208,10 @@ class AscentSummary(NamedTuple):
 
     ``iterations`` counts the 1-trees built (fewer than asked when the
     1-tree became a tour or reached the step target), ``best_iteration`` is
-    the 1-based iteration that gave ``bound``, and ``final_gap`` is the
-    depth-first tour weight minus ``bound``.
+    the 1-based iteration whose potentials gave ``bound``, and ``final_gap``
+    is the depth-first tour weight minus ``bound``.  ``sparse_gap`` is the
+    highest value any step reached minus ``bound``: how far the candidate
+    graph's 1-trees overstated the bound (0.0 when no step beat step 1).
     """
 
     bound: float
@@ -89,6 +219,7 @@ class AscentSummary(NamedTuple):
     halvings: int
     best_iteration: int
     final_gap: float
+    sparse_gap: float = 0.0
 
 
 def held_karp_ascent(inst: Instance, tree: RootedTree, iterations: int = 1000) -> AscentSummary:
@@ -97,8 +228,9 @@ def held_karp_ascent(inst: Instance, tree: RootedTree, iterations: int = 1000) -
     ``tree`` is the instance's rooted minimum spanning tree (``root_tree`` of
     the parent links ``minimum_spanning_tree`` returns); its depth-first tour
     sets the step target.
-    The bound is always a valid lower bound on the optimal tour weight;
-    deterministic for fixed (inst, iterations).
+    The bound is the value of a dense 1-tree, so it is always a valid lower
+    bound on the optimal tour weight; deterministic for fixed (inst,
+    iterations).
     """
     n = inst.n
     if n < 3:
@@ -109,19 +241,36 @@ def held_karp_ascent(inst: Instance, tree: RootedTree, iterations: int = 1000) -
     dist = inst.distances
     upper = depth_first_shortcut(inst, tree).weight
 
+    def exact(pi: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        reduced, degrees, parent = _one_tree(dist, pi)
+        return reduced + 2.0 * float(pi.sum()), degrees, parent
+
     pi = np.zeros(n)
-    best = -np.inf
+    graph = None
+    best = peak = -np.inf
     best_at = 0
+    best_pi = pi
     lam = 2.0
-    patience = max(1, iterations // 10)
+    patience = max(5, iterations // 20)
+    round_length = -(-iterations // ROUNDS)
     stall = 0
     halvings = 0
     for it in range(1, iterations + 1):
-        reduced, degrees = _one_tree(dist, pi)
-        bound = reduced + 2.0 * float(pi.sum())
+        if it == 1:
+            bound, degrees, parent = exact(pi)
+            certified = bound
+            certified_at = checked_at = 1
+        else:
+            if graph is None:
+                u, v = _candidate_edges(inst, parent)
+                graph = (n, u, v, dist.pairs(u, v), dist.pairs(0, slice(None)))
+            reduced, degrees = _sparse_one_tree(*graph, pi)
+            bound = reduced + 2.0 * float(pi.sum())
+        peak = max(peak, bound)
         if bound > best:
             best = bound
             best_at = it
+            best_pi = pi
             stall = 0
         else:
             stall += 1
@@ -129,15 +278,30 @@ def held_karp_ascent(inst: Instance, tree: RootedTree, iterations: int = 1000) -
                 lam *= 0.5
                 halvings += 1
                 stall = 0
+        if it % round_length == 0 and best_at > checked_at:
+            # end of a round: certify the best potentials, make the exact
+            # value the one to beat, and add the dense tree's edges
+            best, _, parent = exact(best_pi)
+            checked_at = best_at
+            if best > certified:
+                certified, certified_at = best, best_at
+            _, u, v, _, d0 = graph
+            u, v = _with_tree_edges(n, u, v, parent)
+            graph = (n, u, v, dist.pairs(u, v), d0)
         g = 2.0 - degrees
         norm_sq = float(g @ g)
         if norm_sq == 0.0:
-            break  # the 1-tree is a tour: the bound is tight
+            break  # the 1-tree is a tour: no step moves the potentials
         gap = upper - bound
         if gap <= 0.0:
             break
         pi = pi + lam * gap / norm_sq * g
-    return AscentSummary(float(best), it, halvings, best_at, float(upper - best))
+    if best_at > checked_at:
+        value, _, _ = exact(best_pi)
+        if value > certified:
+            certified, certified_at = value, best_at
+    return AscentSummary(float(certified), it, halvings, certified_at,
+                         float(upper - certified), float(peak - certified))
 
 
 def held_karp_lower_bound(inst: Instance, tree: RootedTree, iterations: int = 1000) -> float:

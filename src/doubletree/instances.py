@@ -53,6 +53,11 @@ class Instance:
             raise ValueError(f"instance needs an (n, 2) coordinate array, n >= 1; got {xy.shape}")
         if not np.isfinite(xy).all():
             raise ValueError("point coordinates must be finite")
+        # every squared difference is at most the squared spans' sum, in
+        # Python floats, which overflow to inf without a numpy warning
+        dx, dy = (float(hi) - float(lo) for lo, hi in zip(xy.min(axis=0), xy.max(axis=0)))
+        if not math.isfinite(dx * dx + dy * dy):
+            raise ValueError("point coordinates too far apart: squared distances overflow")
         xy.setflags(write=False)
         object.__setattr__(self, "coords", xy)
 
@@ -239,7 +244,10 @@ def parse_tsplib(text: str) -> Instance:
         raise ParseError(f"unsupported EDGE_WEIGHT_TYPE {ew!r}") from exc
     name = header.get("NAME", "unnamed")
     # dim distinct indices in 1..dim: every node has its line
-    return Instance(name, [coords[i] for i in range(1, dim + 1)], metric)
+    try:
+        return Instance(name, [coords[i] for i in range(1, dim + 1)], metric)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def write_tsplib(inst: Instance) -> str:

@@ -5,7 +5,8 @@ graph induced by a metric instance.  It returns the unique MST under one
 strict edge order (weight, then lower end id, then higher end id), so the
 tree is deterministic even with duplicate points.  The scan hands over its
 parent links, rooted at node 0, and ``root_tree`` re-roots them at the
-lowest-indexed leaf by reversing the links on one path.
+lowest-indexed leaf by reversing the links on one path.  Given node
+potentials, the same scan builds the Held-Karp bound's dense 1-trees.
 
 A tree's traversal order is decided here alone: ``RootedTree.from_parents``
 walks the tree once and stores its preorder and postorder, children in
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InternalInvariantError
-from .instances import Instance
+from .instances import Instance, PairwiseDistances
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,49 +97,70 @@ class RootedTree:
         )
 
 
-def minimum_spanning_tree(inst: Instance) -> tuple[np.ndarray, float]:
-    """Prim's algorithm with a dense row-at-a-time scan; deterministic under ties.
+def prim_scan(dist: PairwiseDistances, pi: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """The one dense Prim scan: parent links and the picked keys in pick order.
 
-    Returns Prim's parent links, rooted at node 0 (-1 there), and the tree
-    weight: the picked keys summed left to right in pick order.  The links
-    are the unique MST under the edge order (weight, lower end id, higher end
-    id).  Each step reads one distance row; tree nodes carry NaN in the added
+    Each step reads one distance row; tree nodes carry NaN in the subtracted
     mask, so they never compare below or equal to a key, and their key is
-    +inf.  Ties are tested for at each step and resolved only when they
-    exist: the pick takes the smallest edge pair among equal minimum keys,
-    and an equal row value moves a node to a smaller parent id.
+    +inf.  Nodes the scan never reaches keep the link -1.
+
+    Without potentials the scan spans all n nodes from node 0 and returns the
+    unique MST under the strict edge order (weight, lower end id, higher end
+    id).  Ties are tested for at each step and resolved only when they exist:
+    the pick takes the smallest edge pair among equal minimum keys, and an
+    equal row value moves a node to a smaller parent id.
+
+    With potentials ``pi`` it spans nodes 1..n-1 from node 1, leaving node 0
+    out as a 1-tree does, under the reduced weights ``(d[j] - pi[j]) - pi``.
+    Ties go to the smallest index (first argmin) and a key moves only on a
+    strict improvement, the rule the Held-Karp bound's 1-trees were fixed
+    under.  ``picked`` starts with the first node's key, 0.0.
     """
-    n = inst.n
-    dist = inst.distances
+    n = dist.n
+    first = 0 if pi is None else 1
+    mask = np.zeros(n) if pi is None else pi.copy()
+    mask[:first] = np.nan
     key = np.full(n, np.inf)
-    key[0] = 0.0
+    key[first] = 0.0
     best_parent = np.full(n, -1, dtype=np.int64)
-    tree_mask = np.zeros(n)
+    picked = np.empty(n - first)
     row = np.empty(n)
     better = np.empty(n, dtype=bool)
     tied = np.empty(n, dtype=bool)
-    weight = 0.0
-    for _ in range(n):
+    for i in range(n - first):
         j = int(key.argmin())
-        m = key[j]
-        if best_parent[j] >= 0 and np.count_nonzero(key == m) > 1:
+        if pi is None and best_parent[j] >= 0 and np.count_nonzero(key == key[j]) > 1:
             # no two share an edge pair: parents are in the tree, candidates not
-            cand = np.flatnonzero(key == m)
+            cand = np.flatnonzero(key == key[j])
             par = best_parent[cand]
             j = int(cand[np.lexsort((np.maximum(par, cand), np.minimum(par, cand)))[0]])
-        weight += float(key[j])
+        picked[i] = key[j]
         key[j] = np.inf
-        tree_mask[j] = np.nan
-        np.add(dist.pairs(j, slice(None)), tree_mask, out=row)
-        np.equal(row, key, out=tied)  # before the update, which only takes row < key
+        mask[j] = np.nan
+        if pi is None:
+            np.subtract(dist.pairs(j, slice(None)), mask, out=row)
+            np.equal(row, key, out=tied)  # before the update, which only takes row < key
+        else:
+            np.subtract(dist.pairs(j, slice(None)), pi[j], out=row)
+            np.subtract(row, mask, out=row)
         np.less(row, key, out=better)
         np.copyto(key, row, where=better)
         np.copyto(best_parent, j, where=better)
-        if tied.any():
+        if pi is None and tied.any():
             best_parent[tied & (best_parent > j)] = j
+    return best_parent, picked
+
+
+def minimum_spanning_tree(inst: Instance) -> tuple[np.ndarray, float]:
+    """The MST of ``prim_scan`` without potentials: parent links and weight.
+
+    The links are rooted at node 0 (-1 there); the weight is the picked keys
+    summed left to right in pick order.
+    """
+    best_parent, picked = prim_scan(inst.distances)
     if np.count_nonzero(best_parent < 0) != 1:
         raise InternalInvariantError("Prim produced a non-spanning tree")
-    return best_parent, weight
+    return best_parent, float(np.add.accumulate(picked)[-1])
 
 
 def root_tree(parent: Sequence[int]) -> RootedTree:

@@ -594,6 +594,15 @@ class TestEarlyValidation:
         assert "line 7: point coordinates must be finite" in capsys.readouterr().err
         assert main(["verify", "--input", str(bad)]) == 3
 
+    def test_huge_coordinates_are_an_input_error(self, tmp_path, capsys, build_counts):
+        bad = tmp_path / "huge.tsp"
+        bad.write_text("NAME : huge\nTYPE : TSP\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\n"
+                       "NODE_COORD_SECTION\n1 0 0\n2 1e200 0\n3 0 1e200\nEOF\n")
+        assert main(["run", "--input", str(bad)]) == 3
+        assert capsys.readouterr().err == (
+            "parse error: point coordinates too far apart: squared distances overflow\n")
+        assert build_counts == {"mst": 0, "root": 0, "distances": 0}
+
 
 TRIANGLE = ("NAME : tri\nTYPE : TSP\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\n"
             "NODE_COORD_SECTION\n1 0 0\n2 3 0\n3 0 4\nEOF\n")

@@ -1,16 +1,30 @@
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubletree import (
     AscentSummary,
     brute_force_optimal,
+    generate_clustered,
     generate_uniform,
     held_karp_ascent,
     held_karp_lower_bound,
     upsweep,
 )
+import doubletree.hk_bound as hk_bound
+from doubletree.hk_bound import (
+    COMPLETE_UP_TO,
+    _candidate_edges,
+    _one_tree,
+    _sparse_one_tree,
+    _with_tree_edges,
+)
 
+import hk_gate
+import reference_prim
 from conftest import make_instance, mst_tree, random_instance
 
 
@@ -77,11 +91,12 @@ class TestAscentSummary:
         inst = generate_uniform(60, seed=2, box=1e6)
         got = held_karp_ascent(inst, mst_tree(inst), 200)
         assert got == AscentSummary(
-            bound=float.fromhex("0x1.78641fac16f81p+22"),
+            bound=float.fromhex("0x1.79cd0e483fbbfp+22"),
             iterations=200,
-            halvings=5,
-            best_iteration=184,
-            final_gap=float.fromhex("0x1.db61300fc2b60p+20"),
+            halvings=11,
+            best_iteration=198,
+            final_gap=float.fromhex("0x1.d5bd759f1fa68p+20"),
+            sparse_gap=float.fromhex("0x1.0000000000000p-29"),
         )
 
     def test_lower_bound_is_the_summary_bound(self):
@@ -94,3 +109,114 @@ class TestAscentSummary:
     def test_stops_when_the_one_tree_is_a_tour(self):
         inst = make_instance([(0, 0), (3, 0), (0, 4)])
         assert held_karp_ascent(inst, mst_tree(inst), 50) == AscentSummary(12.0, 1, 0, 1, 0.0)
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    """(instance, seed): lattice points with heavy ties, duplicate points or
+    collinear points, 3 to 40 of them, and a seed for the potentials."""
+    n = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["lattice", "duplicates", "collinear"]))
+    if kind == "lattice":
+        xy = rng.integers(0, draw(st.integers(1, 6)), size=(n, 2))
+    elif kind == "duplicates":
+        base = rng.integers(0, 1000, size=((n + 1) // 2, 2))
+        xy = np.concatenate([base, base[::-1]])[:n]
+    else:
+        t = rng.permutation(n)
+        xy = np.stack([3 * t, 2 * t], axis=1)
+    return make_instance(xy.astype(float), rounded=draw(st.booleans())), int(rng.integers(2**32))
+
+
+class TestSparseOneTree:
+    @settings(max_examples=200, deadline=None)
+    @given(tie_heavy_cases())
+    def test_complete_candidates_give_the_dense_one_tree(self, case):
+        inst, seed = case
+        n, dist = inst.n, inst.distances
+        u, v = np.triu_indices(n - 1, 1)
+        u, v = u + 1, v + 1
+        scale = max(1.0, float(np.ptp(inst.coords)))
+        pi = np.random.default_rng(seed).normal(0.0, scale / 10.0, n)
+        graph = (n, u, v, dist.pairs(u, v), dist.pairs(0, slice(None)))
+        got_w, got_deg = _sparse_one_tree(*graph, pi)
+        want_w, want_deg, _ = _one_tree(dist, pi)
+        assert got_deg.tolist() == want_deg.tolist()
+        # the same edges, summed in another order
+        assert got_w == pytest.approx(want_w, rel=1e-12, abs=1e-12 * n * scale)
+        # at zero potentials the ties pick other trees of the same weight
+        got_w, got_deg = _sparse_one_tree(*graph, np.zeros(n))
+        want_w, want_deg, _ = _one_tree(dist, np.zeros(n))
+        assert got_deg.sum() == want_deg.sum() == 2 * n
+        assert got_w == pytest.approx(want_w, rel=1e-12, abs=1e-12 * n * scale)
+
+    @pytest.mark.parametrize("n", range(3, COMPLETE_UP_TO + 1))
+    def test_small_instances_have_complete_candidates(self, n):
+        inst = random_instance(n, seed=n)
+        u, v = _candidate_edges(inst, np.full(n, -1))
+        assert sorted(zip(u.tolist(), v.tolist())) == [
+            (a, b) for a in range(1, n) for b in range(a + 1, n)]
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("klass", ["uniform", "clustered"])
+    def test_sparse_gap(self, klass):
+        inst = {"uniform": generate_uniform, "clustered": generate_clustered}[klass](300, 5, 1e6)
+        got = held_karp_ascent(inst, mst_tree(inst), 100)
+        assert got.best_iteration > 1
+        # a sparse 1-tree is never lighter than the dense one at the same potentials
+        assert got.sparse_gap >= -1e-9 * got.bound
+        assert got.final_gap > 0.0
+
+    def test_one_step_builds_no_candidates(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("candidate graph built for a single step")
+
+        monkeypatch.setattr("doubletree.hk_bound._candidate_edges", refuse)
+        inst = generate_uniform(100, seed=6, box=1e6)
+        got = held_karp_ascent(inst, mst_tree(inst), 1)
+        want, _, _ = _one_tree(inst.distances, np.zeros(inst.n))
+        assert got == AscentSummary(float(want), 1, 0, 1, got.final_gap, 0.0)
+
+
+    def test_at_most_one_certificate_per_round(self, monkeypatch):
+        calls = []
+
+        def counted(dist, pi):
+            calls.append(pi)
+            return _one_tree(dist, pi)
+
+        monkeypatch.setattr(hk_bound, "_one_tree", counted)
+        inst = generate_uniform(300, seed=7, box=1e6)
+        held_karp_ascent(inst, mst_tree(inst), 1000)
+        # step 1, at most one per round, one after the last step
+        assert 2 <= len(calls) <= 1 + hk_bound.ROUNDS + 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_collinear_points_within_the_gate(self, seed):
+        # on a line the nearest neighbours miss the long edges a 1-tree takes
+        # under large potentials; the certificates' edges make up for them
+        t = np.random.default_rng(seed).permutation(100).astype(float)
+        inst = make_instance(np.stack([3.0 * t, 2.0 * t], axis=1))
+        tree = mst_tree(inst)
+        got = held_karp_lower_bound(inst, tree, 1000)
+        want = reference_prim.held_karp_lower_bound(inst, tree, 1000)
+        assert 100.0 * (got / want - 1.0) >= hk_gate.EACH_FLOOR
+
+
+def test_with_tree_edges():
+    u, v = _with_tree_edges(6, np.array([3, 1]), np.array([1, 2]), np.array([-1, -1, 1, 5, 3, 1]))
+    assert list(zip(u.tolist(), v.tolist())) == [(1, 2), (1, 3), (1, 5), (3, 4), (3, 5)]
+
+
+class TestQualityGate:
+    """A small run of ``tests/hk_gate.py``: the certified bound against the
+    dense reference ascent on three 200-node instances of each kind, at the
+    gate's step counts and with its thresholds."""
+
+    @pytest.mark.parametrize("steps", hk_gate.STEPS)
+    def test_small_gate(self, steps):
+        diffs = [hk_gate.compare(klass, 200, seed, steps)[3]
+                 for klass in hk_gate.GENERATORS for seed in (1, 2, 3)]
+        assert hk_gate.passes(diffs), diffs

@@ -79,6 +79,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             make_instance([(0.0, float("inf"))])
 
+    def test_rejects_spans_whose_squares_overflow(self):
+        for bad in ([(0.0, 0.0), (1e154, 0.0), (0.0, 1e154)], [(-1e200, 0.0), (1e200, 0.0)]):
+            with pytest.raises(ValueError, match="squared distances overflow"):
+                make_instance(bad)
+        # far from the origin is fine while the points are close to each other
+        for ok in ([(0.0, 0.0), (1e154, 0.0)], [(1e160, -1e160), (1e160 + 1e150, -1e160)]):
+            inst = make_instance(ok)
+            assert np.isfinite(inst.distances.pairs(0, 1))
+
     def test_instance_count_mismatch(self):
         for bad in ([], [(0.0, 0.0, 0.0)], [0.0, 1.0]):
             with pytest.raises(ValueError, match=r"\(n, 2\)"):

@@ -1,16 +1,19 @@
 """Differential tests for the row-at-a-time Prim kernels.
 
-The minimum spanning tree, the 1-tree and the Held-Karp bound are compared
-bit for bit against the frozen dense scans in ``reference_prim.py``, on
-inputs with many ties (rounded integer points, duplicates, collinear points)
-as well as generic ones.  Every case runs twice: with the distance matrix
-cached and with ``MATRIX_CACHE_LIMIT`` set low, so rows are recomputed from
-coordinates.
+The minimum spanning tree and the dense 1-tree are compared bit for bit
+against the frozen dense scans in ``reference_prim.py``, on inputs with many
+ties (rounded integer points, duplicates, collinear points) as well as
+generic ones.  The Held-Karp bound, whose ascent runs on a sparse
+candidate graph, must be the value of a dense 1-tree and stay within the
+quality gate of ``hk_gate.py`` against the reference ascent.  Every case
+runs twice: with the distance matrix cached and with ``MATRIX_CACHE_LIMIT``
+set low, so rows and candidate blocks are recomputed from coordinates.
 """
 
 import numpy as np
 import pytest
 
+import doubletree.hk_bound as hk_bound
 import doubletree.instances as instances
 from doubletree import (
     depth_first_shortcut,
@@ -18,11 +21,19 @@ from doubletree import (
     generate_uniform,
     minimum_spanning_tree,
     root_tree,
+    upsweep,
 )
-from doubletree.hk_bound import _one_tree, held_karp_lower_bound
+from doubletree.hk_bound import (
+    NEAREST,
+    PER_QUADRANT,
+    _candidate_edges,
+    _one_tree,
+    held_karp_lower_bound,
+)
 
+import hk_gate
 import reference_prim
-from conftest import make_instance
+from conftest import distance_matrix, make_instance
 
 
 def _rounded_lattice(n, seed):
@@ -118,13 +129,66 @@ class TestFrozenPrim:
             pi = np.random.default_rng(3).normal(0.0, scale, inst.n)
         else:
             pi = _ascent_potentials(inst, root_tree(minimum_spanning_tree(inst)[0]), 50)
-        got_w, got_deg = _one_tree(inst.distances, pi)
+        got_w, got_deg, _ = _one_tree(inst.distances, pi)
         want_w, want_deg = reference_prim._one_tree(inst.distances, pi)
         assert repr(got_w) == repr(want_w)
         assert got_deg.tolist() == want_deg.tolist()
 
-    def test_bound(self, build, name):
+    def test_bound(self, build, name, monkeypatch):
         inst = build(name)
         tree = root_tree(minimum_spanning_tree(inst)[0])
+        dense_values = []
+
+        def recorded(dist, pi):
+            out = _one_tree(dist, pi)
+            dense_values.append(out[0] + 2.0 * float(pi.sum()))
+            return out
+
+        monkeypatch.setattr(hk_bound, "_one_tree", recorded)
         got = held_karp_lower_bound(inst, tree, iterations=50)
-        assert repr(got) == repr(reference_prim.held_karp_lower_bound(inst, tree, iterations=50))
+        # valid by construction: the value of a dense 1-tree, below a tour
+        assert got in dense_values
+        assert got <= upsweep(inst, tree).weight
+
+    def test_bound_within_the_gate(self, build, name):
+        # 300 steps: over 50 steps both ascents are still far from settled,
+        # and on tie-heavy inputs either can lead by about a percent
+        inst = build(name)
+        tree = root_tree(minimum_spanning_tree(inst)[0])
+        got = held_karp_lower_bound(inst, tree, iterations=300)
+        want = reference_prim.held_karp_lower_bound(inst, tree, iterations=300)
+        assert 100.0 * (got / want - 1.0) >= hk_gate.EACH_FLOOR
+
+    def test_candidate_graph(self, build, name):
+        inst = build(name)
+        n = inst.n
+        _, _, spanning = _one_tree(inst.distances, np.zeros(n))
+        u, v = _candidate_edges(inst, spanning)
+        keys = u * n + v
+        assert (u >= 1).all() and (u < v).all() and (v < n).all() and (np.diff(keys) > 0).all()
+        kids = np.flatnonzero(spanning >= 0)
+        assert np.isin(np.minimum(kids, spanning[kids]) * n + np.maximum(kids, spanning[kids]),
+                       keys).all()
+        neighbours = [set() for _ in range(n)]
+        for a, b in zip(u.tolist(), v.tolist()):
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+        seen, stack = {1}, [1]
+        while stack:  # connected once node 0 is removed
+            for b in neighbours[stack.pop()] - seen:
+                seen.add(b)
+                stack.append(b)
+        assert seen == set(range(1, n))
+        d = distance_matrix(inst.distances)
+        xy = inst.coords
+        for i in range(1, n):
+            others = np.array([j for j in range(1, n) if j != i])
+            mine = np.array(sorted(neighbours[i]))
+            # the nearest distances, overall and in each quadrant, are all candidates
+            assert np.sort(d[i, mine])[:NEAREST].tolist() == np.sort(d[i, others])[:NEAREST].tolist()
+            east, west = xy[:, 0] > xy[i, 0], xy[:, 0] < xy[i, 0]
+            north, south = xy[:, 1] > xy[i, 1], xy[:, 1] < xy[i, 1]
+            for quadrant in (east & ~south, north & ~east, west & ~north, south & ~west):
+                want = np.sort(d[i, others[quadrant[others]]])[:PER_QUADRANT]
+                got = np.sort(d[i, mine[quadrant[mine]]])[:want.size]
+                assert got.tolist() == want.tolist()
