@@ -17,9 +17,9 @@ The ascent runs its steps on two graphs (Helsgaun 2000, as in LKH):
   every pair.  Node 0's two edges still come from its dense row.  The graph
   is built only when a second step runs.
 * Certificates: the steps run in ``ROUNDS`` rounds of equal length.  At
-  the end of each, the potentials of the best step so far get a dense
-  1-tree if a sparse step gave them, and so once more after the last
-  step.  The exact value becomes the one later steps must beat, and the
+  the end of a round and at the step where the ascent stops, the
+  potentials of the best step so far get a dense 1-tree unless they have
+  one.  The exact value becomes the one later steps must beat, and the
   dense tree's spanning edges join the candidate graph, so the graph grows
   where it overstated the 1-tree.
 
@@ -28,13 +28,14 @@ itself.  The result is the largest value of a dense 1-tree: step 1's or a
 certificate's, so it is a valid lower bound whatever the candidate graph
 missed.
 
-Defaults: 1000 iterations, step factor 2.0 halved after every
-``patience = max(5, iterations // 20)`` consecutive non-improving steps,
-upper bound from the depth-first traversal tour of the rooted minimum
-spanning tree.  (With ``iterations // 10`` the ascent was still climbing at
-its last steps, and where it ended moved by half a percent under a small
-change of its path; the floor of 5 keeps short ascents from halving every
-step or two.)  The ascent is fully deterministic.
+The ascent stops at its last step, at a 1-tree that is a tour, or at one
+that reaches the step target: the weight of the depth-first traversal tour
+of the rooted minimum spanning tree.  The step factor starts at 2.0 and
+halves after every ``patience = max(5, iterations // 20)`` consecutive
+non-improving steps.  (With ``iterations // 10`` the ascent was still
+climbing at its last steps, and where it ended moved by half a percent
+under a small change of its path; the floor of 5 keeps short ascents from
+halving every step or two.)
 
 Memory: the dense scans read one row at a time, and the candidate graph is
 built from blocks of at most ``BLOCK_ENTRIES`` distances (recomputed from
@@ -206,8 +207,8 @@ class AscentSummary(NamedTuple):
     """How a subgradient ascent went (a named tuple: cheaper to define at
     import than a frozen dataclass, and as immutable).
 
-    ``iterations`` counts the 1-trees built (fewer than asked when the
-    1-tree became a tour or reached the step target), ``best_iteration`` is
+    ``iterations`` counts the steps taken (fewer than asked when a step's
+    1-tree was a tour or reached the step target), ``best_iteration`` is
     the 1-based iteration whose potentials gave ``bound``, and ``final_gap``
     is the depth-first tour weight minus ``bound``.  ``sparse_gap`` is the
     highest value any step reached minus ``bound``: how far the candidate
@@ -219,7 +220,7 @@ class AscentSummary(NamedTuple):
     halvings: int
     best_iteration: int
     final_gap: float
-    sparse_gap: float = 0.0
+    sparse_gap: float
 
 
 def held_karp_ascent(inst: Instance, tree: RootedTree, iterations: int = 1000) -> AscentSummary:
@@ -245,61 +246,47 @@ def held_karp_ascent(inst: Instance, tree: RootedTree, iterations: int = 1000) -
         reduced, degrees, parent = _one_tree(dist, pi)
         return reduced + 2.0 * float(pi.sum()), degrees, parent
 
-    pi = np.zeros(n)
-    graph = None
-    best = peak = -np.inf
-    best_at = 0
-    best_pi = pi
+    pi = best_pi = np.zeros(n)
+    bound, degrees, parent = exact(pi)  # step 1: dense, at zero potentials
+    best = peak = certified = bound
+    it = best_at = certified_at = checked_at = 1
     lam = 2.0
     patience = max(5, iterations // 20)
     round_length = -(-iterations // ROUNDS)
-    stall = 0
-    halvings = 0
-    for it in range(1, iterations + 1):
-        if it == 1:
-            bound, degrees, parent = exact(pi)
-            certified = bound
-            certified_at = checked_at = 1
-        else:
-            if graph is None:
-                u, v = _candidate_edges(inst, parent)
-                graph = (n, u, v, dist.pairs(u, v), dist.pairs(0, slice(None)))
-            reduced, degrees = _sparse_one_tree(*graph, pi)
-            bound = reduced + 2.0 * float(pi.sum())
+    stall = halvings = 0
+    while True:
+        g = 2.0 - degrees
+        norm_sq = float(g @ g)
+        gap = upper - bound
+        # stop at the last step, at a tour (no step moves the potentials) or at the step target
+        stop = it == iterations or norm_sq == 0.0 or gap <= 0.0
+        if (stop or it % round_length == 0) and best_at > checked_at:
+            # certify the best potentials, make the exact value the one to
+            # beat, and add the dense tree's edges to the candidate graph
+            best, _, parent = exact(best_pi)
+            checked_at = best_at
+            if best > certified:
+                certified, certified_at = best, best_at
+            u, v = _with_tree_edges(n, u, v, parent)
+            length = dist.pairs(u, v)
+        if stop:
+            break
+        pi = pi + lam * gap / norm_sq * g
+        it += 1
+        if it == 2:  # the first sparse step: candidates around step 1's tree
+            u, v = _candidate_edges(inst, parent)
+            length, d0 = dist.pairs(u, v), dist.pairs(0, slice(None))
+        reduced, degrees = _sparse_one_tree(n, u, v, length, d0, pi)
+        bound = reduced + 2.0 * float(pi.sum())
         peak = max(peak, bound)
         if bound > best:
-            best = bound
-            best_at = it
-            best_pi = pi
-            stall = 0
+            best, best_at, best_pi, stall = bound, it, pi, 0
         else:
             stall += 1
             if stall >= patience:
                 lam *= 0.5
                 halvings += 1
                 stall = 0
-        if it % round_length == 0 and best_at > checked_at:
-            # end of a round: certify the best potentials, make the exact
-            # value the one to beat, and add the dense tree's edges
-            best, _, parent = exact(best_pi)
-            checked_at = best_at
-            if best > certified:
-                certified, certified_at = best, best_at
-            _, u, v, _, d0 = graph
-            u, v = _with_tree_edges(n, u, v, parent)
-            graph = (n, u, v, dist.pairs(u, v), d0)
-        g = 2.0 - degrees
-        norm_sq = float(g @ g)
-        if norm_sq == 0.0:
-            break  # the 1-tree is a tour: no step moves the potentials
-        gap = upper - bound
-        if gap <= 0.0:
-            break
-        pi = pi + lam * gap / norm_sq * g
-    if best_at > checked_at:
-        value, _, _ = exact(best_pi)
-        if value > certified:
-            certified, certified_at = value, best_at
     return AscentSummary(float(certified), it, halvings, certified_at,
                          float(upper - certified), float(peak - certified))
 

@@ -87,14 +87,20 @@ def _cycle_chunks(n: int) -> Iterator[np.ndarray]:
     """Canonical Hamiltonian cycles as (m, n) index arrays, in lex order.
 
     Node 0 is fixed first; reflections are removed by requiring
-    order[1] < order[n-1].
+    order[1] < order[n-1].  Up to n = 9 they come as one cached chunk.
     """
     if n <= 2:
         yield np.arange(n, dtype=np.int64)[None, :]
-        return
-    if n <= 9:
+    elif n <= 9:
         yield _small_cycles(n)
-        return
+    else:
+        yield from _permutation_chunks(n)
+
+
+def _permutation_chunks(n: int) -> Iterator[np.ndarray]:
+    """The canonical cycles of n >= 3 nodes from ``_CHUNK`` permutations of
+    1..n-1 at a time.  A chunk the reflections leave empty is skipped: at
+    n = 10 the last 2,880 permutations all start with 9."""
     it = itertools.permutations(range(1, n))
     while True:
         block = list(itertools.islice(it, _CHUNK))
@@ -111,11 +117,7 @@ def _cycle_chunks(n: int) -> Iterator[np.ndarray]:
 
 @lru_cache(maxsize=8)
 def _small_cycles(n: int) -> np.ndarray:
-    perms = np.array(list(itertools.permutations(range(1, n))), dtype=np.int64)
-    perms = perms[perms[:, 0] < perms[:, -1]]
-    full = np.empty((perms.shape[0], n), dtype=np.int64)
-    full[:, 0] = 0
-    full[:, 1:] = perms
+    (full,) = _permutation_chunks(n)  # (n - 1)! <= _CHUNK for 3 <= n <= 9
     full.setflags(write=False)
     return full
 

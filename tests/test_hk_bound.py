@@ -108,7 +108,19 @@ class TestAscentSummary:
 
     def test_stops_when_the_one_tree_is_a_tour(self):
         inst = make_instance([(0, 0), (3, 0), (0, 4)])
-        assert held_karp_ascent(inst, mst_tree(inst), 50) == AscentSummary(12.0, 1, 0, 1, 0.0)
+        assert held_karp_ascent(inst, mst_tree(inst), 50) == AscentSummary(12.0, 1, 0, 1, 0.0, 0.0)
+
+    def test_stops_at_the_step_target(self):
+        # step 1's 1-tree is no tour (degrees 2, 2, 2, 3, 3, 2, 1, 1), but its
+        # value equals the depth-first tour's weight
+        inst = make_instance([(2, 0), (0, 0), (0, 4), (2, 2), (0, 2), (4, 2), (2, 4), (4, 4)])
+        assert held_karp_ascent(inst, mst_tree(inst), 50) == AscentSummary(16.0, 1, 0, 1, 0.0, 0.0)
+
+    def test_certifies_at_the_stop_step(self):
+        # a sparse step reaches the step target; its potentials get the
+        # certificate before the ascent stops
+        inst = make_instance([(3, 4), (0, 0), (4, 0), (2, 0)], rounded=True)
+        assert held_karp_ascent(inst, mst_tree(inst), 50) == AscentSummary(13.0, 2, 0, 2, 0.0, 0.0)
 
 
 @st.composite
@@ -190,8 +202,10 @@ class TestCertificate:
         monkeypatch.setattr(hk_bound, "_one_tree", counted)
         inst = generate_uniform(300, seed=7, box=1e6)
         held_karp_ascent(inst, mst_tree(inst), 1000)
-        # step 1, at most one per round, one after the last step
-        assert 2 <= len(calls) <= 1 + hk_bound.ROUNDS + 1
+        # step 1, then at most one per round: a stop step that ends no round
+        # comes before the last round's end, so it stands in for that one
+        assert len(calls) <= 1 + hk_bound.ROUNDS
+        assert len(calls) == 6
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_collinear_points_within_the_gate(self, seed):
