@@ -21,6 +21,8 @@ violation, 5 internal invariant failure.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import math
 import sys
 import time
@@ -29,7 +31,7 @@ from typing import Optional, Sequence, TextIO
 
 from .downsweep import Tour, downsweep, write_tour_plain, write_tour_tsplib
 from .errors import ConfigError, GuardError, InternalInvariantError, ParseError
-from .hk_bound import held_karp_lower_bound
+from .hk_bound import HK_ITERATIONS, held_karp_lower_bound
 from .instances import (
     Instance,
     Metric,
@@ -87,7 +89,9 @@ class RunRecord:
     error: Optional[Exception] = None
 
     def csv_row(self) -> str:
-        return ",".join(
+        """The record as one CSV line; only a field holding ``,`` or ``"`` is quoted."""
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="").writerow(
             [
                 self.instance,
                 str(self.n),
@@ -102,6 +106,7 @@ class RunRecord:
                 str(self.seed),
             ]
         )
+        return buf.getvalue()
 
 
 def _fmt(x: float) -> str:
@@ -312,7 +317,7 @@ def run_suite(
     grid: Sequence[Cell],
     klass: str = "uniform",
     box: float = DEFAULT_BOX,
-    hk_iterations: int = 1000,
+    hk_iterations: int = HK_ITERATIONS,
     timing: bool = False,
     log: Optional[TextIO] = None,
 ) -> str:
@@ -324,9 +329,11 @@ def run_suite(
     """
     if seeds < 1:
         raise ConfigError("need at least one seed")
-    for size in sizes:
+    for i, size in enumerate(sizes):
         if size < 4:
             raise ConfigError(f"suite sizes must be >= 4, got {size}")
+        if size in sizes[:i]:
+            raise ConfigError(f"suite size {size} is repeated")
     _check_generator(klass)
     _check_full_search(max(sizes), grid)
     _check_hk_iterations(hk_iterations)
@@ -415,7 +422,7 @@ def emit_plot(inst: Instance, tree: RootedTree, tour: Tour, path: str) -> None:
 
 def run_verify(inst: Instance, out: TextIO) -> None:
     check_oracle_size(inst.n)
-    record = _build_cell(inst, (1, None), 1000, 0)
+    record = _build_cell(inst, (1, None), HK_ITERATIONS, 0)
     tour, tree = record.tour, record.tree
     oracle = enumerate_conforming_min(inst, tree)
     optimal = brute_force_optimal(inst)
@@ -468,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--heuristic", choices=["dt", "dtk"], default="dt")
     p_run.add_argument("--degree-limit", type=int, default=1)
     p_run.add_argument("--depth", default=None, help="search depth (int or 'inf')")
-    p_run.add_argument("--hk-iterations", type=int, default=1000)
+    p_run.add_argument("--hk-iterations", type=int, default=HK_ITERATIONS)
     p_run.add_argument("--tour-out", default=None)
     p_run.add_argument(
         "--tour-format", choices=["tsplib", "plain"], default="tsplib"
@@ -486,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--class", dest="klass", choices=GENERATORS,
                          default="uniform")
     p_suite.add_argument("--box", type=float, default=DEFAULT_BOX)
-    p_suite.add_argument("--hk-iterations", type=int, default=1000)
+    p_suite.add_argument("--hk-iterations", type=int, default=HK_ITERATIONS)
     p_suite.add_argument("--timing", action="store_true",
                          help="report measured wall times (breaks rerun byte-identity)")
     p_suite.add_argument("-o", "--output", required=True, help="CSV file ('-' = stdout)")
@@ -558,7 +565,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     grid = parse_grid(args.grid)
     if args.include_full:
         grid = [(1, None)] + [g for g in grid if g != (1, None)]
-    csv = run_suite(
+    text = run_suite(
         sizes,
         args.seeds,
         grid,
@@ -568,7 +575,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         timing=args.timing,
         log=sys.stderr,
     )
-    _write_text(args.output, csv)
+    _write_text(args.output, text)
     return 0
 
 

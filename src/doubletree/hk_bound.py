@@ -60,6 +60,7 @@ PER_QUADRANT = 2  # nearest neighbours per quadrant, for clustered points
 COMPLETE_UP_TO = 12  # up to this n every pair is a candidate
 BLOCK_ENTRIES = 1 << 17  # distances per block while the candidates are picked
 ROUNDS = 5  # each ascent is cut into this many rounds, each ended by a certificate
+HK_ITERATIONS = 1000  # default ascent length
 
 
 def _add_node_zero(
@@ -213,6 +214,8 @@ class AscentSummary(NamedTuple):
     is the depth-first tour weight minus ``bound``.  ``sparse_gap`` is the
     highest value any step reached minus ``bound``: how far the candidate
     graph's 1-trees overstated the bound (0.0 when no step beat step 1).
+    It can also be a few ulps below 0, since the dense and the sparse
+    1-tree sum their edges in different orders and round differently.
     """
 
     bound: float
@@ -223,7 +226,9 @@ class AscentSummary(NamedTuple):
     sparse_gap: float
 
 
-def held_karp_ascent(inst: Instance, tree: RootedTree, iterations: int = 1000) -> AscentSummary:
+def held_karp_ascent(
+    inst: Instance, tree: RootedTree, iterations: int = HK_ITERATIONS
+) -> AscentSummary:
     """Subgradient ascent on 1-tree potentials, with its summary.
 
     ``tree`` is the instance's rooted minimum spanning tree (``root_tree`` of
@@ -291,6 +296,8 @@ def held_karp_ascent(inst: Instance, tree: RootedTree, iterations: int = 1000) -
                          float(upper - certified), float(peak - certified))
 
 
-def held_karp_lower_bound(inst: Instance, tree: RootedTree, iterations: int = 1000) -> float:
+def held_karp_lower_bound(
+    inst: Instance, tree: RootedTree, iterations: int = HK_ITERATIONS
+) -> float:
     """Best 1-tree Lagrangian bound found by ``held_karp_ascent``."""
     return held_karp_ascent(inst, tree, iterations).bound

@@ -35,11 +35,12 @@ block per mask.  With B = 0 the full sum equals the inner sum, and the x
 candidates are in id order, so the first argmin along x is already the
 lowest attaining x and the tie pass of the general step is not needed.
 
-Each child's bridges are kept as ``(2^c_u, 2^c_v)`` weight and jump-edge
-arrays for tour reconstruction (the ``(2^c_u, 1)`` arrays of batched leaves
-are column views of one array per node), 4^d n entries at most; the tables
-themselves are released as soon as the parent is done, so at most 2^d n
-table entries are live at once.
+Bridges are kept for tour reconstruction in one store per node u: a weight
+array and a jump-edge array of shape ``(2^c_u, sum_v 2^c_v)``, where child v
+owns the column block of its masks W.  A jump edge (x, y) is stored as the
+key ``x * n + y`` the tie pass ranks by, -1 where the bridge is absent.  The
+stores hold 4^d n entries at most; the tables themselves are released as
+soon as the parent is done, so at most 2^d n table entries are live at once.
 
 With a finite search depth k, a destination is kept only while its tree
 distance from the table's node stays within k.  Every child sits at distance
@@ -50,6 +51,7 @@ always has a candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -59,7 +61,7 @@ from .instances import Instance
 from .spanning_tree import RootedTree
 
 # Largest predicted totals a pass may allocate, checked before any table is
-# built.  Bridges are kept to the end, 24 bytes per entry: D = 8 at n = 1000
+# built.  Bridges are kept to the end, 16 bytes per entry: D = 8 at n = 1000
 # needs about 6.3e6 of them, a degree limit of 12 there about 1e9.  Tables
 # are released as the pass goes, so their total measures fill time, not
 # memory; exact search (D = 1) at n = 10000 needs about 1.5e7.
@@ -98,7 +100,7 @@ class PreorderLayout:
 _LEAF = np.zeros((1, 1))  # a leaf's table: the empty mask, 0 at the leaf
 _LEAF.flags.writeable = False
 
-Bridges = tuple[np.ndarray, np.ndarray]  # weights (R, C) and jump edges (2, R, C)
+Bridges = tuple[np.ndarray, np.ndarray]  # weights and jump edges x * n + y, both (R, C)
 
 
 @dataclass
@@ -113,14 +115,10 @@ class UpsweepResult:
     def bridge(self, v: int, V: int, W: int) -> tuple[float, int, int]:
         """Weight and jump edge (x, y) of the bridge from u + T(V) into T(W) + v."""
         b = self.bridges[v]
-        if b is not None and V >= 0 and W >= 0:
-            w, xy = b
-            try:
-                x = xy.item(0, V, W)
-            except IndexError:
-                x = -1
-            if x >= 0:
-                return w.item(V, W), x, xy.item(1, V, W)
+        if b is not None and 0 <= V < b[1].shape[0] and 0 <= W < b[1].shape[1]:
+            e = b[1].item(V, W)
+            if e >= 0:
+                return (b[0].item(V, W), *divmod(e, self.n))
         raise InternalInvariantError(f"missing bridge value for child {v}, masks ({V:b}, {W:b})")
 
 
@@ -143,8 +141,9 @@ def node_table(
 ) -> np.ndarray:
     """u's ``(2^c, size[u])`` table, built from its children's tables.
 
-    Stores each child v's bridges in ``bridges[v]``; rows V that contain v
-    itself are never computed and keep the absent marker x = -1.
+    Stores each child v's bridges in ``bridges[v]``, a column block of u's
+    bridge store; rows V that contain v itself are never computed and keep
+    the absent marker -1.
     """
     tree = layout.tree
     cu = tree.children[u]
@@ -163,21 +162,22 @@ def node_table(
     n = inst.n
     limit = None if k is None else tree.depth[u] + k
 
+    # one bridge store for all children; child i owns columns [cols[i], cols[i + 1])
+    cols = [0, *accumulate(1 << len(tree.children[v]) for v in cu)]
+    bw = np.full((1 << c, cols[-1]), np.inf)
+    bxy = np.full(bw.shape, -1, dtype=np.intp)
+    for v, a, b in zip(cu, cols, cols[1:]):
+        bridges[v] = (bw[:, a:b], bxy[:, a:b])
+
     # leaf children share one step per mask
     leaves = [i for i, v in enumerate(cu) if not tree.children[v]]
     if leaves:
-        lid = np.array([cu[i] for i in leaves])
+        lid, lbit, lbc = np.array([(cu[i], 1 << i, cols[i]) for i in leaves]).T
         lcol = layout.pre[lid] - p0
-        lbit = np.array([1 << i for i in leaves])
         leafmask = int(lbit.sum())
         masks = np.arange(1 << c)[:, None]
         free = masks & lbit == 0  # (V, leaf): the leaf is not in V
         rows = masks | lbit
-        lw = np.full(free.shape, np.inf)
-        lxy = np.full((2,) + free.shape, -1, dtype=np.intp)
-        lxy[1] = np.where(free, lid, -1)
-        for j, v in enumerate(lid.tolist()):
-            bridges[v] = (lw[:, j : j + 1], lxy[:, :, j : j + 1])
 
     if c > 1:  # x candidates of the nonempty masks: columns within k of u, in id order
         xs = np.arange(ids_u.size) if limit is None else np.flatnonzero(depth_u <= limit)
@@ -198,10 +198,7 @@ def node_table(
         kept = B[:, keep]
         # each kept destination below v is swept by half of v's nonempty masks
         ext = (kept.shape[1] - 1) * (B.shape[0] // 2)
-        w = np.full((1 << c, B.shape[0]), np.inf)
-        xy = np.full((2, 1 << c, B.shape[0]), -1, dtype=np.intp)
-        bridges[v] = (w, xy)
-        kids.append((1 << i, ids_u[span][live], B[:, live], kept, span, keep, ext, w, xy))
+        kids.append((1 << i, ids_u[span][live], B[:, live], kept, span, keep, ext, *bridges[v]))
 
     # V | bit > V, so every row is complete before it is read
     for V in range((1 << c) - 1):
@@ -215,8 +212,8 @@ def node_table(
             # B = 0 at a leaf (see "Leaves" above): the bridge is the extension
             f = free[V]
             M = A[:, None] + dist.pairs(x_ids[:, None], lid[f])
-            lw[V, f] = best = M.min(axis=0)
-            lxy[0, V, f] = x_ids[M.argmin(axis=0)]
+            bw[V, lbc[f]] = best = M.min(axis=0)
+            bxy[V, lbc[f]] = x_ids[M.argmin(axis=0)] * n + lid[f]
             table[rows[V, f], lcol[f]] = best
             stats.quad_evals += M.size
             stats.bip_entries += best.size
@@ -245,7 +242,7 @@ def node_table(
                 lowest = np.full(best.size, pair.max())
                 np.minimum.at(lowest, Ws, pair)
                 pair = lowest
-            xy[0, V], xy[1, V] = np.divmod(pair, n)
+            xy[V] = pair
             stats.bip_entries += best.size
             stats.extension_evals += ext
             table[V | bit, span][keep] = (best[::-1, None] + kept).min(axis=0)

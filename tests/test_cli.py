@@ -1,3 +1,4 @@
+import csv
 import subprocess
 import sys
 import tracemalloc
@@ -10,6 +11,8 @@ from doubletree.instances import PairwiseDistances
 from doubletree.spanning_tree import minimum_spanning_tree, root_tree
 
 from doubletree import (
+    Instance,
+    Metric,
     enumerate_conforming_min,
     generate_uniform,
     parse_tsplib,
@@ -209,6 +212,14 @@ class TestSuite:
         rows = out.read_text().splitlines()[1:]
         assert [row.split(",")[2] for row in rows] == ["DT", "DT_1_4", "DT", "DT_1_4"]
 
+    def test_repeated_sizes_rejected(self, tmp_path, capsys, build_counts):
+        out = tmp_path / "s.csv"
+        assert main(["suite", "--sizes", "6,8,6", "--seeds", "1", "--grid", "1x4",
+                     "-o", str(out)]) == 2
+        assert "suite size 6 is repeated" in capsys.readouterr().err
+        assert build_counts["mst"] == 0
+        assert not out.exists()
+
     def test_wall_times_only_with_timing(self):
         wall = CSV_HEADER.split(",").index("wall_time_ms")
         kwargs = dict(sizes=[8], seeds=2, grid=[(1, 4), (3, None)], hk_iterations=50)
@@ -248,6 +259,16 @@ class TestCliCommands:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines[1].split(",")) == len(CSV_HEADER.split(","))
+
+    @pytest.mark.parametrize("name", ["a,b", '"a" set'])
+    def test_run_csv_quotes_instance_name(self, tmp_path, capsys, name):
+        path = tmp_path / "named.tsp"
+        coords = generate_uniform(8, 1, 1.0).coords
+        path.write_text(write_tsplib(Instance(name, coords, Metric.EUC_2D_REAL)))
+        assert main(["run", "--input", str(path), "--hk-iterations", "50", "--csv"]) == 0
+        header, row = csv.reader(capsys.readouterr().out.splitlines())
+        assert len(row) == len(header) == 11
+        assert row[0] == name
 
     def test_run_human_output(self, capsys):
         assert main(["run", "--gen", "uniform:n=12,seed=1,box=1.0",

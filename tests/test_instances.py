@@ -123,6 +123,8 @@ class TestGenerators:
             generate_uniform(0, seed=1)
         with pytest.raises(ValueError):
             generate_uniform(5, seed=1, box=0.0)
+        with pytest.raises(ValueError, match="box must be positive"):
+            generate_clustered(5, seed=1, box=0.0)
 
     def test_clustered_degenerate_cluster(self):
         # one cluster: every point lies within 6 sigma of the cluster mean

@@ -11,10 +11,13 @@ from doubletree import (
     RootedTree,
     Tour,
     brute_force_optimal,
+    degree_increase,
     depth_first_shortcut,
     enumerate_conforming_min,
+    generate_uniform,
     is_conforming,
     minimum_spanning_tree,
+    upsweep,
 )
 from doubletree.oracles import _cycle_chunks, conforming_mask
 
@@ -112,6 +115,18 @@ class TestEnumerateConformingMin:
         inst = random_instance(12, seed=0)
         with pytest.raises(GuardError):
             enumerate_conforming_min(inst, mst_tree(inst))
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    @pytest.mark.parametrize("D", [1, 3])
+    def test_chunks_without_admissible_cycles(self, seed, D):
+        # at n = 10 the cycles come in several chunks; with D = 1 the last
+        # chunk of seed 1 and the last two of seed 3 hold no admissible cycle
+        inst = generate_uniform(10, seed, 1.0)
+        tree = mst_tree(inst)
+        if D > 1:
+            tree = degree_increase(tree, D)
+        oracle = enumerate_conforming_min(inst, tree).weight
+        assert upsweep(inst, tree).weight == pytest.approx(oracle, rel=0, abs=1e-9)
 
     def test_deterministic(self):
         inst = random_instance(8, seed=77)

@@ -148,7 +148,7 @@ class TestBipartitionPathWeight:
         res = upsweep(collinear3, tree)
         # a parent-side mask holding v itself is never computed
         _, xy = res.bridges[1]
-        assert xy[:, 1, :].tolist() == [[-1, -1], [-1, -1]]
+        assert xy[1].tolist() == [-1, -1]
         for V, W in ((1, 0), (1, 1), (0, 2), (2, 0)):
             with pytest.raises(InternalInvariantError):
                 res.bridge(1, V, W)
@@ -161,7 +161,7 @@ class TestBipartitionPathWeight:
         res = upsweep(star5, tree)
         for i, v in enumerate(tree.children[0]):
             w, xy = res.bridges[v]
-            assert w.shape == (16, 1) and xy.shape == (2, 16, 1)
+            assert w.shape == (16, 1) and xy.shape == (16, 1)
             for V in range(16):
                 if V >> i & 1:  # a row holding v itself is never computed
                     with pytest.raises(InternalInvariantError):
@@ -174,6 +174,29 @@ class TestBipartitionPathWeight:
                     assert got[2] == v
         _, bridges = predicted_entries(tree)
         assert bridges == sum(b[0].size for b in res.bridges if b is not None)
+
+
+class TestBridgeStore:
+    @pytest.mark.parametrize("case", ["star5", "deg5"])
+    def test_one_store_per_node(self, case, star5):
+        if case == "star5":
+            inst, tree = star5, RootedTree.from_parents([None, 0, 0, 0, 0])
+        else:
+            inst = random_instance(300, 9)
+            tree = degree_increase(mst_tree(inst), 5)
+            assert tree.max_children == 5
+        res = upsweep(inst, tree, k=4)
+        assert res.bridges[tree.root] is None
+        total = 0
+        for cu in tree.children:
+            if not cu:
+                continue
+            # every child's weights and jump edges are column blocks of one pair of arrays
+            bw, bxy = res.bridges[cu[0]][0].base, res.bridges[cu[0]][1].base
+            assert bw.dtype == np.float64 and bxy.dtype == np.intp
+            assert all(res.bridges[v][0].base is bw and res.bridges[v][1].base is bxy for v in cu)
+            total += bw.nbytes + bxy.nbytes
+        assert total == 16 * predicted_entries(tree)[1]
 
 
 class TestExtendSweep:
