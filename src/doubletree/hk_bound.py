@@ -10,12 +10,14 @@ The ascent runs its steps on two graphs (Helsgaun 2000, as in LKH):
 * Step 1 is an exact dense 1-tree at zero potentials, from the one Prim
   scan (``spanning_tree.prim_scan``), which reads one distance row per step.
 * Steps 2..N build their 1-trees on a sparse candidate graph by a
-  vectorised Boruvka pass.  The graph holds, for each node, its
-  ``NEAREST`` nearest neighbours and its ``PER_QUADRANT`` nearest in each
-  quadrant around it, plus the spanning edges of step 1's 1-tree, so nodes
-  1..n-1 are always connected.  Up to ``COMPLETE_UP_TO`` nodes it holds
-  every pair.  Node 0's two edges still come from its dense row.  The graph
-  is built only when a second step runs.
+  vectorised Boruvka pass.  Its rounds carry the live edges' component
+  arrays, relabel them after each merge and compact them with ``take``, so
+  a round copies only the edges that stay live.  The graph holds, for each
+  node, its ``NEAREST`` nearest neighbours and its ``PER_QUADRANT`` nearest
+  in each quadrant around it, plus the spanning edges of step 1's 1-tree,
+  so nodes 1..n-1 are always connected.  Up to ``COMPLETE_UP_TO`` nodes it
+  holds every pair.  Node 0's two edges still come from its dense row.  The
+  graph is built only when a second step runs.
 * Certificates: the steps run in ``ROUNDS`` rounds of equal length.  At
   the end of a round and at the step where the ascent stops, the
   potentials of the best step so far get a dense 1-tree unless they have
@@ -156,47 +158,51 @@ def _sparse_one_tree(
 ) -> tuple[float, np.ndarray]:
     """Minimum 1-tree whose spanning part uses only the candidate edges (u, v).
 
-    A vectorised Boruvka pass under the strict edge order (reduced weight,
-    edge id), so the tree is unique even under ties.  Each round every
+    ``u < v`` holds for every edge.  A vectorised Boruvka pass under the
+    strict edge order (reduced weight, edge id), so the tree is unique even
+    under ties.  The rounds carry the live edges in id order as four arrays:
+    the components of their ends (``cu``, ``cv``), their reduced weights and
+    their ids.  Round 1 reads ``u`` and ``v`` as the component arrays: every
+    node is its own component, so every edge is live.  Each round every
     component takes its lightest live edge: ``np.minimum.at`` finds the
-    lightest weight at each component, then the smallest id among the edges
-    that attain it.  The components then merge by pointer jumping.  Node 0's
-    two edges come from its dense row ``d0``.
+    lightest weight at each component, then the first position among the
+    edges that attain it, which holds the smallest id.  The components merge
+    by pointer jumping over the roots that took an edge; the component
+    arrays are relabelled through the merged roots, and ``take`` keeps the
+    edges whose ends still differ.  The value sums the taken edges in id
+    order; node 0's two edges come from its dense row ``d0``.
     """
     w = (length - pi[u]) - pi[v]
-    ids = np.arange(u.size)
-    eu, ev, ew = u, v, w
-    comp = np.arange(n)
+    cu, cv, cw, ids = u, v, w, np.arange(u.size)
     taken = np.zeros(u.size, dtype=bool)
-    while True:
-        cu, cv = comp[eu], comp[ev]
-        live = cu != cv
-        if not live.any():
-            break
-        eu, ev, ew, ids, cu, cv = eu[live], ev[live], ew[live], ids[live], cu[live], cv[live]
+    link = np.arange(n)
+    while cu.size:
+        # every ufunc.at index here is 1-D: on numpy 2.4 np.minimum.at with a
+        # 2-D index and 1-D values (not broadcast to its shape) gave garbage
         lightest = np.full(n, np.inf)
-        np.minimum.at(lightest, cu, ew)
-        np.minimum.at(lightest, cv, ew)
-        first = np.full(n, u.size)
-        at_u, at_v = ew == lightest[cu], ew == lightest[cv]
-        np.minimum.at(first, cu[at_u], ids[at_u])
-        np.minimum.at(first, cv[at_v], ids[at_v])
-        roots = np.flatnonzero(first < u.size)
-        e = first[roots]
-        taken[e] = True  # the two ends of an edge may both take it
-        other = np.where(comp[u[e]] == roots, comp[v[e]], comp[u[e]])
-        link = np.arange(n)
-        link[roots] = other
-        # only the two ends of a shared lightest edge point at each other:
-        # the smaller one becomes the merged component's root
-        mutual = roots[(link[other] == roots) & (roots < other)]
-        link[mutual] = mutual
-        while True:
-            jumped = link[link]
-            if np.array_equal(jumped, link):
+        np.minimum.at(lightest, cu, cw)
+        np.minimum.at(lightest, cv, cw)
+        first = np.full(n, cu.size)
+        at = np.flatnonzero(cw == lightest[cu])
+        np.minimum.at(first, cu.take(at), at)
+        at = np.flatnonzero(cw == lightest[cv])
+        np.minimum.at(first, cv.take(at), at)
+        roots = np.flatnonzero(first < cu.size)
+        pick = first[roots]
+        taken[ids.take(pick)] = True  # the two ends of an edge may both take it
+        other = cu.take(pick) + cv.take(pick) - roots
+        # two roots that took the same edge point at each other: the smaller
+        # one becomes the merged component's root
+        to = np.where((first[other] == pick) & (roots < other), roots, other)
+        link[roots] = to
+        while True:  # only the roots' links are ever read
+            jumped = link[to]
+            if (jumped == to).all():
                 break
-            link = jumped
-        comp = link[comp]
+            link[roots] = to = jumped
+        cu, cv = link[cu], link[cv]
+        keep = np.flatnonzero(cu != cv)
+        cu, cv, cw, ids = cu.take(keep), cv.take(keep), cw.take(keep), ids.take(keep)
     tree = np.flatnonzero(taken)
     if tree.size != n - 2:
         raise InternalInvariantError("the candidate graph does not span nodes 1..n-1")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from doubletree import (
     AscentSummary,
+    InternalInvariantError,
     brute_force_optimal,
     generate_clustered,
     generate_uniform,
@@ -25,6 +26,7 @@ from doubletree.hk_bound import (
 
 import hk_gate
 import reference_prim
+import reference_sparse
 from conftest import make_instance, mst_tree, random_instance
 
 
@@ -99,6 +101,23 @@ class TestAscentSummary:
             sparse_gap=float.fromhex("0x1.0000000000000p-29"),
         )
 
+    # the benchmark's shape: n=1000, 100 steps.  Clustered seed 2 is one whose
+    # best step is a sparse one (at seed 1 and 41 it is step 1), so its
+    # summary depends on the bits of the sparse steps.
+    @pytest.mark.parametrize("klass, seed, want", [
+        ("uniform", 41, ("0x1.5664c478954b1p+24", 100, 9, 100,
+                         "0x1.0cce82adc8a7ep+23", "0x1.129c73fee0000p+8")),
+        ("clustered", 2, ("0x1.a50d7df281807p+21", 100, 10, 100,
+                          "0x1.446aa8bb171f1p+21", "0x1.8000000000000p-28")),
+    ])
+    def test_pinned_summary_at_n1000(self, klass, seed, want):
+        inst = {"uniform": generate_uniform, "clustered": generate_clustered}[klass](1000, seed, 1e6)
+        got = held_karp_ascent(inst, mst_tree(inst), 100)
+        bound, iterations, halvings, best_iteration, final_gap, sparse_gap = want
+        assert got == AscentSummary(
+            float.fromhex(bound), iterations, halvings, best_iteration,
+            float.fromhex(final_gap), float.fromhex(sparse_gap))
+
     def test_lower_bound_is_the_summary_bound(self):
         inst = random_instance(30, seed=8)
         tree = mst_tree(inst)
@@ -141,6 +160,14 @@ def tie_heavy_cases(draw):
     return make_instance(xy.astype(float), rounded=draw(st.booleans())), int(rng.integers(2**32))
 
 
+def _assert_same_one_tree(graph, pi):
+    """The sparse 1-tree has the frozen pass's value, bit for bit, and degrees."""
+    got_w, got_deg = _sparse_one_tree(*graph, pi)
+    want_w, want_deg = reference_sparse._sparse_one_tree(*graph, pi)
+    assert float(got_w).hex() == float(want_w).hex()
+    assert got_deg.tolist() == want_deg.tolist()
+
+
 class TestSparseOneTree:
     @settings(max_examples=200, deadline=None)
     @given(tie_heavy_cases())
@@ -152,6 +179,9 @@ class TestSparseOneTree:
         scale = max(1.0, float(np.ptp(inst.coords)))
         pi = np.random.default_rng(seed).normal(0.0, scale / 10.0, n)
         graph = (n, u, v, dist.pairs(u, v), dist.pairs(0, slice(None)))
+        # the frozen pass too; at zero potentials the ties decide by edge id
+        _assert_same_one_tree(graph, pi)
+        _assert_same_one_tree(graph, np.zeros(n))
         got_w, got_deg = _sparse_one_tree(*graph, pi)
         want_w, want_deg, _ = _one_tree(dist, pi)
         assert got_deg.tolist() == want_deg.tolist()
@@ -162,6 +192,31 @@ class TestSparseOneTree:
         want_w, want_deg, _ = _one_tree(dist, np.zeros(n))
         assert got_deg.sum() == want_deg.sum() == 2 * n
         assert got_w == pytest.approx(want_w, rel=1e-12, abs=1e-12 * n * scale)
+
+    @pytest.mark.parametrize("klass, n", [
+        ("uniform", 200), ("clustered", 200), ("uniform", 1000), ("clustered", 1000)])
+    def test_candidate_graphs_match_the_frozen_pass(self, klass, n):
+        inst = {"uniform": generate_uniform, "clustered": generate_clustered}[klass](n, 3, 1e6)
+        dist = inst.distances
+        u, v = _candidate_edges(inst, _one_tree(dist, np.zeros(n))[2])
+        graph = (n, u, v, dist.pairs(u, v), dist.pairs(0, slice(None)))
+        rng = np.random.default_rng(n)
+        edge = 1e6 / np.sqrt(n)  # about the length of a tree edge
+        _assert_same_one_tree(graph, np.zeros(n))
+        for scale in (1e-3, 1e-1, 1.0, 10.0):
+            _assert_same_one_tree(graph, rng.normal(0.0, scale * edge, n))
+        # whole-number potentials on whole-number lengths: many ties
+        _assert_same_one_tree((n, u, v, np.round(graph[3]), graph[4]), np.round(rng.normal(0.0, edge, n)))
+
+    def test_a_graph_that_does_not_span_is_refused(self):
+        # two triangles, 1-2-3 and 4-5-6, joined by the bridge 3-4
+        inst = random_instance(7, seed=9)
+        u, v = np.array([1, 1, 2, 3, 4, 4, 5]), np.array([2, 3, 3, 4, 5, 6, 6])
+        graph = (7, u, v, inst.distances.pairs(u, v), inst.distances.pairs(0, slice(None)))
+        assert _sparse_one_tree(*graph, np.zeros(7))[1].sum() == 14
+        kept = np.arange(7) != 3
+        with pytest.raises(InternalInvariantError, match="does not span"):
+            _sparse_one_tree(7, u[kept], v[kept], graph[3][kept], graph[4], np.zeros(7))
 
     @pytest.mark.parametrize("n", range(3, COMPLETE_UP_TO + 1))
     def test_small_instances_have_complete_candidates(self, n):
