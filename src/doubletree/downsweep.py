@@ -26,6 +26,7 @@ from .upsweep import UpsweepResult
 
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-9
+_FIRST = (0,)  # the pick of a min-plus step over one split
 
 
 @dataclass(frozen=True)
@@ -103,17 +104,23 @@ class TourReconstructor:
         avail = [V & ~self._bit(path[0], path[1])]
         avail += [self.full_mask(p) & ~self._bit(p, q) for p, q in zip(path[1:-1], path[2:])]
         avail.append(self.full_mask(path[k]))
-        dist = np.zeros(1)
+        dist = [0.0]
         tails, rows = np.zeros(1, dtype=np.intp), np.array([[avail[0]]])
         back = []
         for i in range(k):
             heads, next_rows = self._submasks(avail[i + 1])
             if i + 1 == k:
                 heads = heads[-1:]  # the last node sweeps all of its children
-            # one min-plus step; argmin keeps the earliest tail among ties
-            cand = dist[:, None] + bridges[path[i + 1]][0][rows, heads]
-            back.append((tails, cand.argmin(axis=0)))
-            dist = cand.min(axis=0)
+            weights = bridges[path[i + 1]][0]
+            if len(dist) == 1 and heads.size == 1:
+                # one split on each side: the same addition on Python floats
+                dist = [dist[0] + weights.item(rows.item(0), heads.item(0))]
+                back.append((tails, _FIRST))
+            else:
+                # one min-plus step; argmin keeps the earliest tail among ties
+                cand = np.asarray(dist)[:, None] + weights[rows, heads]
+                back.append((tails, cand.argmin(axis=0)))
+                dist = cand.min(axis=0)
             tails, rows = heads, next_rows
         if not dist[0] < np.inf:
             raise InternalInvariantError(f"no finite split along the path {path}")

@@ -18,6 +18,13 @@ The ascent runs its steps on two graphs (Helsgaun 2000, as in LKH):
   so nodes 1..n-1 are always connected.  Up to ``COMPLETE_UP_TO`` nodes it
   holds every pair.  Node 0's two edges still come from its dense row.  The
   graph is built only when a second step runs.
+* The candidate picks come from a grid of about ``CELL_POINTS`` points a
+  cell over the bounding box of nodes 1..n-1: a node reads the cells within
+  ``REACH`` of its own.  It keeps those picks only where they are certified:
+  each pick strictly nearer than the next candidate, so there is no tie at
+  the cut, and than every point outside the cells it read.  Every other
+  node reads its full row, as the build did before the grid, so the graph
+  does not depend on which nodes the grid certified.
 * Certificates: the steps run in ``ROUNDS`` rounds of equal length.  At
   the end of a round and at the step where the ascent stops, the
   potentials of the best step so far get a dense 1-tree unless they have
@@ -39,11 +46,12 @@ climbing at its last steps, and where it ended moved by half a percent
 under a small change of its path; the floor of 5 keeps short ascents from
 halving every step or two.)
 
-Memory: the dense scans read one row at a time, and the candidate graph is
-built from blocks of at most ``BLOCK_ENTRIES`` distances (recomputed from
-coordinates above the distance cache), so beyond the instance's distance
-object the ascent needs O(n K) memory for K candidate edges per node (each
-certificate adds at most n - 2 edges).
+Memory: the dense scans read one row at a time (above the distance cache
+over the nodes not yet in the tree), and the candidate graph is built from
+blocks of at most ``BLOCK_ENTRIES`` distances, grid reads and full rows
+alike (recomputed from coordinates above the distance cache), so beyond the
+instance's distance object the ascent needs O(n K) memory for K candidate
+edges per node (each certificate adds at most n - 2 edges).
 """
 
 from __future__ import annotations
@@ -61,6 +69,8 @@ NEAREST = 5  # nearest neighbours per node in the candidate graph
 PER_QUADRANT = 2  # nearest neighbours per quadrant, for clustered points
 COMPLETE_UP_TO = 12  # up to this n every pair is a candidate
 BLOCK_ENTRIES = 1 << 17  # distances per block while the candidates are picked
+CELL_POINTS = 2  # points per grid cell, on average, when the candidates are picked
+REACH = 2  # a row reads the cells up to this many steps away in x and in y
 ROUNDS = 5  # each ascent is cut into this many rounds, each ended by a certificate
 HK_ITERATIONS = 1000  # default ascent length
 
@@ -108,38 +118,157 @@ def _candidate_edges(inst: Instance, spanning: np.ndarray) -> tuple[np.ndarray, 
     """Candidate edges over nodes 1..n-1 as (u, v) arrays with u < v, sorted.
 
     ``spanning`` holds the parent links of a spanning tree of 1..n-1 (-1 at
-    its root and at node 0); its edges are always candidates.  The nearest
-    neighbours come from row blocks of at most ``BLOCK_ENTRIES`` distances,
-    so no n x n block is ever held.  The quadrants around a node are
-    half-open: east and not south, north and not east, west and not north,
-    south and not west.  A coincident point is in none of them; it is among
-    the nearest.
+    its root and at node 0); its edges are always candidates.  Each row's
+    picks come from the grid (``_grid_picks``) where it can certify them,
+    and otherwise from the dense row pass (``_dense_picks``); both pick the
+    same set, so the edges do not depend on which row went which way.
     """
     n = inst.n
     if n <= COMPLETE_UP_TO:
         u, v = np.triu_indices(n - 1, 1)
         return u + 1, v + 1
-    xy = inst.coords
-    dist = inst.distances
-    cols = np.arange(n)
-    us, vs = [], []
+    us, vs, rest = _grid_picks(inst)
     step = max(1, BLOCK_ENTRIES // n)
-    for lo in range(1, n, step):
-        rows = np.arange(lo, min(n, lo + step))
-        block = dist.pairs(rows[:, None], cols)
-        block[:, 0] = np.inf
-        block[np.arange(rows.size), rows] = np.inf
-        us.append(np.repeat(rows, NEAREST))
-        vs.append(np.argpartition(block, NEAREST - 1, axis=1)[:, :NEAREST].ravel())
-        east, west = xy[:, 0] > xy[rows, 0, None], xy[:, 0] < xy[rows, 0, None]
-        north, south = xy[:, 1] > xy[rows, 1, None], xy[:, 1] < xy[rows, 1, None]
-        for quadrant in (east & ~south, north & ~east, west & ~north, south & ~west):
-            masked = np.where(quadrant, block, np.inf)
-            pick = np.argpartition(masked, PER_QUADRANT - 1, axis=1)[:, :PER_QUADRANT]
-            found = np.take_along_axis(masked, pick, axis=1) < np.inf
-            us.append(np.broadcast_to(rows[:, None], pick.shape)[found])
-            vs.append(pick[found])
+    for lo in range(0, rest.size, step):
+        _dense_picks(inst, rest[lo:lo + step], us, vs)
     return _with_tree_edges(n, np.concatenate(us), np.concatenate(vs), spanning)
+
+
+def _dense_picks(inst: Instance, rows: np.ndarray, us: list, vs: list) -> None:
+    """Append the picks of ``rows`` (``NEAREST`` nearest and ``PER_QUADRANT``
+    nearest in each quadrant, among nodes 1..n-1) to ``us`` and ``vs``.
+
+    One block of ``rows.size`` full distance rows.  The quadrants around a
+    node are half-open: east and not south, north and not east, west and not
+    north, south and not west.  A coincident point is in none of them; it is
+    among the nearest.  ``argpartition`` picks arbitrarily among equal
+    distances at the cut; the grid never certifies such a row.
+    """
+    xy = inst.coords
+    block = inst.distances.pairs(rows[:, None], np.arange(inst.n))
+    block[:, 0] = np.inf
+    block[np.arange(rows.size), rows] = np.inf
+    us.append(np.repeat(rows, NEAREST))
+    vs.append(np.argpartition(block, NEAREST - 1, axis=1)[:, :NEAREST].ravel())
+    east, west = xy[:, 0] > xy[rows, 0, None], xy[:, 0] < xy[rows, 0, None]
+    north, south = xy[:, 1] > xy[rows, 1, None], xy[:, 1] < xy[rows, 1, None]
+    for quadrant in (east & ~south, north & ~east, west & ~north, south & ~west):
+        masked = np.where(quadrant, block, np.inf)
+        pick = np.argpartition(masked, PER_QUADRANT - 1, axis=1)[:, :PER_QUADRANT]
+        found = np.take_along_axis(masked, pick, axis=1) < np.inf
+        us.append(np.broadcast_to(rows[:, None], pick.shape)[found])
+        vs.append(pick[found])
+
+
+def _grid_picks(inst: Instance) -> tuple[list, list, np.ndarray]:
+    """The picks ``_dense_picks`` would make, for every row the grid certifies,
+    as lists of (u, v) arrays, and the rows it does not certify.
+
+    Nodes 1..n-1 go into a grid of about ``CELL_POINTS`` points a cell over
+    their bounding box, and each row reads the points in the window of
+    ``(2 REACH + 1)^2`` cells around its own.  A point outside the window
+    lies beyond one of its four sides, at least as far off in that
+    coordinate as the nearest outside point there; distances are monotone in
+    each coordinate difference, so the distance to that coordinate bounds
+    every point beyond the side from below, bit for bit.  A quadrant reaches
+    outside points beyond two sides only.  A row is certified when its
+    ``NEAREST``-th nearest read is below the bound and below the next read,
+    and in each quadrant the ``PER_QUADRANT``-th nearest read is below the
+    next one and below the quadrant's bound (or no outside point is in
+    reach).  Then the nearest set and each quadrant's set are unique, so an
+    exact pass over the full row picks them too.
+    """
+    n = inst.n
+    dist = inst.distances
+    xy = inst.coords[1:]
+    lo = xy.min(axis=0)
+    span = xy.max(axis=0) - lo
+    cells = max(1, (n - 1) // CELL_POINTS)
+    side = np.sqrt(span.prod() / cells) if span.prod() > 0 else span.max() / cells
+    shape = np.ones(2, dtype=np.intp)  # columns, rows
+    if side > 0:
+        shape = np.clip(np.ceil(span / side), 1, cells).astype(np.intp)
+    frac = np.divide(xy - lo, span, out=np.zeros_like(xy), where=span > 0)  # in [0, 1]
+    cell = np.minimum((frac * shape).astype(np.intp), shape - 1)  # monotone in x and in y
+    flat = cell[:, 1] * shape[0] + cell[:, 0]
+    order = np.argsort(flat, kind="stable")
+    start = np.zeros(shape.prod() + 1, dtype=np.intp)
+    np.cumsum(np.bincount(flat, minlength=shape.prod()), out=start[1:])
+    first, last = cell - REACH, cell + REACH  # the window, clipped below
+    np.maximum(first, 0, out=first)
+    np.minimum(last, shape - 1, out=last)
+
+    def beyond(axis):
+        """Per node, the nearest outside coordinate past its window's high
+        side on ``axis`` and past its low side (+-inf where none is)."""
+        least = np.full(shape[axis] + 1, np.inf)  # per cell line, and none past the last
+        np.minimum.at(least, cell[:, axis], xy[:, axis])
+        greatest = np.full(shape[axis] + 1, -np.inf)  # shifted by one: none before the first
+        np.maximum.at(greatest, cell[:, axis] + 1, xy[:, axis])
+        return (np.minimum.accumulate(least[::-1])[::-1][last[:, axis] + 1],
+                np.maximum.accumulate(greatest)[first[:, axis]])
+
+    nodes = np.arange(1, n)
+    (east_x, west_x), (north_y, south_y) = beyond(0), beyond(1)
+    to_east, to_west = (dist.to_points(nodes, e, xy[:, 1]) for e in (east_x, west_x))
+    to_north, to_south = (dist.to_points(nodes, xy[:, 0], e) for e in (north_y, south_y))
+    quadrant_bounds = (np.minimum(to_east, to_north), np.minimum(to_north, to_west),
+                       np.minimum(to_west, to_south), np.minimum(to_south, to_east))
+    nearest_bound = np.minimum(quadrant_bounds[0], quadrant_bounds[2])
+
+    # each cell row of a window is one run of the sorted points
+    band = cell[:, 1, None] + np.arange(-REACH, REACH + 1)
+    inside = (band >= 0) & (band < shape[1])
+    base = np.clip(band, 0, shape[1] - 1) * shape[0]
+    run_start = np.where(inside, start[base + first[:, 0, None]], 0)
+    run_length = np.where(inside, start[base + last[:, 0, None] + 1], 0) - run_start
+    reads = run_length.sum(axis=1)
+    # rows in order of their reads, so a block pads to a similar width.  A
+    # read costs about two entries of a full row, so a window reading over
+    # an eighth of the points would save little and lose up to a quarter of
+    # a full row where the grid cannot certify
+    rows = np.argsort(reads)
+    read = int(np.searchsorted(reads[rows], n // 8, side="right"))  # rows[:read] use the grid
+    us, vs, rest = [], [], [rows[read:] + 1]
+    b = 0
+    while b < read:
+        # as many rows as fit at the first one's width, cut to fit the last one's
+        end = min(read, b + BLOCK_ENTRIES // max(NEAREST + 1, reads[rows[b]]))
+        end = b + max(1, min(end - b, BLOCK_ENTRIES // max(NEAREST + 1, reads[rows[end - 1]])))
+        p, b = rows[b:end], end
+        width = max(NEAREST + 1, int(reads[p[-1]]))
+        lens = run_length[p].ravel()
+        at = np.arange(lens.sum())
+        member = order[at + np.repeat(run_start[p].ravel() - (np.cumsum(lens) - lens), lens)]
+        row = np.repeat(np.arange(p.size), reads[p])
+        col = at - np.repeat(np.cumsum(reads[p]) - reads[p], reads[p])
+        other = member != p[row]
+        cand = np.zeros((p.size, width), dtype=np.intp)  # node 0 pads: its read is inf
+        cand[row[other], col[other]] = member[other] + 1
+        vals = np.full((p.size, width), np.inf)
+        vals[row[other], col[other]] = dist.pairs(p[row[other]] + 1, member[other] + 1)
+
+        cut = np.partition(vals, [NEAREST - 1, NEAREST], axis=1)
+        kth = cut[:, NEAREST - 1]
+        ok = (kth < cut[:, NEAREST]) & (kth < nearest_bound[p])
+        picks = vals <= kth[:, None]
+        px, py = inst.coords[cand, 0], inst.coords[cand, 1]
+        east, west = px > xy[p, 0, None], px < xy[p, 0, None]
+        north, south = py > xy[p, 1, None], py < xy[p, 1, None]
+        quadrants = (east & ~south, north & ~east, west & ~north, south & ~west)
+        for quadrant, bound in zip(quadrants, quadrant_bounds):
+            masked = np.where(quadrant, vals, np.inf)
+            cut = np.partition(masked, [PER_QUADRANT - 1, PER_QUADRANT], axis=1)
+            kth, bound = cut[:, PER_QUADRANT - 1], bound[p]
+            # fewer than PER_QUADRANT read (kth inf) is fine only with none in reach
+            ok &= (kth < cut[:, PER_QUADRANT]) | (kth == np.inf)
+            ok &= (kth < bound) | (bound == np.inf)
+            picks |= (masked <= kth[:, None]) & (masked < np.inf)
+        rest.append(p[~ok] + 1)
+        picks &= ok[:, None]
+        us.append(np.broadcast_to(p[:, None] + 1, picks.shape)[picks])
+        vs.append(cand[picks])
+    return us, vs, np.concatenate(rest)
 
 
 def _with_tree_edges(

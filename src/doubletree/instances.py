@@ -25,6 +25,8 @@ from .errors import ParseError
 # Full n x n distance matrices are cached only below this node count;
 # larger instances compute distance blocks from coordinates on demand.
 MATRIX_CACHE_LIMIT = 3200
+# distances a block lookup computes from coordinates at a time
+CHUNK_ENTRIES = 1 << 16
 
 
 class Metric(Enum):
@@ -83,17 +85,24 @@ class PairwiseDistances:
     """Vectorised distance lookups for one instance.
 
     Keeps the full matrix when the instance is small enough, otherwise
-    computes the requested distances from coordinates on every lookup.
+    computes the requested distances from coordinates on every lookup, a
+    block at most ``CHUNK_ENTRIES`` distances at a time.  ``xy`` is the
+    instance's read-only (n, 2) coordinate array.
     """
 
     def __init__(self, inst: Instance):
         self.n = inst.n
-        self._xy = inst.coords
+        self.xy = inst.coords
         self._rounded = inst.metric is Metric.EUC_2D
         self._matrix: Optional[np.ndarray] = None
         if inst.n <= MATRIX_CACHE_LIMIT:
             idx = np.arange(inst.n)
             self._matrix = self.pairs(idx[:, None], idx)
+
+    @property
+    def cached(self) -> bool:
+        """True when the full matrix is held, so a row lookup is a view of it."""
+        return self._matrix is not None
 
     def pairs(self, a, b) -> np.ndarray:
         """d(a, b) elementwise, with ``a`` and ``b`` broadcast as numpy indices.
@@ -103,9 +112,36 @@ class PairwiseDistances:
         """
         if self._matrix is not None:
             return self._matrix[a, b]
-        # in place in the two difference arrays (0-d for a scalar lookup)
-        dx = np.asarray(self._xy[a, 0] - self._xy[b, 0])
-        dy = np.asarray(self._xy[a, 1] - self._xy[b, 1])
+        xa, xb = self.xy[a, 0], self.xy[b, 0]
+        if (xa.ndim < 2 and xb.ndim < 2) or xa.size * xb.size <= CHUNK_ENTRIES:
+            return self._lengths(xa - xb, self.xy[a, 1] - self.xy[b, 1])
+        # a block is filled a few rows at a time: whole-block difference
+        # arrays would double its peak memory and fragment the heap
+        shape = np.broadcast_shapes(xa.shape, xb.shape)
+        xa, xb, ya, yb = (np.broadcast_to(v, shape)
+                          for v in (xa, xb, self.xy[a, 1], self.xy[b, 1]))
+        out = np.empty(shape)
+        step = max(1, CHUNK_ENTRIES * shape[0] // out.size)
+        for lo in range(0, shape[0], step):
+            rows = slice(lo, lo + step)
+            self._lengths(np.subtract(xa[rows], xb[rows], out=out[rows]), ya[rows] - yb[rows])
+        return out
+
+    def to_points(self, a, x, y) -> np.ndarray:
+        """d(a, p) elementwise for the points p at coordinates (``x``, ``y``),
+        always computed from coordinates.
+
+        Where ``x`` and ``y`` are the coordinates of nodes ``b`` it is
+        ``pairs(a, b)`` bit for bit.  Each step of the arithmetic is monotone
+        in ``|dx|`` and ``|dy|``, so a point at least as far off in both is
+        never nearer.
+        """
+        return self._lengths(self.xy[a, 0] - x, self.xy[a, 1] - y)
+
+    def _lengths(self, dx, dy) -> np.ndarray:
+        """The distances for the coordinate differences ``dx`` and ``dy``,
+        computed in place in them (0-d arrays for a scalar lookup)."""
+        dx, dy = np.asarray(dx), np.asarray(dy)
         np.multiply(dx, dx, out=dx)
         np.multiply(dy, dy, out=dy)
         np.add(dx, dy, out=dx)

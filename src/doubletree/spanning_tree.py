@@ -1,9 +1,12 @@
 """Minimum spanning trees, rooting, and the degree-increasing transformation.
 
 The MST is built with a dense O(n^2) Prim scan, which matches the complete
-graph induced by a metric instance.  It returns the unique MST under one
-strict edge order (weight, then lower end id, then higher end id), so the
-tree is deterministic even with duplicate points.  The scan hands over its
+graph induced by a metric instance.  Above the distance cache the scan
+computes each row from coordinates over its fringe, the nodes not yet in
+the tree, and drops the picked nodes from the fringe at a fixed interval,
+so it computes about half the distances of n full rows.  It returns the
+unique MST under one strict edge order (weight, then lower end id, then
+higher end id), so the tree is deterministic even with duplicate points.  The scan hands over its
 parent links, rooted at node 0, and ``root_tree`` re-roots them at the
 lowest-indexed leaf by reversing the links on one path.  Given node
 potentials, the same scan builds the Held-Karp bound's dense 1-trees.
@@ -24,6 +27,10 @@ import numpy as np
 
 from .errors import InternalInvariantError
 from .instances import Instance, PairwiseDistances
+
+# above the distance cache the Prim scan drops its picked nodes every
+# max(COMPACT_EVERY, n // 8) picks
+COMPACT_EVERY = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,9 +107,16 @@ class RootedTree:
 def prim_scan(dist: PairwiseDistances, pi: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """The one dense Prim scan: parent links and the picked keys in pick order.
 
-    Each step reads one distance row; tree nodes carry NaN in the subtracted
-    mask, so they never compare below or equal to a key, and their key is
-    +inf.  Nodes the scan never reaches keep the link -1.
+    The scan keeps its fringe, the nodes not yet in the tree, as arrays in
+    ascending id order: ids, keys, links, the subtracted mask and the x and
+    y coordinates.  Each step reads one distance row over them; a picked
+    node gets NaN in the mask, so it never compares below or equal to a key,
+    and the key +inf.  With a cached matrix the row is a view and the arrays
+    keep every node.  Above the cache the row is computed from the fringe's
+    coordinates, and every ``max(COMPACT_EVERY, n // 8)`` picks the arrays
+    drop the picked nodes.  Id order keeps the first argmin and every tie
+    rule below, so both ways give the same bits.  Nodes the scan never
+    reaches keep the link -1.
 
     Without potentials the scan spans all n nodes from node 0 and returns the
     unique MST under the strict edge order (weight, lower end id, higher end
@@ -118,36 +132,50 @@ def prim_scan(dist: PairwiseDistances, pi: Optional[np.ndarray] = None) -> tuple
     """
     n = dist.n
     first = 0 if pi is None else 1
-    mask = np.zeros(n) if pi is None else pi.copy()
-    mask[:first] = np.nan
-    key = np.full(n, np.inf)
-    key[first] = 0.0
+    ids = np.arange(first, n)
+    mask = np.zeros(n - first) if pi is None else pi[first:].copy()
+    key = np.full(n - first, np.inf)
+    key[0] = 0.0
+    link = np.full(n - first, -1, dtype=np.int64)
     best_parent = np.full(n, -1, dtype=np.int64)
     picked = np.empty(n - first)
-    row = np.empty(n)
-    better = np.empty(n, dtype=bool)
-    tied = np.empty(n, dtype=bool)
+    buffers = (np.empty(n - first), np.empty(n - first, dtype=bool),
+               np.empty(n - first, dtype=bool))
+    row, better, tied = buffers
+    cols = slice(first, None)
+    x, y = dist.xy[cols, 0].copy(), dist.xy[cols, 1].copy()
+    cached = dist.cached
+    every = n if cached else max(COMPACT_EVERY, n // 8)
     for i in range(n - first):
+        if i and i % every == 0:
+            # a picked node's link is final: the NaN in its mask keeps it fixed
+            best_parent[ids] = link
+            keep = np.flatnonzero(~np.isnan(mask))
+            ids, mask, key, link, x, y = (a.take(keep) for a in (ids, mask, key, link, x, y))
+            row, better, tied = (b[:keep.size] for b in buffers)
         j = int(key.argmin())
-        if pi is None and best_parent[j] >= 0 and np.count_nonzero(key == key[j]) > 1:
+        if pi is None and link[j] >= 0 and np.count_nonzero(key == key[j]) > 1:
             # no two share an edge pair: parents are in the tree, candidates not
             cand = np.flatnonzero(key == key[j])
-            par = best_parent[cand]
-            j = int(cand[np.lexsort((np.maximum(par, cand), np.minimum(par, cand)))[0]])
+            par, cid = link[cand], ids[cand]
+            j = int(cand[np.lexsort((np.maximum(par, cid), np.minimum(par, cid)))[0]])
+        jid = int(ids[j])
         picked[i] = key[j]
         key[j] = np.inf
         mask[j] = np.nan
+        d = dist.pairs(jid, cols) if cached else dist.to_points(jid, x, y)
         if pi is None:
-            np.subtract(dist.pairs(j, slice(None)), mask, out=row)
+            np.subtract(d, mask, out=row)
             np.equal(row, key, out=tied)  # before the update, which only takes row < key
         else:
-            np.subtract(dist.pairs(j, slice(None)), pi[j], out=row)
+            np.subtract(d, pi[jid], out=row)
             np.subtract(row, mask, out=row)
         np.less(row, key, out=better)
         np.copyto(key, row, where=better)
-        np.copyto(best_parent, j, where=better)
+        np.copyto(link, jid, where=better)
         if pi is None and tied.any():
-            best_parent[tied & (best_parent > j)] = j
+            link[tied & (link > jid)] = jid
+    best_parent[ids] = link
     return best_parent, picked
 
 

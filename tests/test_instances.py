@@ -189,8 +189,21 @@ class TestPairwiseDistances:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # the result and the y differences; the old formula held about 4x
-            assert peak < 2.5 * block.nbytes
+            # the result and one chunk's differences; whole-block differences
+            # would take about 2x
+            assert peak < 1.5 * block.nbytes
+
+    def test_a_large_block_is_computed_in_chunks_with_the_same_bits(self, monkeypatch):
+        monkeypatch.setattr(instances, "MATRIX_CACHE_LIMIT", 10)
+        xy = generate_uniform(700, seed=14, box=1e6).coords
+        rows, cols = np.arange(0, 700, 2), np.arange(700)[::-1]
+        for rounded in (False, True):
+            dist = make_instance(xy, rounded=rounded).distances
+            block = dist.pairs(rows[:, None], cols)
+            assert block.size > 3 * instances.CHUNK_ENTRIES  # several chunks, the last one short
+            # flat index arrays take the one-pass path
+            flat = dist.pairs(np.repeat(rows, cols.size), np.tile(cols, rows.size))
+            assert block.tobytes() == flat.tobytes()
 
     def test_instance_builds_one_shared_distance_object(self):
         inst = generate_uniform(12, seed=1)

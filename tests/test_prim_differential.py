@@ -64,6 +64,9 @@ INSTANCES = {
     "rounded-grid-100": lambda: _rounded_grid(10),
     "duplicates-80": lambda: _duplicates(80, 14),
     "collinear-40": lambda: _collinear(40, 15),
+    # from coordinates, the scan compacts its fringe every max(64, n // 8) picks: 7-8 times here
+    "uniform-600": lambda: generate_uniform(600, 16, 1e6),
+    "rounded-grid-625": lambda: _rounded_grid(25),
 }
 
 
@@ -119,14 +122,16 @@ class TestFrozenPrim:
             want += w
         assert weight.hex() == want.hex()
 
-    @pytest.mark.parametrize("potentials", ["zero", "random", "ascent-50"])
+    @pytest.mark.parametrize("potentials", ["zero", "random", "rounded", "ascent-50"])
     def test_one_tree(self, build, name, potentials):
         inst = build(name)
+        scale = float(np.ptp(inst.coords)) / 20.0
         if potentials == "zero":
             pi = np.zeros(inst.n)
         elif potentials == "random":
-            scale = float(np.ptp(inst.coords)) / 20.0
             pi = np.random.default_rng(3).normal(0.0, scale, inst.n)
+        elif potentials == "rounded":  # integers: on rounded distances, ties in the reduced weights
+            pi = np.round(np.random.default_rng(4).normal(0.0, scale, inst.n))
         else:
             pi = _ascent_potentials(inst, root_tree(minimum_spanning_tree(inst)[0]), 50)
         got_w, got_deg, _ = _one_tree(inst.distances, pi)

@@ -16,6 +16,14 @@ It prints:
   the candidate build (``_candidate_edges``), the dense 1-trees
   (``_one_tree``) and the sparse steps (``_sparse_one_tree``); ``other`` is
   the rest of the ascent.  The fastest of ``--repeats`` ascents is shown.
+* ``candidate_build_ms``: one ``_candidate_edges`` call at uniform and
+  clustered n=1000, 4000 and 10^4, around step 1's 1-tree, the fastest of
+  ``--repeats`` (of at most 3 at n=10^4).  ``dense_rows`` is the share of
+  rows that went through the dense row pass (1.0 where the checkout has no
+  grid).
+* ``prim_scan_ms``: one ``spanning_tree.prim_scan`` for the MST and for the
+  1-tree at zero potentials, at uniform n=1000 (distance matrix cached) and
+  n=4000 (rows computed from coordinates), the fastest of ``--repeats``.
 
 Wall times vary with the machine and its load; compare only figures from
 one run of two checkouts, interleaved.  This script is a measurement, not a
@@ -34,11 +42,14 @@ import numpy as np
 
 import doubletree.hk_bound as hk_bound
 from doubletree import generate_clustered, generate_uniform, minimum_spanning_tree, root_tree
+from doubletree.spanning_tree import prim_scan
 
 BOX = 1e6
 SEED = 1
 STEPS = 100
 CASES = (("uniform", 1000), ("clustered", 1000), ("uniform", 4000))
+BUILD_CASES = tuple((klass, n) for klass in ("uniform", "clustered") for n in (1000, 4000, 10_000))
+PRIM_SIZES = (1000, 4000)
 GENERATORS = {"uniform": generate_uniform, "clustered": generate_clustered}
 
 
@@ -64,16 +75,25 @@ def _recorded_sparse_calls(inst, tree) -> list[tuple]:
     return calls
 
 
-def time_sparse_one_tree(klass: str, n: int, repeats: int) -> float:
-    """Milliseconds per ``_sparse_one_tree`` call, fastest pass of ``repeats``."""
-    calls = _recorded_sparse_calls(*_instance(klass, n))[::10]
+def _fastest(call, repeats: int) -> float:
+    """Milliseconds of the fastest of ``repeats`` calls."""
     best = np.inf
     for _ in range(repeats):
         start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return 1e3 * best
+
+
+def time_sparse_one_tree(klass: str, n: int, repeats: int) -> float:
+    """Milliseconds per ``_sparse_one_tree`` call, fastest pass of ``repeats``."""
+    calls = _recorded_sparse_calls(*_instance(klass, n))[::10]
+
+    def every_call():
         for args in calls:
             hk_bound._sparse_one_tree(*args)
-        best = min(best, time.perf_counter() - start)
-    return 1e3 * best / len(calls)
+
+    return _fastest(every_call, repeats) / len(calls)
 
 
 def time_ascent(repeats: int) -> dict[str, float]:
@@ -114,6 +134,24 @@ def time_ascent(repeats: int) -> dict[str, float]:
     }
 
 
+def time_candidate_build(klass: str, n: int, repeats: int) -> dict[str, float]:
+    """One candidate build around step 1's 1-tree, and its share of dense rows."""
+    inst = GENERATORS[klass](n, SEED, BOX)
+    _, _, spanning = hk_bound._one_tree(inst.distances, np.zeros(n))
+    ms = _fastest(lambda: hk_bound._candidate_edges(inst, spanning),
+                  min(repeats, 3) if n > 4000 else repeats)
+    grid = getattr(hk_bound, "_grid_picks", None)
+    dense = 1.0 if grid is None else grid(inst)[2].size / (n - 1)
+    return {"ms": round(ms, 2), "dense_rows": round(dense, 3)}
+
+
+def time_prim_scan(n: int, repeats: int) -> dict[str, float]:
+    """The MST scan and the zero-potential 1-tree scan at uniform n."""
+    dist = GENERATORS["uniform"](n, SEED, BOX).distances
+    return {"mst": round(_fastest(lambda: prim_scan(dist), repeats), 2),
+            "one_tree": round(_fastest(lambda: prim_scan(dist, np.zeros(n)), repeats), 2)}
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--repeats", type=int, default=7)
@@ -124,6 +162,9 @@ def main() -> None:
             for klass, n in CASES
         },
         "ascent_100_steps_ms": time_ascent(args.repeats),
+        "candidate_build_ms": {f"{klass}-n{n}": time_candidate_build(klass, n, args.repeats)
+                               for klass, n in BUILD_CASES},
+        "prim_scan_ms": {f"uniform-n{n}": time_prim_scan(n, args.repeats) for n in PRIM_SIZES},
         "source": os.path.dirname(hk_bound.__file__),
         "python": platform.python_version(),
         "numpy": np.__version__,
