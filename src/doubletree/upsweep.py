@@ -25,7 +25,8 @@ edge kept with a bridge is the pair (x, y) with the lowest node id x, then
 the lowest y, among those whose sum ``(A_V[x] + d(x, y)) + B_W[y]`` attains
 it.  The extension of V by v over T(v) is then the minimum over W of
 ``bridge[V, full ^ W] + B_W``, followed by the depth cut.  The x candidates
-are the columns within depth k of u, put in id order once per node.
+are the columns within depth k of u other than u, put in id order once per
+node; the empty mask has u alone, where A_0 is 0.
 
 Leaves.  A leaf child v has the 1x1 row-0 table, so B = 0: its bridge for
 mask V is ``min_x A_V[x] + d(x, v)``, and the extension writes that same
@@ -34,6 +35,21 @@ extends V by all of its leaves outside V in one step, one ``(x, leaf)``
 block per mask.  With B = 0 the full sum equals the inner sum, and the x
 candidates are in id order, so the first argmin along x is already the
 lowest attaining x and the tie pass of the general step is not needed.
+
+Order.  A row V | bit is written from row V, so the masks run in popcount
+layers: a layer reads only rows that earlier layers finished.  At a node
+with three or more children several nonempty masks read each child's
+distance block, so the node computes it once: for a non-leaf child v,
+``d(y, x)`` over v's live columns y and the x candidates outside T(v); for
+the leaf children together, over the leaves and all x candidates.  A block
+is held only when it has at most ``HELD_BLOCK_ENTRIES`` entries, so a node
+holds at most c times that many.  Each layer then takes a held block in
+chunks of masks, ``A = table[masks][:, x]``, with at most that many (x, y)
+sums per chunk; entries of A outside V's subtrees are inf, so they never
+reach a minimum, an argmin or the tie test.  The empty mask, every node
+with at most two children (each of its blocks read by one mask) and each
+block over the cap keep the per-mask step, which reads only the row's
+finite x.
 
 Bridges are kept for tour reconstruction in one store per node u: a weight
 array and a jump-edge array of shape ``(2^c_u, sum_v 2^c_v)``, where child v
@@ -51,6 +67,7 @@ always has a candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import accumulate
 from typing import Optional
 
@@ -67,6 +84,10 @@ from .spanning_tree import RootedTree
 # memory; exact search (D = 1) at n = 10000 needs about 1.5e7.
 TABLE_ENTRY_BUDGET = 500_000_000
 BRIDGE_ENTRY_BUDGET = 10_000_000
+# A node with three or more children holds a child's distance block d(x, y)
+# for all of its masks when the block has at most this many entries, and
+# runs those masks in chunks whose (x, y) sums stay within the same count.
+HELD_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -179,8 +200,8 @@ def node_table(
         free = masks & lbit == 0  # (V, leaf): the leaf is not in V
         rows = masks | lbit
 
-    if c > 1:  # x candidates of the nonempty masks: columns within k of u, in id order
-        xs = np.arange(ids_u.size) if limit is None else np.flatnonzero(depth_u <= limit)
+    if c > 1:  # x candidates of the nonempty masks: columns within k of u but u, in id order
+        xs = np.arange(1, ids_u.size) if limit is None else np.flatnonzero(depth_u <= limit)[1:]
         xs = xs[np.argsort(ids_u[xs])]
         xs_ids = ids_u[xs]
 
@@ -200,53 +221,126 @@ def node_table(
         ext = (kept.shape[1] - 1) * (B.shape[0] // 2)
         kids.append((1 << i, ids_u[span][live], B[:, live], kept, span, keep, ext, *bridges[v]))
 
-    # V | bit > V, so every row is complete before it is read
-    for V in range((1 << c) - 1):
-        if V:
-            row = table[V, xs]
-            fin = row < np.inf  # in id order, so the first hit is the lowest x
-            x_ids, A = xs_ids[fin], row[fin]
-        elif leaves:
-            x_ids, A = ids_u[:1], table[0, :1]
-        if leaves and V & leafmask != leafmask:
-            # B = 0 at a leaf (see "Leaves" above): the bridge is the extension
-            f = free[V]
-            M = A[:, None] + dist.pairs(x_ids[:, None], lid[f])
-            bw[V, lbc[f]] = best = M.min(axis=0)
-            bxy[V, lbc[f]] = x_ids[M.argmin(axis=0)] * n + lid[f]
-            table[rows[V, f], lcol[f]] = best
-            stats.quad_evals += M.size
-            stats.bip_entries += best.size
-        for bit, y_ids, B_live, kept, span, keep, ext, w, xy in kids:
-            if V & bit:
-                continue
-            if V == 0:  # A_0 is 0 at u alone: the inner minimum is d(u, y)
-                S = dist.pairs(u, y_ids) + B_live
-                w[V] = best = S.min(axis=1)
-                Ws, ys = np.nonzero(S == best[:, None])
-                pair = u * n + y_ids[ys]
-                stats.quad_evals += y_ids.size
-            else:
-                M = A[:, None] + dist.pairs(x_ids[:, None], y_ids)
-                S = M.min(axis=0) + B_live
-                w[V] = best = S.min(axis=1)
-                # (A[x] + d) + B can round onto the minimum even for an x that
-                # misses min_x by an ulp, so the jump edge is the lowest (x, y)
-                # over every pair whose full sum attains it
-                Ws, ys = np.nonzero(S == best[:, None])
-                hit = M[:, ys] + B_live[Ws, ys] == best[Ws]
-                pair = x_ids[hit.argmax(axis=0)] * n + y_ids[ys]
-                stats.quad_evals += x_ids.size * y_ids.size
-                del M  # free the block before the next child's is built
-            if Ws.size > best.size:  # tied pairs: keep the lowest per W
-                lowest = np.full(best.size, pair.max())
-                np.minimum.at(lowest, Ws, pair)
-                pair = lowest
-            xy[V] = pair
-            stats.bip_entries += best.size
-            stats.extension_evals += ext
-            table[V | bit, span][keep] = (best[::-1, None] + kept).min(axis=0)
+    def leaf_block(Vs, A, x_ids, D):
+        """The leaf step for the masks Vs at once; A is (Vs, x), D is d(leaves, x)."""
+        M = A[:, None] + D
+        fm, fl = np.nonzero(free[Vs])
+        V, arg = Vs[fm], M.argmin(axis=2)[fm, fl]
+        bw[V, lbc[fl]] = best = M[fm, fl, arg]
+        bxy[V, lbc[fl]] = x_ids[arg] * n + lid[fl]
+        table[rows[V, fl], lcol[fl]] = best
+        stats.quad_evals += int(np.count_nonzero(A < np.inf, axis=1)[fm].sum())
+        stats.bip_entries += best.size
+
+    def child_block(Vs, A, x_ids, D, kid, kcols):
+        """The child step for the masks Vs at once; A is (Vs, x), D is d(y, x)."""
+        bit, y_ids, B_live, kept, _, _, ext, w, xy = kid
+        M = A[:, None] + D
+        S = M.min(axis=2)[:, None] + B_live
+        w[Vs] = best = S.min(axis=2)
+        # flat (V, W) index and y of each attaining entry (a 3-d nonzero is
+        # slow); the tie pass is the per-mask step's, over all of the chunk
+        vw, ys = np.divmod(np.flatnonzero(S == best[:, :, None]), S.shape[2])
+        ms, Ws = np.divmod(vw, S.shape[1])
+        full = M[ms, ys]
+        full += B_live[Ws, ys][:, None]
+        pair = x_ids[(full == best.ravel()[vw][:, None]).argmax(axis=1)] * n + y_ids[ys]
+        del M, full  # free the chunk's sums before the extension's
+        if pair.size > best.size:  # tied pairs: keep the lowest per (V, W)
+            lowest = np.full(best.size, pair.max())
+            np.minimum.at(lowest, vw, pair)
+            pair = lowest
+        xy[Vs] = pair.reshape(best.shape)
+        table[(Vs | bit)[:, None], kcols] = (best[:, ::-1, None] + kept).min(axis=1)
+        stats.quad_evals += int(np.count_nonzero(A < np.inf)) * y_ids.size
+        stats.bip_entries += best.size
+        stats.extension_evals += ext * Vs.size
+
+    # with three or more children, several nonempty masks read each block
+    # (see "Order" above): hold the blocks that fit the cap
+    held = []  # (mask bits, x columns, x ids, block, masks per chunk, step)
+    loose = kids  # the children that keep the per-mask step at nonempty masks
+    loose_leaves = bool(leaves)
+    if c > 2:
+        groups = [(leafmask, xs, lid, 1, leaf_block)] if leaves else []
+        for kid in kids:
+            bit, y_ids, B_live, _, span, keep = kid[:6]
+            kcols = np.arange(span.start, span.stop)[keep]
+            groups.append((bit, xs[(xs < span.start) | (xs >= span.stop)], y_ids, B_live.shape[0],
+                           partial(child_block, kid=kid, kcols=kcols)))
+        for bits, xcols, y_ids, W, step in groups:
+            if xcols.size * y_ids.size <= HELD_BLOCK_ENTRIES:
+                x_ids = ids_u[xcols]
+                chunk = max(1, HELD_BLOCK_ENTRIES // (max(xcols.size, W) * max(y_ids.size, W)))
+                held.append((bits, xcols, x_ids, dist.pairs(y_ids[:, None], x_ids), chunk, step))
+        bits = sum(h[0] for h in held)
+        loose = [kid for kid in kids if not kid[0] & bits]
+        loose_leaves = bool(leaves) and not leafmask & bits
+
+    # a layer reads rows of one popcount, all written by earlier layers
+    for layer in _layers(c):
+        for bits, xcols, x_ids, D, chunk, step in held if layer[0] else ():
+            Vs = layer[layer & bits != bits]
+            for lo in range(0, Vs.size, chunk):
+                part = Vs[lo:lo + chunk]
+                step(part, table[part[:, None], xcols], x_ids, D)
+        # per mask: the empty mask, and the groups whose block is not held
+        for V in layer.tolist():
+            if V:
+                if not (loose or loose_leaves):
+                    break
+                row = table[V, xs]
+                fin = row < np.inf  # in id order, so the first hit is the lowest x
+                x_ids, A = xs_ids[fin], row[fin]
+            elif leaves:
+                x_ids, A = ids_u[:1], table[0, :1]
+            if leaves and V & leafmask != leafmask and (loose_leaves or not V):
+                # B = 0 at a leaf (see "Leaves" above): the bridge is the extension
+                f = free[V]
+                M = A[:, None] + dist.pairs(x_ids[:, None], lid[f])
+                bw[V, lbc[f]] = best = M.min(axis=0)
+                bxy[V, lbc[f]] = x_ids[M.argmin(axis=0)] * n + lid[f]
+                table[rows[V, f], lcol[f]] = best
+                stats.quad_evals += M.size
+                stats.bip_entries += best.size
+            for bit, y_ids, B_live, kept, span, keep, ext, w, xy in loose if V else kids:
+                if V & bit:
+                    continue
+                if V == 0:  # A_0 is 0 at u alone: the inner minimum is d(u, y)
+                    S = dist.pairs(u, y_ids) + B_live
+                    w[V] = best = S.min(axis=1)
+                    Ws, ys = np.nonzero(S == best[:, None])
+                    pair = u * n + y_ids[ys]
+                    stats.quad_evals += y_ids.size
+                else:
+                    M = A[:, None] + dist.pairs(x_ids[:, None], y_ids)
+                    S = M.min(axis=0) + B_live
+                    w[V] = best = S.min(axis=1)
+                    # (A[x] + d) + B can round onto the minimum even for an x that
+                    # misses min_x by an ulp, so the jump edge is the lowest (x, y)
+                    # over every pair whose full sum attains it
+                    Ws, ys = np.nonzero(S == best[:, None])
+                    hit = M[:, ys] + B_live[Ws, ys] == best[Ws]
+                    pair = x_ids[hit.argmax(axis=0)] * n + y_ids[ys]
+                    stats.quad_evals += x_ids.size * y_ids.size
+                    del M  # free the block before the next child's is built
+                if Ws.size > best.size:  # tied pairs: keep the lowest per W
+                    lowest = np.full(best.size, pair.max())
+                    np.minimum.at(lowest, Ws, pair)
+                    pair = lowest
+                xy[V] = pair
+                stats.bip_entries += best.size
+                stats.extension_evals += ext
+                table[V | bit, span][keep] = (best[::-1, None] + kept).min(axis=0)
     return table
+
+
+@cache
+def _layers(c: int) -> list[np.ndarray]:
+    """The masks over c children but the full one, grouped by popcount."""
+    masks = np.arange((1 << c) - 1)
+    counts = np.array([V.bit_count() for V in range((1 << c) - 1)])
+    return [masks[counts == p] for p in range(c)]
 
 
 def upsweep(inst: Instance, tree: RootedTree, k: Optional[int] = None) -> UpsweepResult:

@@ -8,6 +8,8 @@ relabelling the nodes, scaling the plane, and the DT tour never losing to the
 depth-first shortcut of the same tree.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,40 @@ class TestFrozenReference:
         _assert_bit_identical(inst, degree_increase(mst_tree(inst), 7), k)
 
     @pytest.mark.parametrize("k", [1, 2, None])
+    @pytest.mark.parametrize("points", sorted(HAND_POINTS))
+    @pytest.mark.parametrize("shape", sorted(HAND_TREES))
+    def test_bit_identical_hand_built(self, shape, points, k):
+        parent = HAND_TREES[shape]
+        inst = make_instance(HAND_POINTS[points](len(parent)))
+        _assert_bit_identical(inst, RootedTree.from_parents(parent), k)
+
+
+# every block taken per mask, and every block of a node with three or more
+# children held, whatever its size
+CAPS = {"per-mask": 0, "all-held": 1 << 40}
+
+
+class TestHeldBlockCap:
+    """Both sides of ``HELD_BLOCK_ENTRIES`` against the frozen reference."""
+
+    @pytest.fixture(params=sorted(CAPS), autouse=True)
+    def cap(self, request, monkeypatch):
+        module = importlib.import_module("doubletree.upsweep")
+        monkeypatch.setattr(module, "HELD_BLOCK_ENTRIES", CAPS[request.param])
+
+    @pytest.mark.parametrize("k", [1, 2, 16, None])
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_bit_identical(self, cases, name, d, k):
+        _assert_bit_identical(*cases[name, d], k)
+
+    @pytest.mark.parametrize("k", [1, None])
+    @pytest.mark.parametrize("name", ["rounded-ties-90", "lattice-64"])
+    def test_bit_identical_degree_7(self, name, k):
+        inst = INSTANCES[name]()
+        _assert_bit_identical(inst, degree_increase(mst_tree(inst), 7), k)
+
+    @pytest.mark.parametrize("k", [1, 2, 16, None])
     @pytest.mark.parametrize("points", sorted(HAND_POINTS))
     @pytest.mark.parametrize("shape", sorted(HAND_TREES))
     def test_bit_identical_hand_built(self, shape, points, k):

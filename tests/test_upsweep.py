@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from doubletree import (
     root_tree,
 )
 from doubletree.upsweep import (
+    HELD_BLOCK_ENTRIES,
     PreorderLayout,
     UpsweepStats,
     node_table,
@@ -197,6 +199,36 @@ class TestBridgeStore:
             assert all(res.bridges[v][0].base is bw and res.bridges[v][1].base is bxy for v in cu)
             total += bw.nbytes + bxy.nbytes
         assert total == 16 * predicted_entries(tree)[1]
+
+
+class TestHeldBlocks:
+    def test_node_holds_at_most_c_blocks_of_the_cap(self):
+        # a root with five subtrees of about 60 nodes: every block, 239 x 60
+        # distances, fits the cap and is held for all of the root's masks
+        rng = np.random.default_rng(0)
+        parent = [None, 0, 0, 0, 0, 0]
+        for i in range(6, 300):  # below the root's child congruent to i mod 5
+            parent.append(int(rng.choice(np.arange(i % 5 or 5, i, 5))))
+        tree = RootedTree.from_parents(parent)
+        inst = generate_uniform(300, 9, 1e6)
+        inst.distances  # the cached matrix is not part of the node's memory
+        layout = PreorderLayout.of(tree)
+        stats, bridges, tables = UpsweepStats(), [None] * 300, {}
+        for u in tree.postorder[:-1]:
+            tables[u] = node_table(inst, layout, u, tables, None, stats, bridges)
+        c = len(tree.children[0])
+        assert c == 5
+        tracemalloc.start()
+        try:
+            table = node_table(inst, layout, 0, tables, None, stats, bridges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        store = bridges[1][0].base.nbytes + bridges[1][1].base.nbytes
+        # the c held blocks, plus one chunk's (x, y) sums, the sums its tie
+        # pass gathers and its (V, W, y) sums, each at most the cap; holding
+        # every block with whole layers as chunks takes about 2.4 MB here
+        assert peak - table.nbytes - store <= (c + 3) * HELD_BLOCK_ENTRIES * 8
 
 
 class TestExtendSweep:
