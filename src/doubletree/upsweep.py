@@ -49,7 +49,12 @@ sums per chunk; entries of A outside V's subtrees are inf, so they never
 reach a minimum, an argmin or the tie test.  The empty mask, every node
 with at most two children (each of its blocks read by one mask) and each
 block over the cap keep the per-mask step, which reads only the row's
-finite x.
+finite x.  That step takes a non-leaf child's block in row tiles of at most
+``HELD_BLOCK_ENTRIES`` (x, y) sums and keeps a running minimum over x; its
+tie pass recomputes the full sums over every x for the attaining columns
+only (a block of one tile gathers them from that tile).  Beyond its table
+and bridges a node thus holds O(tile) temporaries, plus the tie pass's
+|x| sums per attaining column and a leaf step's |x| sums per leaf.
 
 Bridges are kept for tour reconstruction in one store per node u: a weight
 array and a jump-edge array of shape ``(2^c_u, sum_v 2^c_v)``, where child v
@@ -84,9 +89,12 @@ from .spanning_tree import RootedTree
 # memory; exact search (D = 1) at n = 10000 needs about 1.5e7.
 TABLE_ENTRY_BUDGET = 500_000_000
 BRIDGE_ENTRY_BUDGET = 10_000_000
-# A node with three or more children holds a child's distance block d(x, y)
+# The one bound on the (x, y) blocks of the subset DP (see "Order" above).  A
+# node with three or more children holds a child's distance block d(x, y)
 # for all of its masks when the block has at most this many entries, and
-# runs those masks in chunks whose (x, y) sums stay within the same count.
+# runs those masks in chunks of at most this many (x, y) sums; a non-leaf
+# child's block that is not held is taken per mask in row tiles of at most
+# this many sums.
 HELD_BLOCK_ENTRIES = 1 << 15
 
 
@@ -312,18 +320,26 @@ def node_table(
                     Ws, ys = np.nonzero(S == best[:, None])
                     pair = u * n + y_ids[ys]
                     stats.quad_evals += y_ids.size
-                else:
-                    M = A[:, None] + dist.pairs(x_ids[:, None], y_ids)
-                    S = M.min(axis=0) + B_live
+                else:  # the (x, y) block in row tiles of at most the cap (see "Order")
+                    tile = max(1, HELD_BLOCK_ENTRIES // y_ids.size)
+                    M = A[:tile, None] + dist.pairs(x_ids[:tile, None], y_ids)
+                    inner = M.min(axis=0)
+                    for lo in range(tile, x_ids.size, tile):
+                        t = slice(lo, lo + tile)
+                        np.minimum(inner, (A[t, None] + dist.pairs(x_ids[t, None], y_ids)).min(axis=0),
+                                   out=inner)
+                    S = inner + B_live
                     w[V] = best = S.min(axis=1)
                     # (A[x] + d) + B can round onto the minimum even for an x that
                     # misses min_x by an ulp, so the jump edge is the lowest (x, y)
-                    # over every pair whose full sum attains it
+                    # over every pair whose full sum attains it; a block of several
+                    # tiles recomputes the attaining columns over every x
                     Ws, ys = np.nonzero(S == best[:, None])
-                    hit = M[:, ys] + B_live[Ws, ys] == best[Ws]
+                    M = M[:, ys] if tile >= x_ids.size else A[:, None] + dist.pairs(x_ids[:, None], y_ids[ys])
+                    hit = M + B_live[Ws, ys] == best[Ws]
                     pair = x_ids[hit.argmax(axis=0)] * n + y_ids[ys]
                     stats.quad_evals += x_ids.size * y_ids.size
-                    del M  # free the block before the next child's is built
+                    del M  # free the tie sums before the next child's tiles
                 if Ws.size > best.size:  # tied pairs: keep the lowest per W
                     lowest = np.full(best.size, pair.max())
                     np.minimum.at(lowest, Ws, pair)

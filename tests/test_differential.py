@@ -125,9 +125,10 @@ class TestFrozenReference:
         _assert_bit_identical(inst, RootedTree.from_parents(parent), k)
 
 
-# every block taken per mask, and every block of a node with three or more
-# children held, whatever its size
-CAPS = {"per-mask": 0, "all-held": 1 << 40}
+# every block taken per mask in one-row tiles; small held blocks, and per-mask
+# tiles of several rows with a ragged last tile; every block of a node with
+# three or more children held, and every per-mask block in one tile
+CAPS = {"per-mask": 0, "tiled": 300, "all-held": 1 << 40}
 
 
 class TestHeldBlockCap:

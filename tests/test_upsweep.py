@@ -230,6 +230,33 @@ class TestHeldBlocks:
         # every block with whole layers as chunks takes about 2.4 MB here
         assert peak - table.nbytes - store <= (c + 3) * HELD_BLOCK_ENTRIES * 8
 
+    def test_per_mask_block_is_taken_in_tiles(self):
+        # a root with two 400-node paths: the mask holding the first path reads
+        # a 400 x 400 block of the second, far above the cap
+        parent = [None, 0, *range(1, 400), 0, *range(401, 800)]
+        tree = RootedTree.from_parents(parent)
+        inst = generate_uniform(801, 9, 1e6)
+        inst.distances  # the cached matrix is not part of the node's memory
+        layout = PreorderLayout.of(tree)
+        stats, bridges, tables = UpsweepStats(), [None] * 801, {}
+        for u in tree.postorder[:-1]:
+            tables[u] = node_table(inst, layout, u, tables, None, stats, bridges)
+        tracemalloc.start()
+        try:
+            table = node_table(inst, layout, 0, tables, None, stats, bridges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tree.children[0] == (1, 401)
+        xs = np.count_nonzero(table[1, 1:] < np.inf)
+        B = tables[401]
+        assert xs * np.count_nonzero((B < np.inf).any(axis=0)) >= 2 * HELD_BLOCK_ENTRIES
+        store = bridges[1][0].base.nbytes + bridges[1][1].base.nbytes
+        # a few tiles of at most the cap, and the tie pass's sums over every x
+        # for the attaining columns, one per mask W of the child on this input
+        tie = 3 * xs * B.shape[0] * 8
+        assert peak - table.nbytes - store <= 4 * HELD_BLOCK_ENTRIES * 8 + tie
+
 
 class TestExtendSweep:
     def test_collinear_slice(self, collinear3):

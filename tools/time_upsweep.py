@@ -17,6 +17,10 @@ It prints:
   together; a block is held at nodes with three or more children when it
   has at most ``upsweep.HELD_BLOCK_ENTRIES`` entries (0.0 where the checkout
   has no such constant).
+* ``peak_mb``: for the same cases, the tracemalloc peak of one more,
+  untimed upsweep in MB (10^6 bytes): its tables, bridges and temporaries.
+  The distance object is built before it, so a cached matrix is not
+  counted.
 
 Wall times vary with the machine and its load; compare only figures from
 one run of two checkouts, interleaved.  This script is a measurement, not a
@@ -31,6 +35,7 @@ import json
 import os
 import platform
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -70,6 +75,16 @@ def time_upsweep(inst, tree, k, repeats: int) -> float:
     return 1e3 * best
 
 
+def peak_mb(inst, tree, k) -> float:
+    """Tracemalloc peak of one upsweep, in MB."""
+    tracemalloc.start()
+    try:
+        upsweep(inst, tree, k)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def held_share(tree, k) -> float:
     """Share of (node, block) pairs whose block is held, by the rule above."""
     cap = getattr(upsweep_mod, "HELD_BLOCK_ENTRIES", None)
@@ -101,15 +116,17 @@ def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--repeats", type=int, default=5)
     args = p.parse_args()
-    times, shares = {}, {}
+    times, shares, peaks = {}, {}, {}
     for klass, n, d, k in CASES:
         inst, tree = _case(klass, n, d)
         label = _label(klass, n, d, k)
         times[label] = round(time_upsweep(inst, tree, k, args.repeats), 1)
         shares[label] = round(held_share(tree, k), 3)
+        peaks[label] = round(peak_mb(inst, tree, k), 2)
     out = {
         "upsweep_ms": times,
         "held_share": shares,
+        "peak_mb": peaks,
         "source": os.path.dirname(upsweep_mod.__file__),
         "python": platform.python_version(),
         "numpy": np.__version__,
