@@ -9,6 +9,7 @@ depth-first shortcut of the same tree.
 """
 
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -81,11 +82,22 @@ HAND_TREES = {
     # leaf child, and so has the root (child 2) among two subtrees; node 3 has
     # one leaf child and one subtree
     "lone-leaf": [None, 0, 0, 0, 1, 3, 3, 6],
+    # one node per height: each empty-mask batch holds one child
+    "path": [None, *range(29)],
+    # a four-child root over a leaf and three paths of unequal length (3, 7
+    # and 17 nodes with their side branches): many nodes per height,
+    # children of width 1, 2, 4 and 8, and leaves next to non-leaf children
+    # (nodes 6, 14 and 19)
+    "broom": [None, 0, 0, 2, 3, 0, 5, 6, 7, 8, 9, 6, 0, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
+              14, 17, 24, 25, 19, 19],
+    # two paths that end in three-leaf forks: built height by height, both
+    # forks' tables are live at once, which a postorder pass never holds
+    "twin-forks": [None, 0, 0, 1, 2, 3, 4, 5, 6, 7, 7, 7, 8, 8, 8],
 }
 
 HAND_POINTS = {
     "uniform": lambda n: generate_uniform(n, 8, 1e6).coords,
-    "lattice": lambda n: _lattice(4).coords[:n],
+    "lattice": lambda n: _lattice(max(4, math.isqrt(n - 1) + 1)).coords[:n],
 }
 
 

@@ -19,6 +19,8 @@ from doubletree.upsweep import (
     HELD_BLOCK_ENTRIES,
     PreorderLayout,
     UpsweepStats,
+    _empty_masks,
+    _heights,
     node_table,
     predicted_entries,
     upsweep,
@@ -258,6 +260,42 @@ class TestHeldBlocks:
         assert peak - table.nbytes - store <= 4 * HELD_BLOCK_ENTRIES * 8 + tie
 
 
+class TestEmptyMaskBatch:
+    def test_wide_height_is_split(self):
+        # 150 paths of 300 nodes below one root: at height 290 each of 150
+        # nodes has one child of 290 nodes, so the children's (W, y) arrays
+        # for the empty mask would hold 2 * 150 * 290 entries, 2.7 times the cap
+        paths, length, height = 150, 300, 290
+        parent = [None]
+        for _ in range(paths):
+            parent += [0, *range(len(parent), len(parent) + length - 1)]
+        tree = RootedTree.from_parents(parent)
+        inst = generate_uniform(tree.n, 9, 1e6)
+        layout = PreorderLayout.of(tree)
+        stats, bridges = UpsweepStats(), [None] * tree.n
+        tables = {u: node_table(inst, layout, u, {}, None, stats, bridges)
+                  for u, cu in enumerate(tree.children) if not cu}
+        levels = _heights(tree)
+        for nodes in levels[:height - 1]:
+            for u, (table, _, _) in zip(nodes, _empty_masks(inst, layout, nodes, tables, None, stats, bridges)):
+                for v in tree.children[u]:
+                    del tables[v]
+                tables[u] = table
+        nodes = levels[height - 1]
+        assert len(nodes) == paths
+        tracemalloc.start()
+        try:
+            built = _empty_masks(inst, layout, nodes, tables, None, stats, bridges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = sum(table.nbytes + bw.nbytes + bxy.nbytes for table, bw, bxy in built)
+        # a batch holds (W, y) arrays of at most the cap each and the distance
+        # lookup's y-long temporaries: about four caps at W = 2 all told,
+        # against about ten for the whole height as one batch
+        assert peak - own <= 5 * HELD_BLOCK_ENTRIES * 8
+
+
 class TestExtendSweep:
     def test_collinear_slice(self, collinear3):
         st = SweepTables(collinear3, mst_tree(collinear3))
@@ -410,6 +448,28 @@ class TestUpsweep:
             d, n = tree.max_children, inst.n
             assert res.stats.quad_evals <= (4**d) * n * n
             assert res.stats.max_live_entries <= (2**d) * n
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_live_entries_count_a_postorder_pass(self, k):
+        # two paths that end in three-leaf forks (nodes 7 and 8): built height
+        # by height, both forks' tables are live at once; the counter reports
+        # the peak of a postorder pass, which never holds both
+        tree = RootedTree.from_parents([None, 0, 0, 1, 2, 3, 4, 5, 6, 7, 7, 7, 8, 8, 8])
+        inst = random_instance(tree.n, 8)
+        st = SweepTables(inst, tree, k=k)
+        live = [int(np.count_nonzero(st.tables[u][1:] < np.inf)) for u in range(tree.n)]
+
+        def peak(schedule):  # groups of nodes built together, bottom up
+            now = top = 0
+            for group in schedule:
+                now += sum(live[u] for u in group)
+                top = max(top, now)
+                now -= sum(live[v] for u in group for v in tree.children[u])
+            return top
+
+        postorder = peak([u] for u in tree.postorder)
+        assert peak(_heights(tree)) > postorder
+        assert upsweep(inst, tree, k=k).stats.max_live_entries == postorder
 
     def test_releases_child_tables(self, star5):
         tree = mst_tree(star5)

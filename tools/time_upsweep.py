@@ -9,14 +9,18 @@ It prints:
 
 * ``upsweep_ms``: one ``upsweep`` call, the fastest of ``--repeats``, for
   uniform and clustered n=1000 at DT (exact search on the MST), DT_5_16
-  (degree 5, depth 16) and DT_5_inf, and for uniform n=4000 at DT and
-  DT_1_16.  The tree is built once per case, outside the timing.
+  (degree 5, depth 16) and DT_5_inf, and for uniform and clustered n=4000
+  at DT and DT_1_16.  The tree is built once per case, outside the timing.
 * ``held_share``: for the same cases, the share of (node, block) pairs
   whose distance block the upsweep holds for all of the node's masks.  A
   node has one block per non-leaf child and one for its leaf children
-  together; a block is held at nodes with three or more children when it
-  has at most ``upsweep.HELD_BLOCK_ENTRIES`` entries (0.0 where the checkout
+  together; a block is held when more than three masks read it and it has
+  at most ``upsweep.HELD_BLOCK_ENTRIES`` entries (0.0 where the checkout
   has no such constant).
+* ``tree``: for the same cases, ``heights``, the number of heights with a
+  node that is not a leaf (the batched empty-mask steps), and
+  ``node_steps``, the number of nodes with two or more children (those that
+  run their own nonempty masks).  Both describe the tree, not the checkout.
 * ``peak_mb``: for the same cases, the tracemalloc peak of one more,
   untimed upsweep in MB (10^6 bytes): its tables, bridges and temporaries.
   The distance object is built before it, so a cached matrix is not
@@ -49,8 +53,8 @@ BOX = 1e6
 SEED = 1
 # (class, n, degree limit D, depth k); D=1 is the MST itself, k=None exact
 CASES = tuple((klass, 1000, d, k) for klass in ("uniform", "clustered")
-              for d, k in ((1, None), (5, 16), (5, None))) + (("uniform", 4000, 1, None),
-                                                              ("uniform", 4000, 1, 16))
+              for d, k in ((1, None), (5, 16), (5, None))) + tuple(
+    (klass, 4000, 1, k) for klass in ("uniform", "clustered") for k in (None, 16))
 GENERATORS = {"uniform": generate_uniform, "clustered": generate_clustered}
 
 
@@ -99,34 +103,49 @@ def held_share(tree, k) -> float:
         # x candidates: columns within k of u, u excluded
         xs = np.flatnonzero(depth <= limit)[1:]
         leaves = [v for v in cu if not tree.children[v]]
-        blocks = [(xs.size, len(leaves))] if leaves else []
+        # (children in the block, x candidates, live y) of each block
+        blocks = [(len(leaves), xs.size, len(leaves))] if leaves else []
         for v in cu:
             if tree.children[v]:
                 lo = int(layout.pre[v]) - p0
                 hi = lo + tree.subtree_size[v]
                 x = np.count_nonzero((xs < lo) | (xs >= hi))
-                blocks.append((x, np.count_nonzero(depth[lo:hi] <= limit + 1)))
+                blocks.append((1, x, np.count_nonzero(depth[lo:hi] <= limit + 1)))
         total += len(blocks)
-        if cap is not None and len(cu) >= 3:
-            held += sum(x * y <= cap for x, y in blocks)
+        if cap is not None:
+            # masks that read a block: nonempty, not full, missing one of its children
+            c = len(cu)
+            held += sum((1 << c) - (1 << (c - m)) - 1 > 3 and x * y <= cap for m, x, y in blocks)
     return held / total
+
+
+def heights(tree) -> int:
+    """Number of heights (longest path down to a leaf) above 0."""
+    height = [0] * tree.n
+    for u in tree.postorder:
+        for v in tree.children[u]:
+            height[u] = max(height[u], height[v] + 1)
+    return height[tree.root]
 
 
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--repeats", type=int, default=5)
     args = p.parse_args()
-    times, shares, peaks = {}, {}, {}
+    times, shares, peaks, shape = {}, {}, {}, {}
     for klass, n, d, k in CASES:
         inst, tree = _case(klass, n, d)
         label = _label(klass, n, d, k)
         times[label] = round(time_upsweep(inst, tree, k, args.repeats), 1)
         shares[label] = round(held_share(tree, k), 3)
         peaks[label] = round(peak_mb(inst, tree, k), 2)
+        shape[label] = {"heights": heights(tree),
+                        "node_steps": sum(len(cu) > 1 for cu in tree.children)}
     out = {
         "upsweep_ms": times,
         "held_share": shares,
         "peak_mb": peaks,
+        "tree": shape,
         "source": os.path.dirname(upsweep_mod.__file__),
         "python": platform.python_version(),
         "numpy": np.__version__,
