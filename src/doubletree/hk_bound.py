@@ -7,8 +7,14 @@ potentials toward equal node degrees (Held & Karp 1970/71).
 
 The ascent runs its steps on two graphs (Helsgaun 2000, as in LKH):
 
-* Step 1 is an exact dense 1-tree at zero potentials, from the one Prim
-  scan (``spanning_tree.prim_scan``), which reads one distance row per step.
+* Step 1 is the exact 1-tree at zero potentials.  Its spanning part is an
+  MST of the graph less node 0.  Where ``minimum_spanning_tree`` certified
+  the MST unique (no tie test of its scan fired), the caller passes that on
+  and ``spanning_tree.mst_without_node_zero`` derives this tree from the
+  MST with the dense scan's bits, without a second O(n^2) scan.
+  Ties (in the MST's scan or among the pairs that reconnect the MST less
+  node 0) and ``EUC_2D`` instances take the dense Prim scan
+  (``spanning_tree.prim_scan``), which reads one distance row per step.
 * Steps 2..N build their 1-trees on a sparse candidate graph by a
   vectorised Boruvka pass.  Its rounds carry the live edges' component
   arrays, relabel them after each merge and compact them with ``take``, so
@@ -47,7 +53,9 @@ under a small change of its path; the floor of 5 keeps short ascents from
 halving every step or two.)
 
 Memory: the dense scans read one row at a time (above the distance cache
-over the nodes not yet in the tree), and the candidate graph is built from
+over the nodes not yet in the tree), step 1 from the MST needs O(n) and
+gathers its candidate pairs in chunks of ``spanning_tree.GATHER_ENTRIES``,
+and the candidate graph is built from
 blocks of at most ``BLOCK_ENTRIES`` distances, grid reads and full rows
 alike (recomputed from coordinates above the distance cache), so beyond the
 instance's distance object the ascent needs O(n K) memory for K candidate
@@ -56,14 +64,14 @@ edges per node (each certificate adds at most n - 2 edges).
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import InternalInvariantError
 from .instances import Instance, PairwiseDistances
 from .oracles import depth_first_shortcut
-from .spanning_tree import RootedTree, prim_scan
+from .spanning_tree import RootedTree, mst_without_node_zero, prim_scan
 
 NEAREST = 5  # nearest neighbours per node in the candidate graph
 PER_QUADRANT = 2  # nearest neighbours per quadrant, for clustered points
@@ -95,16 +103,21 @@ def _add_node_zero(
     return spanning + float(w1 + row0[e2]), degrees
 
 
-def _one_tree(dist: PairwiseDistances, pi: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+def _one_tree(
+    dist: PairwiseDistances,
+    pi: np.ndarray,
+    spanning: Optional[tuple[np.ndarray, np.ndarray]] = None,
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Minimum 1-tree under distances reduced by the potentials.
 
     Returns its reduced weight, the node degree vector and the parent links
     of its spanning part (-1 at nodes 0 and 1).  Node 0 is the special node;
     the spanning tree over 1..n-1 is ``prim_scan``'s with potentials (ties to
     the smallest index), and the weight is summed left to right in pick
-    order.
+    order.  ``spanning``, when given, is what that scan returns (links and
+    picked keys), as ``mst_without_node_zero`` derives it at zero potentials.
     """
-    parent, picked = prim_scan(dist, pi)
+    parent, picked = prim_scan(dist, pi)[:2] if spanning is None else spanning
     degrees = np.zeros(dist.n, dtype=np.int64)
     degrees[2:] = 1
     np.add.at(degrees, parent[2:], 1)
@@ -362,13 +375,15 @@ class AscentSummary(NamedTuple):
 
 
 def held_karp_ascent(
-    inst: Instance, tree: RootedTree, iterations: int = HK_ITERATIONS
+    inst: Instance, tree: RootedTree, iterations: int = HK_ITERATIONS, mst_unique: bool = False
 ) -> AscentSummary:
     """Subgradient ascent on 1-tree potentials, with its summary.
 
     ``tree`` is the instance's rooted minimum spanning tree (``root_tree`` of
     the parent links ``minimum_spanning_tree`` returns); its depth-first tour
-    sets the step target.
+    sets the step target.  ``mst_unique`` passes on ``minimum_spanning_tree``'s
+    certificate that it is the unique MST; step 1's 1-tree then comes from
+    it (``mst_without_node_zero``) where it can, with the dense scan's bits.
     The bound is the value of a dense 1-tree, so it is always a valid lower
     bound on the optimal tour weight; deterministic for fixed (inst,
     iterations).
@@ -382,12 +397,13 @@ def held_karp_ascent(
     dist = inst.distances
     upper = depth_first_shortcut(inst, tree).weight
 
-    def exact(pi: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        reduced, degrees, parent = _one_tree(dist, pi)
+    def exact(pi: np.ndarray, spanning=None) -> tuple[float, np.ndarray, np.ndarray]:
+        reduced, degrees, parent = _one_tree(dist, pi, spanning)
         return reduced + 2.0 * float(pi.sum()), degrees, parent
 
     pi = best_pi = np.zeros(n)
-    bound, degrees, parent = exact(pi)  # step 1: dense, at zero potentials
+    # step 1, at zero potentials: from the unique MST, else (None) the dense scan
+    bound, degrees, parent = exact(pi, mst_without_node_zero(inst, tree) if mst_unique else None)
     best = peak = certified = bound
     it = best_at = certified_at = checked_at = 1
     lam = 2.0
@@ -432,7 +448,7 @@ def held_karp_ascent(
 
 
 def held_karp_lower_bound(
-    inst: Instance, tree: RootedTree, iterations: int = HK_ITERATIONS
+    inst: Instance, tree: RootedTree, iterations: int = HK_ITERATIONS, mst_unique: bool = False
 ) -> float:
     """Best 1-tree Lagrangian bound found by ``held_karp_ascent``."""
-    return held_karp_ascent(inst, tree, iterations).bound
+    return held_karp_ascent(inst, tree, iterations, mst_unique).bound

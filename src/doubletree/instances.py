@@ -112,19 +112,23 @@ class PairwiseDistances:
         """
         if self._matrix is not None:
             return self._matrix[a, b]
+        # the x lookups are freed once subtracted, so that they are not held
+        # with the y lookups: three result-sized arrays at the peak, not five
         xa, xb = self.xy[a, 0], self.xy[b, 0]
         if (xa.ndim < 2 and xb.ndim < 2) or xa.size * xb.size <= CHUNK_ENTRIES:
-            return self._lengths(xa - xb, self.xy[a, 1] - self.xy[b, 1])
+            dx = xa - xb
+            del xa, xb
+            return self._lengths(dx, self.xy[a, 1] - self.xy[b, 1])
         # a block is filled a few rows at a time: whole-block difference
         # arrays would double its peak memory and fragment the heap
-        shape = np.broadcast_shapes(xa.shape, xb.shape)
-        xa, xb, ya, yb = (np.broadcast_to(v, shape)
-                          for v in (xa, xb, self.xy[a, 1], self.xy[b, 1]))
-        out = np.empty(shape)
-        step = max(1, CHUNK_ENTRIES * shape[0] // out.size)
-        for lo in range(0, shape[0], step):
+        out = np.empty(np.broadcast_shapes(xa.shape, xb.shape))
+        np.subtract(xa, xb, out=out)
+        del xa, xb
+        ya, yb = (np.broadcast_to(v, out.shape) for v in (self.xy[a, 1], self.xy[b, 1]))
+        step = max(1, CHUNK_ENTRIES * out.shape[0] // out.size)
+        for lo in range(0, out.shape[0], step):
             rows = slice(lo, lo + step)
-            self._lengths(np.subtract(xa[rows], xb[rows], out=out[rows]), ya[rows] - yb[rows])
+            self._lengths(out[rows], ya[rows] - yb[rows])
         return out
 
     def to_points(self, a, x, y) -> np.ndarray:

@@ -177,34 +177,6 @@ def predicted_entries(tree: RootedTree) -> tuple[int, int]:
     return tables, bridges
 
 
-def node_table(
-    inst: Instance,
-    layout: PreorderLayout,
-    u: int,
-    tables: dict[int, np.ndarray],
-    k: Optional[int],
-    stats: UpsweepStats,
-    bridges: list[Optional[Bridges]],
-) -> np.ndarray:
-    """u's ``(2^c, size[u])`` table, built from its children's tables.
-
-    Stores each child v's bridges in ``bridges[v]``, a column block of u's
-    bridge store; rows V that contain v itself are never computed and keep
-    the absent marker -1.  The empty mask is the pass's batched step, taken
-    here for a batch of one node.
-    """
-    cu = layout.tree.children[u]
-    missing = [v for v in cu if v not in tables]
-    if missing:
-        raise ValueError(f"children {missing} of {u} not processed yet")
-    if not cu:
-        return _LEAF
-    ((table, bw, bxy),) = _empty_masks(inst, layout, [u], tables, k, stats, bridges)
-    if len(cu) > 1:
-        _nonempty_masks(inst, layout, u, table, bw, bxy, tables, k, stats, bridges)
-    return table
-
-
 def _empty_masks(
     inst: Instance,
     layout: PreorderLayout,

@@ -14,7 +14,13 @@ from doubletree import (
     minimum_spanning_tree,
     root_tree,
 )
-from doubletree.upsweep import PreorderLayout, UpsweepStats, node_table
+from doubletree.upsweep import (
+    _LEAF,
+    PreorderLayout,
+    UpsweepStats,
+    _empty_masks,
+    _nonempty_masks,
+)
 
 
 def make_instance(coords, name="test", rounded=False):
@@ -76,6 +82,27 @@ def max_triangle_violation(inst):
         slack = d - d[:, b][:, None] - d[b, :][None, :]
         worst = max(worst, float(slack.max()))
     return worst
+
+
+def node_table(inst, layout, u, tables, k, stats, bridges):
+    """u's ``(2^c, size[u])`` table, built from its children's tables by the
+    upsweep's two steps: the empty mask, as a batch of one node, and at two
+    or more children the nonempty masks.
+
+    Stores each child v's bridges in ``bridges[v]``, a column block of u's
+    bridge store; rows V that contain v itself are never computed and keep
+    the absent marker -1.
+    """
+    cu = layout.tree.children[u]
+    missing = [v for v in cu if v not in tables]
+    if missing:
+        raise ValueError(f"children {missing} of {u} not processed yet")
+    if not cu:
+        return _LEAF
+    ((table, bw, bxy),) = _empty_masks(inst, layout, [u], tables, k, stats, bridges)
+    if len(cu) > 1:
+        _nonempty_masks(inst, layout, u, table, bw, bxy, tables, k, stats, bridges)
+    return table
 
 
 class SweepTables:

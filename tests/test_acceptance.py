@@ -100,7 +100,7 @@ def benchmark_runs():
     rows = []
     for seed in BIG_SEEDS:
         inst = generate_uniform(BIG_N, seed=seed, box=BOX)
-        parent, mst_w = minimum_spanning_tree(inst)
+        parent, mst_w, _ = minimum_spanning_tree(inst)
         tree = root_tree(parent)
         hk = held_karp_lower_bound(inst, tree)
         weights = {}

@@ -8,7 +8,7 @@ import pytest
 
 import doubletree.cli as cli_mod
 from doubletree.instances import PairwiseDistances
-from doubletree.spanning_tree import minimum_spanning_tree, root_tree
+from doubletree.spanning_tree import minimum_spanning_tree, prim_scan, root_tree
 
 from doubletree import (
     Instance,
@@ -433,8 +433,9 @@ class TestEmitPlot:
 
 @pytest.fixture
 def build_counts(monkeypatch):
-    """Count MST builds, rootings and distance-object constructions, wherever called."""
-    counts = {"mst": 0, "root": 0, "distances": 0}
+    """Count MST builds, rootings, dense Prim scans and distance-object
+    constructions, wherever called."""
+    counts = {"mst": 0, "root": 0, "scan": 0, "distances": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -445,7 +446,8 @@ def build_counts(monkeypatch):
 
     # keyed by identity: module globals include unhashable values
     wrappers = {id(fn): counted(key, fn)
-                for key, fn in (("mst", minimum_spanning_tree), ("root", root_tree))}
+                for key, fn in (("mst", minimum_spanning_tree), ("root", root_tree),
+                                ("scan", prim_scan))}
     for name, mod in list(sys.modules.items()):
         if name == "doubletree" or name.startswith("doubletree."):
             for attr, value in list(vars(mod).items()):
@@ -467,18 +469,30 @@ class TestOneBuildPerInstance:
                      "--degree-limit", "4", "--hk-iterations", "20",
                      "--tour-out", str(tmp_path / "t.tour"),
                      "--plot", str(tmp_path / "t.svg")]) == 0
-        assert build_counts == {"mst": 1, "root": 1, "distances": 1}
+        # the MST's scan and three certificates; step 1 comes from the unique MST
+        assert build_counts == {"mst": 1, "root": 1, "scan": 4, "distances": 1}
 
     def test_suite(self, build_counts):
         run_suite([10], seeds=2, grid=[(1, None), (1, 4), (3, 16), (5, None)],
                   hk_iterations=20)
-        assert build_counts == {"mst": 2, "root": 2, "distances": 2}
+        assert build_counts == {"mst": 2, "root": 2, "scan": 8, "distances": 2}
 
     def test_verify(self, tmp_path, build_counts):
         inst_file = tmp_path / "v.tsp"
         assert main(["gen", "uniform", "--n", "7", "--seed", "2", "-o", str(inst_file)]) == 0
         assert main(["verify", "--input", str(inst_file)]) == 0
-        assert build_counts == {"mst": 1, "root": 1, "distances": 1}
+        assert build_counts == {"mst": 1, "root": 1, "scan": 2, "distances": 1}
+
+    def test_one_dense_scan_before_the_ascent(self, build_counts):
+        assert main(["run", "--gen", "uniform:n=200,seed=1", "--hk-iterations", "1"]) == 0
+        assert build_counts["scan"] == 1
+
+    def test_ties_take_the_dense_step_one(self, tmp_path, build_counts):
+        # a rounded lattice ties everywhere: step 1 takes its own dense scan
+        lattice = [(10 * i, 10 * j) for i in range(8) for j in range(8)]
+        path = write_euc2d(tmp_path / "lattice.tsp", lattice)
+        assert main(["run", "--input", path, "--hk-iterations", "1"]) == 0
+        assert build_counts["scan"] == 2
 
 
 def write_euc2d(path, coords):
@@ -539,7 +553,7 @@ class TestEarlyValidation:
         assert "capped at n <= 31623" in capsys.readouterr().err
         assert main(["run", "--gen", "uniform:n=40000,seed=1", "--heuristic", "dtk",
                      "--degree-limit", "5", "--depth", "inf"]) == 2
-        assert build_counts == {"mst": 0, "root": 0, "distances": 0}
+        assert build_counts == {"mst": 0, "root": 0, "scan": 0, "distances": 0}
 
     def test_verify_above_the_oracle_limit_rejected_before_any_tour_work(
         self, tmp_path, capsys, build_counts
@@ -604,7 +618,7 @@ class TestEarlyValidation:
         assert capsys.readouterr().err == (
             f"guard violation: generated instances are capped at n <= {MAX_NODES}, "
             "got n = 100000000000\n")
-        assert build_counts == {"mst": 0, "root": 0, "distances": 0}
+        assert build_counts == {"mst": 0, "root": 0, "scan": 0, "distances": 0}
         assert peak < 1 << 20
 
     def test_non_finite_coordinate_is_an_input_error(self, tmp_path, capsys):
@@ -622,7 +636,7 @@ class TestEarlyValidation:
         assert main(["run", "--input", str(bad)]) == 3
         assert capsys.readouterr().err == (
             "parse error: point coordinates too far apart: squared distances overflow\n")
-        assert build_counts == {"mst": 0, "root": 0, "distances": 0}
+        assert build_counts == {"mst": 0, "root": 0, "scan": 0, "distances": 0}
 
 
 TRIANGLE = ("NAME : tri\nTYPE : TSP\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\n"

@@ -13,6 +13,8 @@ from doubletree import (
     generate_uniform,
     held_karp_ascent,
     held_karp_lower_bound,
+    minimum_spanning_tree,
+    root_tree,
     upsweep,
 )
 import doubletree.hk_bound as hk_bound
@@ -248,19 +250,26 @@ class TestCertificate:
 
 
     def test_at_most_one_certificate_per_round(self, monkeypatch):
+        # every dense 1-tree goes through _one_tree: step 1's with the
+        # spanning tree derived from the unique MST, or with none and its own scan
         calls = []
 
-        def counted(dist, pi):
-            calls.append(pi)
-            return _one_tree(dist, pi)
+        def counted(dist, pi, spanning=None):
+            calls.append(spanning is not None)
+            return _one_tree(dist, pi, spanning)
 
         monkeypatch.setattr(hk_bound, "_one_tree", counted)
         inst = generate_uniform(300, seed=7, box=1e6)
-        held_karp_ascent(inst, mst_tree(inst), 1000)
-        # step 1, then at most one per round: a stop step that ends no round
-        # comes before the last round's end, so it stands in for that one
-        assert len(calls) <= 1 + hk_bound.ROUNDS
-        assert len(calls) == 6
+        parent, _, unique = minimum_spanning_tree(inst)
+        assert unique
+        for from_mst in (False, True):
+            calls.clear()
+            held_karp_ascent(inst, root_tree(parent), 1000, from_mst)
+            # step 1, then at most one per round: a stop step that ends no round
+            # comes before the last round's end, so it stands in for that one
+            assert len(calls) <= 1 + hk_bound.ROUNDS
+            assert len(calls) == 6
+            assert calls == [from_mst] + [False] * 5
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_collinear_points_within_the_gate(self, seed):

@@ -193,6 +193,24 @@ class TestPairwiseDistances:
             # would take about 2x
             assert peak < 1.5 * block.nbytes
 
+    def test_uncached_lookup_frees_the_x_coordinates(self, monkeypatch):
+        monkeypatch.setattr(instances, "MATRIX_CACHE_LIMIT", 10)
+        dist = generate_uniform(1000, seed=13, box=1e6).distances
+        rng = np.random.default_rng(0)
+        a, b = rng.integers(0, 1000, 200_000), rng.integers(0, 1000, 200_000)
+        # flat index arrays (one pass), then full 2-D ones (a block in chunks)
+        for a, b in ((a, b), (a.reshape(400, 500), b.reshape(400, 500))):
+            tracemalloc.start()
+            try:
+                out = dist.pairs(a, b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the x lookups go before the y lookups are taken: about 3 arrays
+            # of the result's size at once (a chunk's temporaries on top of a
+            # block), against 5 while both pairs of lookups were held
+            assert peak < 3.75 * out.nbytes
+
     def test_a_large_block_is_computed_in_chunks_with_the_same_bits(self, monkeypatch):
         monkeypatch.setattr(instances, "MATRIX_CACHE_LIMIT", 10)
         xy = generate_uniform(700, seed=14, box=1e6).coords

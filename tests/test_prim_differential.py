@@ -8,17 +8,25 @@ candidate graph, must be the value of a dense 1-tree and stay within the
 quality gate of ``hk_gate.py`` against the reference ascent.  Every case
 runs twice: with the distance matrix cached and with ``MATRIX_CACHE_LIMIT``
 set low, so rows and candidate blocks are recomputed from coordinates.
+
+The ascent's step 1, derived from a unique MST by ``mst_without_node_zero``,
+is compared bit for bit with the dense scan it replaces, for every degree
+of node 0 from 1 to 4; inputs with ties must take the dense scan.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import doubletree.hk_bound as hk_bound
 import doubletree.instances as instances
+import doubletree.spanning_tree as spanning_tree
 from doubletree import (
     depth_first_shortcut,
     generate_clustered,
     generate_uniform,
+    held_karp_ascent,
     minimum_spanning_tree,
     root_tree,
     upsweep,
@@ -30,6 +38,7 @@ from doubletree.hk_bound import (
     _one_tree,
     held_karp_lower_bound,
 )
+from doubletree.spanning_tree import mst_without_node_zero, prim_scan
 
 import hk_gate
 import reference_prim
@@ -112,7 +121,7 @@ def _ascent_potentials(inst, tree, steps):
 class TestFrozenPrim:
     def test_spanning_tree(self, build, name):
         inst = build(name)
-        parent, weight = minimum_spanning_tree(inst)
+        parent, weight, _ = minimum_spanning_tree(inst)
         edges = reference_prim.minimum_spanning_tree(inst)
         assert len(edges) == inst.n - 1
         assert all(parent[b] == a for a, b, _ in edges)
@@ -144,8 +153,8 @@ class TestFrozenPrim:
         tree = root_tree(minimum_spanning_tree(inst)[0])
         dense_values = []
 
-        def recorded(dist, pi):
-            out = _one_tree(dist, pi)
+        def recorded(dist, pi, spanning=None):
+            out = _one_tree(dist, pi, spanning)
             dense_values.append(out[0] + 2.0 * float(pi.sum()))
             return out
 
@@ -197,3 +206,106 @@ class TestFrozenPrim:
                 want = np.sort(d[i, others[quadrant[others]]])[:PER_QUADRANT]
                 got = np.sort(d[i, mine[quadrant[mine]]])[:want.size]
                 assert got.tolist() == want.tolist()
+
+
+# (class, n) -> the seeds whose unique MST gives node 0 the degrees 1, 2, 3 and 4
+STEP_ONE_SEEDS = {
+    ("uniform", 13): (4, 1, 11, 36),
+    ("uniform", 200): (1, 2, 12, 302),
+    ("uniform", 1000): (4, 1, 6, 243),
+    ("uniform", 4000): (2000001, 1, 3, 2),
+    ("clustered", 13): (1, 8, 5, 239),
+    ("clustered", 200): (2, 1, 13, 98),
+    ("clustered", 1000): (6, 1, 2, 128),
+    ("clustered", 4000): (1, 4, 2, 83),
+}
+GENERATORS = {"uniform": generate_uniform, "clustered": generate_clustered}
+
+# node 0's MST neighbours 2, 3 and 4 split T - 0 into three parts, and
+# d(2, 3) = d(3, 4) = 5 both reconnect them: the MST is unique, MST(G - 0) not
+TIED_RECONNECTION = ((2, 3), (8, 4), (3, 1), (0, 5), (5, 5))
+
+
+def _step_one_cases():
+    for (klass, n), seeds in STEP_ONE_SEEDS.items():
+        for degree, seed in enumerate(seeds, start=1):
+            yield pytest.param(klass, n, degree, seed, id=f"{klass}-{n}-deg{degree}")
+
+
+class TestStepOneFromMst:
+    @pytest.mark.parametrize("klass,n,degree,seed", _step_one_cases())
+    def test_same_bits_as_the_dense_scan(self, klass, n, degree, seed):
+        inst = GENERATORS[klass](n, seed, 1e6)
+        parent, _, unique = minimum_spanning_tree(inst)
+        assert unique and np.count_nonzero(parent == 0) == degree
+        tree = root_tree(parent)
+        zeros = np.zeros(n)
+        spanning = mst_without_node_zero(inst, tree)
+        assert spanning is not None
+        dense = prim_scan(inst.distances, zeros)[:2]  # what _one_tree(dist, zeros) scans
+        assert spanning[0].dtype == dense[0].dtype
+        assert spanning[0].tolist() == dense[0].tolist()
+        assert spanning[1].tobytes() == dense[1].tobytes()
+        got_w, got_deg, got_parent = _one_tree(inst.distances, zeros, spanning)
+        want_w, want_deg, want_parent = _one_tree(inst.distances, zeros, dense)
+        assert float(got_w).hex() == float(want_w).hex()
+        assert got_deg.tolist() == want_deg.tolist()
+        assert got_parent.tolist() == want_parent.tolist()
+        for steps in (1, 100):
+            assert held_karp_ascent(inst, tree, steps, True) == held_karp_ascent(inst, tree, steps)
+
+    def test_gathered_in_small_chunks(self, monkeypatch):
+        monkeypatch.setattr(spanning_tree, "GATHER_ENTRIES", 7)
+        for (klass, n), seeds in STEP_ONE_SEEDS.items():
+            for seed in seeds[1:] if n <= 1000 else ():  # node 0 of degree 2, 3 and 4
+                inst = GENERATORS[klass](n, seed, 1e6)
+                got = mst_without_node_zero(inst, root_tree(minimum_spanning_tree(inst)[0]))
+                want = prim_scan(inst.distances, np.zeros(n))
+                assert got[0].tolist() == want[0].tolist()
+                assert got[1].tobytes() == want[1].tobytes()
+
+    def test_pair_one_cell_side_apart(self):
+        # node 0's neighbours 2 and 3 lie exactly U = 1 apart in x, and 2
+        # lies just below a cell boundary: the one pair that rejoins them is
+        # found only because the cells are a little wider than U
+        x = (3 - 2.0**-22) * (1 - 2.0**-20)
+        inst = make_instance([(x + 0.45, 0.8), (0.0, 0.0), (x, 0.0), (x + 1.0, 0.0)])
+        parent, _, unique = minimum_spanning_tree(inst)
+        assert unique and parent.tolist() == [-1, 2, 0, 0]
+        got = mst_without_node_zero(inst, root_tree(parent))
+        want = prim_scan(inst.distances, np.zeros(4))
+        assert got[0].tolist() == want[0].tolist() == [-1, -1, 1, 2]
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("name", ["rounded-lattice-120", "duplicates-80", "collinear-40",
+                                      "tied-reconnection"])
+    def test_ties_take_the_dense_scan(self, name, monkeypatch):
+        tied = name == "tied-reconnection"
+        inst = make_instance(TIED_RECONNECTION) if tied else INSTANCES[name]()
+        parent, _, unique = minimum_spanning_tree(inst)
+        tree = root_tree(parent)
+        assert unique == tied
+        if unique:
+            assert mst_without_node_zero(inst, tree) is None
+        dense = []
+
+        def recorded(dist, pi, spanning=None):
+            dense.append(spanning is None)
+            return _one_tree(dist, pi, spanning)
+
+        monkeypatch.setattr(hk_bound, "_one_tree", recorded)
+        for steps in (1, 100):
+            got = held_karp_ascent(inst, tree, steps, unique)
+            assert got == held_karp_ascent(inst, tree, steps)
+        assert all(dense)
+
+    def test_memory(self):
+        inst = generate_uniform(4000, 2000003, 1e6)  # node 0 has two MST neighbours
+        tree = root_tree(minimum_spanning_tree(inst)[0])
+        tracemalloc.start()
+        try:
+            assert mst_without_node_zero(inst, tree) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2**20

@@ -56,10 +56,12 @@ def brute_force_mst_weight(inst):
     return best
 
 
-def kruskal_edges(inst):
-    """The MST's (lower, higher) edges under the order (weight, lower id, higher id)."""
+def kruskal_edges(inst, reverse_ties=False):
+    """The MST's (lower, higher) edges under the order (weight, lower id,
+    higher id), or with ``reverse_ties`` (weight, -lower id, -higher id)."""
     lo, hi = np.triu_indices(inst.n, 1)
-    order = np.lexsort((hi, lo, inst.distances.pairs(lo, hi)))
+    sign = -1 if reverse_ties else 1
+    order = np.lexsort((sign * hi, sign * lo, inst.distances.pairs(lo, hi)))
     comp = list(range(inst.n))
 
     def find(x):
@@ -91,17 +93,30 @@ class TestMst:
     def test_is_the_mst_of_the_strict_edge_order(self, inst):
         # Kruskal over the order itself, so a wrong tie rule in the scan
         # cannot hide behind a reference that shares it
-        parent, _ = minimum_spanning_tree(inst)
+        parent = minimum_spanning_tree(inst)[0]
         edges = {(min(v, p), max(v, p)) for v, p in enumerate(parent.tolist()) if p >= 0}
         assert edges == kruskal_edges(inst)
 
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_instances())
+    def test_certified_unique(self, inst):
+        # a tree certified unique is the MST under the opposite tie rule too
+        parent, _, unique = minimum_spanning_tree(inst)
+        if unique:
+            edges = {(min(v, p), max(v, p)) for v, p in enumerate(parent.tolist()) if p >= 0}
+            assert edges == kruskal_edges(inst, reverse_ties=True)
+
+    def test_ties_are_reported(self, unit_square, collinear3):
+        assert not minimum_spanning_tree(unit_square)[2]  # four spanning paths of weight 3
+        assert minimum_spanning_tree(collinear3)[2]  # node 0 is an end: no tie at any cut
+
     def test_two_points(self):
-        parent, weight = minimum_spanning_tree(make_instance([(0, 0), (3, 4)]))
+        parent, weight, _ = minimum_spanning_tree(make_instance([(0, 0), (3, 4)]))
         assert parent.tolist() == [-1, 0]
         assert weight == 5.0
 
     def test_collinear_three(self, collinear3):
-        parent, weight = minimum_spanning_tree(collinear3)
+        parent, weight, _ = minimum_spanning_tree(collinear3)
         assert parent.tolist() == [-1, 0, 1]
         assert weight == 2.0
 
@@ -113,22 +128,22 @@ class TestMst:
     @pytest.mark.parametrize("n,seed", [(4, 0), (5, 1), (5, 2), (6, 3), (6, 4)])
     def test_matches_exhaustive_minimum(self, n, seed):
         inst = random_instance(n, seed)
-        parent, got = minimum_spanning_tree(inst)
+        parent, got, _ = minimum_spanning_tree(inst)
         assert got == pytest.approx(brute_force_mst_weight(inst), abs=1e-9)
         links = sum(distance(inst, v, int(p)) for v, p in enumerate(parent) if p >= 0)
         assert got == pytest.approx(links, abs=1e-9)
 
     def test_deterministic_with_duplicate_points(self):
         inst = make_instance([(0, 0), (0, 0), (1, 0), (1, 0), (0.5, 2)])
-        first, w1 = minimum_spanning_tree(inst)
-        second, w2 = minimum_spanning_tree(inst)
+        first, w1, _ = minimum_spanning_tree(inst)
+        second, w2, _ = minimum_spanning_tree(inst)
         # ties go to the smallest (min, max) pair: 2 and 4 join 0, not its twin 1
         assert first.tolist() == second.tolist() == [-1, 0, 0, 2, 0]
         assert w1 == w2
         root_tree(first)  # still a valid tree
 
     def test_single_node(self):
-        parent, weight = minimum_spanning_tree(make_instance([(0, 0)]))
+        parent, weight, _ = minimum_spanning_tree(make_instance([(0, 0)]))
         assert parent.tolist() == [-1]
         assert weight == 0.0
 

@@ -21,7 +21,6 @@ from doubletree.upsweep import (
     UpsweepStats,
     _empty_masks,
     _heights,
-    node_table,
     predicted_entries,
     upsweep,
 )
@@ -32,6 +31,7 @@ from conftest import (
     distance,
     make_instance,
     mst_tree,
+    node_table,
     random_instance,
     subtree_nodes,
 )
@@ -383,7 +383,7 @@ class TestUpsweep:
     def test_never_above_twice_tree_weight(self):
         for seed in range(10):
             inst = random_instance(30, 700 + seed)
-            parent, mst_w = minimum_spanning_tree(inst)
+            parent, mst_w, _ = minimum_spanning_tree(inst)
             res = upsweep(inst, root_tree(parent))
             assert res.weight <= 2 * mst_w + 1e-9
 

@@ -24,6 +24,13 @@ It prints:
 * ``prim_scan_ms``: one ``spanning_tree.prim_scan`` for the MST and for the
   1-tree at zero potentials, at uniform n=1000 (distance matrix cached) and
   n=4000 (rows computed from coordinates), the fastest of ``--repeats``.
+* ``step_one_ms``: the ascent's step 1 as it runs from the unique MST: one
+  ``spanning_tree.mst_without_node_zero`` and the 1-tree it closes
+  (``_one_tree`` given that spanning tree), at the same sizes, the fastest
+  of ``--repeats``.  ``derived_seeds`` counts, of uniform and of clustered
+  seeds 1-5 at n=1000, those whose step 1 took this path (a unique MST and
+  no tie among the reconnecting pairs); the rest take the dense scan.  Both
+  are null for a checkout without that path.
 
 Wall times vary with the machine and its load; compare only figures from
 one run of two checkouts, interleaved.  This script is a measurement, not a
@@ -37,11 +44,13 @@ import json
 import os
 import platform
 import time
+from typing import Optional
 
 import numpy as np
 
 import doubletree.hk_bound as hk_bound
 from doubletree import generate_clustered, generate_uniform, minimum_spanning_tree, root_tree
+import doubletree.spanning_tree as spanning_tree
 from doubletree.spanning_tree import prim_scan
 
 BOX = 1e6
@@ -51,6 +60,8 @@ CASES = (("uniform", 1000), ("clustered", 1000), ("uniform", 4000))
 BUILD_CASES = tuple((klass, n) for klass in ("uniform", "clustered") for n in (1000, 4000, 10_000))
 PRIM_SIZES = (1000, 4000)
 GENERATORS = {"uniform": generate_uniform, "clustered": generate_clustered}
+# step 1 from the unique MST; None on a checkout without it
+DERIVE = getattr(spanning_tree, "mst_without_node_zero", None)
 
 
 def _instance(klass: str, n: int):
@@ -152,6 +163,28 @@ def time_prim_scan(n: int, repeats: int) -> dict[str, float]:
             "one_tree": round(_fastest(lambda: prim_scan(dist, np.zeros(n)), repeats), 2)}
 
 
+def time_step_one(n: int, repeats: int) -> Optional[float]:
+    """Step 1 derived from the unique MST at uniform n (ms)."""
+    if DERIVE is None:
+        return None
+    inst, tree = _instance("uniform", n)
+    zeros = np.zeros(n)
+    return round(_fastest(lambda: hk_bound._one_tree(inst.distances, zeros, DERIVE(inst, tree)),
+                          repeats), 2)
+
+
+def derived_seeds(klass: str, n: int = 1000) -> Optional[int]:
+    """How many of seeds 1-5 take the derived step 1."""
+    if DERIVE is None:
+        return None
+    taken = 0
+    for seed in range(1, 6):
+        inst = GENERATORS[klass](n, seed, BOX)
+        parent, _, unique = minimum_spanning_tree(inst)
+        taken += unique and DERIVE(inst, root_tree(parent)) is not None
+    return taken
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--repeats", type=int, default=7)
@@ -165,6 +198,8 @@ def main() -> None:
         "candidate_build_ms": {f"{klass}-n{n}": time_candidate_build(klass, n, args.repeats)
                                for klass, n in BUILD_CASES},
         "prim_scan_ms": {f"uniform-n{n}": time_prim_scan(n, args.repeats) for n in PRIM_SIZES},
+        "step_one_ms": {f"uniform-n{n}": time_step_one(n, args.repeats) for n in PRIM_SIZES},
+        "derived_seeds": {klass: derived_seeds(klass) for klass in GENERATORS},
         "source": os.path.dirname(hk_bound.__file__),
         "python": platform.python_version(),
         "numpy": np.__version__,
