@@ -93,6 +93,9 @@ class PairwiseDistances:
     def __init__(self, inst: Instance):
         self.n = inst.n
         self.xy = inst.coords
+        # the coordinate columns: a lookup takes from a 1-d view much faster
+        # than it indexes xy with a column number
+        self._x, self._y = self.xy.T
         self._rounded = inst.metric is Metric.EUC_2D
         self._matrix: Optional[np.ndarray] = None
         if inst.n <= MATRIX_CACHE_LIMIT:
@@ -114,17 +117,17 @@ class PairwiseDistances:
             return self._matrix[a, b]
         # the x lookups are freed once subtracted, so that they are not held
         # with the y lookups: three result-sized arrays at the peak, not five
-        xa, xb = self.xy[a, 0], self.xy[b, 0]
+        xa, xb = self._x[a], self._x[b]
         if (xa.ndim < 2 and xb.ndim < 2) or xa.size * xb.size <= CHUNK_ENTRIES:
             dx = xa - xb
             del xa, xb
-            return self._lengths(dx, self.xy[a, 1] - self.xy[b, 1])
+            return self._lengths(dx, self._y[a] - self._y[b])
         # a block is filled a few rows at a time: whole-block difference
         # arrays would double its peak memory and fragment the heap
         out = np.empty(np.broadcast_shapes(xa.shape, xb.shape))
         np.subtract(xa, xb, out=out)
         del xa, xb
-        ya, yb = (np.broadcast_to(v, out.shape) for v in (self.xy[a, 1], self.xy[b, 1]))
+        ya, yb = (np.broadcast_to(v, out.shape) for v in (self._y[a], self._y[b]))
         step = max(1, CHUNK_ENTRIES * out.shape[0] // out.size)
         for lo in range(0, out.shape[0], step):
             rows = slice(lo, lo + step)
@@ -140,7 +143,7 @@ class PairwiseDistances:
         in ``|dx|`` and ``|dy|``, so a point at least as far off in both is
         never nearer.
         """
-        return self._lengths(self.xy[a, 0] - x, self.xy[a, 1] - y)
+        return self._lengths(self._x[a] - x, self._y[a] - y)
 
     def _lengths(self, dx, dy) -> np.ndarray:
         """The distances for the coordinate differences ``dx`` and ``dy``,

@@ -30,12 +30,10 @@ node; the empty mask has u alone, where A_0 is 0.
 
 Leaves.  A leaf child v has the 1x1 row-0 table, so B = 0: its bridge for
 mask V is ``min_x A_V[x] + d(x, v)``, and the extension writes that same
-value into column v of row ``V | bit_v``.  At a nonempty mask, a node with
-leaf children extends V by all of its leaves outside V in one step, one
-``(x, leaf)`` block per mask.  With B = 0 the full sum equals the inner
-sum, and the x candidates are in id order, so the first argmin along x is
-already the lowest attaining x and the tie pass of the general step is not
-needed.
+value into column v of row ``V | bit_v``.  The leaf children of a node are
+taken together: one leaf step extends V by all of its leaves outside V.
+With B = 0 the full sum equals the inner sum, and the x candidates are in id
+order, so the first argmin along x is already the lowest attaining x.
 
 Order.  The pass runs height by height, a node's height being the length
 of its longest path down to a leaf, so every node of one height is ready at
@@ -49,26 +47,28 @@ segmented minimum per (W, child) and one extension for all of them.  A
 leaf child is the case y = [leaf], B = 0.  A batch's (W, y) arrays hold at
 most ``HELD_BLOCK_ENTRIES`` entries each (a child over the cap makes a
 batch of its own).  A node with one child is done after layer 0; a node
-with two or more children then runs the nonempty masks on its own.  At a
-node with three or more children several nonempty masks read each child's
-distance block, so the node may compute it once: for a non-leaf child v,
-``d(y, x)`` over v's live columns y and the x candidates outside T(v); for
-the leaf children together, over the leaves and all x candidates.  A block
-is held only when more than three masks read it and it has at most
-``HELD_BLOCK_ENTRIES`` entries, so a node holds at most c times that many.
-(A non-leaf child of a three-child node has its block read by three masks,
-and at k = inf a third of the x those masks read would be inf; there the
-per-mask step is as fast.)  Each layer then takes a held block in chunks of
-masks, ``A = table[masks][:, x]``, with at most that many (x, y) sums per
-chunk; entries of A outside V's subtrees are inf, so they never reach a
-minimum, an argmin or the tie test.  Every other block keeps the per-mask
-step, which reads only the row's finite x.  That step takes a non-leaf
-child's block in row tiles of at most ``HELD_BLOCK_ENTRIES`` (x, y) sums
-and keeps a running minimum over x; its tie pass recomputes the full sums
-over every x for the attaining columns only (a block of one tile gathers
-them from that tile).  Beyond its table and bridges a node thus holds
-O(tile) temporaries, plus the tie pass's |x| sums per attaining column and
-a leaf step's |x| sums per leaf.
+with two or more children then runs the nonempty masks on its own, with one
+child step per non-leaf child and one leaf step for the leaf children.
+Each step takes a chunk of masks, their rows A over x candidates and the
+distance block d(x, y) to the child's live columns y (the leaves, for the
+leaf step); entries of A outside V's subtrees are inf, so they never reach
+a minimum or an argmin.  The child step's tie pass takes, at each attaining
+y, the first x of least full sum, which is the lowest attaining x, as
+rounding keeps the order of the sums.  Blocks differ only in where d(x, y)
+comes from.  At a node with three or more children several masks read each
+block, so the node may compute d(x, y) once, over the x candidates outside
+the block's subtrees: a block is held when more than three masks read it
+and it has at most ``HELD_BLOCK_ENTRIES`` entries, so a node holds at most
+c times that many, and its masks run in chunks of at most that many (x, y)
+sums.  (A non-leaf child of a three-child node has its block read by three
+masks, and at k = inf a third of the x those masks read would be inf;
+there the per-mask step is as fast.)  Every other block is taken per mask,
+a chunk of one over the row's finite x, and a child step looks it up in row
+tiles of at most ``HELD_BLOCK_ENTRIES`` (x, y) sums, keeping a running
+minimum over x; its tie pass then recomputes the full sums over every x
+for the attaining columns only.  Beyond its table and bridges a node thus
+holds O(tile) temporaries, plus the tie pass's |x| sums per attaining
+column and a leaf step's |x| sums per leaf.
 
 Bridges are kept for tour reconstruction in one store per node u: a weight
 array and a jump-edge array of shape ``(2^c_u, sum_v 2^c_v)``, where child v
@@ -89,7 +89,7 @@ always has a candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import accumulate
 from typing import Optional
 
@@ -107,12 +107,11 @@ from .spanning_tree import RootedTree
 TABLE_ENTRY_BUDGET = 500_000_000
 BRIDGE_ENTRY_BUDGET = 10_000_000
 # The one bound on the blocks of the subset DP (see "Order" above).  A node
-# holds a child's distance block d(x, y) for all of its masks when more than
-# three masks read it and it has at most this many entries, and runs those
-# masks in chunks of at most this many (x, y) sums; a non-leaf child's block
-# that is not held is taken per mask in row tiles of at most this many sums;
-# a height's empty-mask step runs in batches of children whose (W, y)
-# arrays have at most this many entries.
+# holds a distance block d(x, y) for all of its masks when more than three
+# masks read it and it has at most this many entries; a step takes at most
+# this many (x, y) sums at once, in chunks of masks or in row tiles of x; a
+# height's empty-mask step runs in batches of children whose (W, y) arrays
+# have at most this many entries.
 HELD_BLOCK_ENTRIES = 1 << 15
 
 
@@ -315,24 +314,77 @@ def _nonempty_masks(
     limit = None if k is None else tree.depth[u] + k
     cols = [0, *accumulate(1 << len(tree.children[v]) for v in cu)]
 
-    # leaf children share one step per mask
-    leaves = [i for i, v in enumerate(cu) if not tree.children[v]]
-    if leaves:
-        lid = np.array([cu[i] for i in leaves])
-        lbc = np.array([cols[i] for i in leaves])
-        lcol = layout.pre[lid] - p0
-        lbit = np.array([1 << i for i in leaves])
-        leafmask = int(lbit.sum())
-        masks = np.arange(1 << c)[:, None]
-        free = masks & lbit == 0  # (V, leaf): the leaf is not in V
-        rows = masks | lbit
-
     # x candidates: columns within k of u but u, in id order
     xs = slice(1, None) if limit is None else np.flatnonzero(depth_u <= limit)[1:]
     xs_ids = np.sort(ids_u[xs])
     xs = layout.pre[xs_ids] - p0
+    masks, layers = _masks(c)
 
-    kids = []
+    # a step takes the masks Vs (an index array, or a slice for one mask),
+    # their rows A over the x candidates x_ids, and D = d(x, y), or None to
+    # look it up, for its block blk
+    def leaf_step(Vs, A, x_ids, D, blk):
+        """The leaf children's step; B = 0 at a leaf (see "Leaves" above)."""
+        lid, lbc, lcol, free, rows = blk
+        M = A[:, :, None] + (dist.pairs(x_ids[:, None], lid) if D is None else D)
+        fm, fl = free[Vs].nonzero()
+        V, W, arg = masks[Vs][fm], lbc[fl], M.argmin(axis=1)[fm, fl]
+        bw[V, W] = best = M[fm, arg, fl]
+        bxy[V, W] = x_ids[arg] * n + lid[fl]
+        table[rows[V, fl], lcol[fl]] = best
+
+    def child_step(Vs, A, x_ids, D, blk):
+        """A non-leaf child's step; a D looked up is taken in row tiles of x."""
+        bit, y_ids, B_live, kept, kcols, w, xy = blk
+        tile = max(1, HELD_BLOCK_ENTRIES // (A.shape[0] * y_ids.size))
+        M = A[:, :tile, None] + (dist.pairs(x_ids[:tile, None], y_ids) if D is None else D)
+        inner = M.min(axis=1)
+        for lo in range(tile, x_ids.size, tile):
+            t = slice(lo, lo + tile)
+            M = A[:, t, None] + dist.pairs(x_ids[t, None], y_ids)
+            np.minimum(inner, M.min(axis=1), out=inner)
+        S = inner[:, None] + B_live
+        w[Vs] = best = S.min(axis=2)
+        # (A[x] + d) + B can round onto the minimum even for an x that misses
+        # min_x by an ulp, so the jump edge is the lowest (x, y) over every
+        # pair whose full sum attains it.  Rounding keeps the order of the
+        # sums, so at an attaining y the least full sum is the minimum and
+        # its first x the lowest.  A block of several tiles recomputes the
+        # attaining columns over every x.
+        ms, Ws, ys = (S == best[:, :, None]).nonzero()
+        if tile < x_ids.size:
+            M = dist.pairs(y_ids[ys, None], x_ids)
+            M += A[ms]
+        else:
+            M = M[ms, :, ys]
+        M += B_live[Ws, ys, None]
+        pair = x_ids[M.argmin(axis=1)] * n + y_ids[ys]
+        del M  # free the tie sums before the extension's
+        if pair.size > best.size:  # tied pairs: keep the lowest per (V, W)
+            lowest = np.full(best.size, pair.max())
+            np.minimum.at(lowest, ms * best.shape[1] + Ws, pair)
+            pair = lowest
+        xy[Vs] = pair.reshape(best.shape)
+        table[(masks[Vs] | bit)[:, None], kcols] = (best[:, ::-1, None] + kept).min(axis=1)
+
+    # one block per non-leaf child and one for the leaf children together:
+    # (mask bits, span of its subtrees, y ids, width of its tables, step, blk).
+    # The work counters go per child v: the 2^(c - 1) - 1 nonempty masks
+    # without v each make one bridge per mask of v and sweep each kept
+    # destination below v with half of v's nonempty masks.  Each pairs its
+    # finite x, the kept columns of its children, with v's live y, and
+    # 2^(c - 2) of them hold any given other child.
+    lacking, pairing = (1 << (c - 1)) - 1, 1 << (c - 2)
+    blocks = []
+    leaves = tuple(i for i, v in enumerate(cu) if not tree.children[v])
+    if leaves:
+        lid = np.array([cu[i] for i in leaves])
+        lbc = np.array([cols[i] for i in leaves])
+        blk = (lid, lbc, layout.pre[lid] - p0, *_leaf_masks(c, leaves))
+        # the leaves' block spans every x candidate
+        blocks.append((sum(1 << i for i in leaves), slice(0, 0), lid, 1, leaf_step, blk))
+        stats.bip_entries += lacking * len(leaves)
+        stats.quad_evals += pairing * len(leaves) * (xs.size - 1)
     for i, v in enumerate(cu):
         if i in leaves:
             continue
@@ -344,130 +396,60 @@ def _nonempty_masks(
         else:  # every finite column of B, and those still within k of u
             live, keep = depth_u[span] <= limit + 1, depth_u[span] <= limit
         kept = B[:, keep]
-        # each kept destination below v is swept by half of v's nonempty masks
-        ext = (kept.shape[1] - 1) * (B.shape[0] // 2)
-        kids.append((1 << i, ids_u[span][live], B[:, live], kept, span, keep, ext, *bridges[v]))
+        y_ids = ids_u[span][live]
+        stats.bip_entries += lacking * B.shape[0]
+        stats.extension_evals += lacking * (kept.shape[1] - 1) * (B.shape[0] // 2)
+        stats.quad_evals += pairing * y_ids.size * (xs.size - kept.shape[1])
+        blocks.append((1 << i, span, y_ids, B.shape[0], child_step, (
+            1 << i, y_ids, B[:, live], kept, np.arange(lo, span.stop)[keep], *bridges[v])))
 
-    def leaf_block(Vs, A, x_ids, D):
-        """The leaf step for the masks Vs at once; A is (Vs, x), D is d(leaves, x)."""
-        M = A[:, None] + D
-        fm, fl = np.nonzero(free[Vs])
-        V, arg = Vs[fm], M.argmin(axis=2)[fm, fl]
-        bw[V, lbc[fl]] = best = M[fm, fl, arg]
-        bxy[V, lbc[fl]] = x_ids[arg] * n + lid[fl]
-        table[rows[V, fl], lcol[fl]] = best
-        stats.quad_evals += int(np.count_nonzero(A < np.inf, axis=1)[fm].sum())
-        stats.bip_entries += best.size
-
-    def child_block(Vs, A, x_ids, D, kid, kcols):
-        """The child step for the masks Vs at once; A is (Vs, x), D is d(y, x)."""
-        bit, y_ids, B_live, kept, _, _, ext, w, xy = kid
-        M = A[:, None] + D
-        S = M.min(axis=2)[:, None] + B_live
-        w[Vs] = best = S.min(axis=2)
-        # flat (V, W) index and y of each attaining entry (a 3-d nonzero is
-        # slow); the tie pass is the per-mask step's, over all of the chunk
-        vw, ys = np.divmod(np.flatnonzero(S == best[:, :, None]), S.shape[2])
-        ms, Ws = np.divmod(vw, S.shape[1])
-        full = M[ms, ys]
-        full += B_live[Ws, ys][:, None]
-        pair = x_ids[(full == best.ravel()[vw][:, None]).argmax(axis=1)] * n + y_ids[ys]
-        del M, full  # free the chunk's sums before the extension's
-        if pair.size > best.size:  # tied pairs: keep the lowest per (V, W)
-            lowest = np.full(best.size, pair.max())
-            np.minimum.at(lowest, vw, pair)
-            pair = lowest
-        xy[Vs] = pair.reshape(best.shape)
-        table[(Vs | bit)[:, None], kcols] = (best[:, ::-1, None] + kept).min(axis=1)
-        stats.quad_evals += int(np.count_nonzero(A < np.inf)) * y_ids.size
-        stats.bip_entries += best.size
-        stats.extension_evals += ext * Vs.size
-
-    # with three or more children, several nonempty masks read each block
-    # (see "Order" above): hold the blocks that fit the cap and that more
-    # than three masks read
-    held = []  # (mask bits, x columns, x ids, block, masks per chunk, step)
-    loose = kids  # the children that keep the per-mask step
-    loose_leaves = bool(leaves)
-    if c > 2:
-        groups = [(leafmask, xs, lid, 1, leaf_block)] if leaves else []
-        for kid in kids:
-            bit, y_ids, B_live, _, span, keep = kid[:6]
-            kcols = np.arange(span.start, span.stop)[keep]
-            groups.append((bit, xs[(xs < span.start) | (xs >= span.stop)], y_ids, B_live.shape[0],
-                           partial(child_block, kid=kid, kcols=kcols)))
-        for bits, xcols, y_ids, W, step in groups:
-            reads = (1 << c) - (1 << (c - bits.bit_count())) - 1  # masks V with V & bits != bits
-            if reads > 3 and xcols.size * y_ids.size <= HELD_BLOCK_ENTRIES:
-                x_ids = ids_u[xcols]
-                chunk = max(1, HELD_BLOCK_ENTRIES // (max(xcols.size, W) * max(y_ids.size, W)))
-                held.append((bits, xcols, x_ids, dist.pairs(y_ids[:, None], x_ids), chunk, step))
-        bits = sum(h[0] for h in held)
-        loose = [kid for kid in kids if not kid[0] & bits]
-        loose_leaves = bool(leaves) and not leafmask & bits
+    # hold a block that more than three masks read and that fits the cap
+    # (see "Order" above): its d(x, y) over the x candidates outside its span
+    held, loose = [], []
+    for bits, span, y_ids, W, step, blk in blocks:
+        reads = (1 << c) - (1 << (c - bits.bit_count())) - 1  # masks V with V & bits != bits
+        xcols = xs[(xs < span.start) | (xs >= span.stop)] if reads > 3 else xs
+        if reads > 3 and xcols.size * y_ids.size <= HELD_BLOCK_ENTRIES:
+            x_ids = ids_u[xcols]
+            chunk = max(1, HELD_BLOCK_ENTRIES // (max(xcols.size, W) * max(y_ids.size, W)))
+            held.append((bits, xcols, x_ids, dist.pairs(x_ids[:, None], y_ids), chunk, step, blk))
+        else:
+            loose.append((bits, step, blk))
 
     # a layer reads rows of one popcount, all written by earlier layers
-    for layer in _layers(c)[1:]:
-        for bits, xcols, x_ids, D, chunk, step in held:
+    for layer in layers[1:]:
+        for bits, xcols, x_ids, D, chunk, step, blk in held:
             Vs = layer[layer & bits != bits]
             for lo in range(0, Vs.size, chunk):
                 part = Vs[lo:lo + chunk]
-                step(part, table[part[:, None], xcols], x_ids, D)
-        if not (loose or loose_leaves):
+                step(part, table[part[:, None], xcols], x_ids, D, blk)
+        if not loose:
             continue
-        # per mask: the groups whose block is not held
+        # the other blocks per mask, as a chunk of one over the row's finite x
         for V in layer.tolist():
-            row = table[V, xs]
+            row = table[V][xs]
             fin = row < np.inf  # in id order, so the first hit is the lowest x
-            x_ids, A = xs_ids[fin], row[fin]
-            if loose_leaves and V & leafmask != leafmask:
-                # B = 0 at a leaf (see "Leaves" above): the bridge is the extension
-                f = free[V]
-                M = A[:, None] + dist.pairs(x_ids[:, None], lid[f])
-                bw[V, lbc[f]] = best = M.min(axis=0)
-                bxy[V, lbc[f]] = x_ids[M.argmin(axis=0)] * n + lid[f]
-                table[rows[V, f], lcol[f]] = best
-                stats.quad_evals += M.size
-                stats.bip_entries += best.size
-            for bit, y_ids, B_live, kept, span, keep, ext, w, xy in loose:
-                if V & bit:
-                    continue
-                # the (x, y) block in row tiles of at most the cap (see "Order")
-                tile = max(1, HELD_BLOCK_ENTRIES // y_ids.size)
-                M = A[:tile, None] + dist.pairs(x_ids[:tile, None], y_ids)
-                inner = M.min(axis=0)
-                for lo in range(tile, x_ids.size, tile):
-                    t = slice(lo, lo + tile)
-                    np.minimum(inner, (A[t, None] + dist.pairs(x_ids[t, None], y_ids)).min(axis=0),
-                               out=inner)
-                S = inner + B_live
-                w[V] = best = S.min(axis=1)
-                # (A[x] + d) + B can round onto the minimum even for an x that
-                # misses min_x by an ulp, so the jump edge is the lowest (x, y)
-                # over every pair whose full sum attains it; a block of several
-                # tiles recomputes the attaining columns over every x
-                Ws, ys = np.nonzero(S == best[:, None])
-                M = M[:, ys] if tile >= x_ids.size else A[:, None] + dist.pairs(x_ids[:, None], y_ids[ys])
-                hit = M + B_live[Ws, ys] == best[Ws]
-                pair = x_ids[hit.argmax(axis=0)] * n + y_ids[ys]
-                del M  # free the tie sums before the next child's tiles
-                if Ws.size > best.size:  # tied pairs: keep the lowest per W
-                    lowest = np.full(best.size, pair.max())
-                    np.minimum.at(lowest, Ws, pair)
-                    pair = lowest
-                xy[V] = pair
-                stats.quad_evals += x_ids.size * y_ids.size
-                stats.bip_entries += best.size
-                stats.extension_evals += ext
-                table[V | bit, span][keep] = (best[::-1, None] + kept).min(axis=0)
+            x_ids, A = xs_ids[fin], row[fin][None]
+            for bits, step, blk in loose:
+                if V & bits != bits:
+                    step(slice(V, V + 1), A, x_ids, None, blk)
 
 
 @cache
-def _layers(c: int) -> list[np.ndarray]:
-    """The masks over c children but the full one, grouped by popcount."""
-    masks = np.arange((1 << c) - 1)
-    counts = np.array([V.bit_count() for V in range((1 << c) - 1)])
-    return [masks[counts == p] for p in range(c)]
+def _leaf_masks(c: int, leaves: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Over the masks V of c children and the leaf children ``leaves``: whether
+    the leaf is not in V, and the row ``V | bit`` of the leaf."""
+    masks, bits = np.arange(1 << c)[:, None], np.array([1 << i for i in leaves])
+    return masks & bits == 0, masks | bits
+
+
+@cache
+def _masks(c: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The masks over c children, and those but the full one grouped by
+    popcount."""
+    masks = np.arange(1 << c)
+    counts = np.array([V.bit_count() for V in range(1 << c)])
+    return masks, [masks[counts == p] for p in range(c)]
 
 
 def _heights(tree: RootedTree) -> list[list[int]]:

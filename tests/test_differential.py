@@ -141,6 +141,7 @@ class TestFrozenReference:
 # tiles of several rows with a ragged last tile; every block of a node with
 # three or more children held, and every per-mask block in one tile
 CAPS = {"per-mask": 0, "tiled": 300, "all-held": 1 << 40}
+DEFAULT_CAP = importlib.import_module("doubletree.upsweep").HELD_BLOCK_ENTRIES
 
 
 class TestHeldBlockCap:
@@ -170,6 +171,27 @@ class TestHeldBlockCap:
         parent = HAND_TREES[shape]
         inst = make_instance(HAND_POINTS[points](len(parent)))
         _assert_bit_identical(inst, RootedTree.from_parents(parent), k)
+
+    @pytest.mark.parametrize("k", [1, 16, None])
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_quad_evals_do_not_depend_on_the_cap(self, cases, name, d, k, monkeypatch):
+        # a held block's chunk holds inf for the x outside each mask's
+        # subtrees, a per-mask block only the row's finite x: both count the
+        # finite x alone
+        inst, tree = cases[name, d]
+        got = upsweep(inst, tree, k=k).stats.quad_evals
+        monkeypatch.setattr(importlib.import_module("doubletree.upsweep"), "HELD_BLOCK_ENTRIES", DEFAULT_CAP)
+        assert got == upsweep(inst, tree, k=k).stats.quad_evals
+
+    @pytest.mark.parametrize("shape", ["broom", "leaf-hub-6", "leaves-and-subtrees"])
+    def test_quad_evals_do_not_depend_on_the_cap_hand_built(self, shape, monkeypatch):
+        parent = HAND_TREES[shape]
+        inst = make_instance(HAND_POINTS["uniform"](len(parent)))
+        tree = RootedTree.from_parents(parent)
+        got = upsweep(inst, tree).stats.quad_evals
+        monkeypatch.setattr(importlib.import_module("doubletree.upsweep"), "HELD_BLOCK_ENTRIES", DEFAULT_CAP)
+        assert got == upsweep(inst, tree).stats.quad_evals
 
 
 class TestCounterPin:
