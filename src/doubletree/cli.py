@@ -227,7 +227,7 @@ def build_records(
     ``wall_time_ms`` runs from MST construction through tour reconstruction.
     """
     t0 = time.perf_counter()
-    parent, mst_w, mst_unique = minimum_spanning_tree(inst)
+    parent, mst_w, spanning = minimum_spanning_tree(inst)
     mst = root_tree(parent)
     mst_ms = (time.perf_counter() - t0) * 1000.0
     # integer rounding lets each of the <= n-2 shortcuts gain up to one unit
@@ -251,7 +251,7 @@ def build_records(
             error = exc
         else:
             if hk is None:  # computed once, when the first cell has a tour
-                hk = (held_karp_lower_bound(inst, mst, hk_iterations, mst_unique)
+                hk = (held_karp_lower_bound(inst, mst, hk_iterations, spanning)
                       if inst.n >= 3 else math.nan)
             if hk == 0.0:  # coincident points: only a zero tour meets a zero bound
                 excess = 0.0 if tour.weight == 0.0 else math.inf

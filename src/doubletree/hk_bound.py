@@ -8,13 +8,12 @@ potentials toward equal node degrees (Held & Karp 1970/71).
 The ascent runs its steps on two graphs (Helsgaun 2000, as in LKH):
 
 * Step 1 is the exact 1-tree at zero potentials.  Its spanning part is an
-  MST of the graph less node 0.  Where ``minimum_spanning_tree`` certified
-  the MST unique (no tie test of its scan fired), the caller passes that on
-  and ``spanning_tree.mst_without_node_zero`` derives this tree from the
-  MST with the dense scan's bits, without a second O(n^2) scan.
-  Ties (in the MST's scan or among the pairs that reconnect the MST less
-  node 0) and ``EUC_2D`` instances take the dense Prim scan
-  (``spanning_tree.prim_scan``), which reads one distance row per step.
+  MST of the graph less node 0, the tree the MST's own scan builds before
+  it adds node 0.  Where that scan had no tie, ``minimum_spanning_tree``
+  hands its tree over with the zero-potential scan's bits, and the caller
+  passes it on, so step 1 needs no second O(n^2) scan.  Otherwise step 1
+  takes the dense Prim scan (``spanning_tree.prim_scan``), which reads one
+  distance row per step.
 * Steps 2..N build their 1-trees on a sparse candidate graph by a
   vectorised Boruvka pass.  Its rounds carry the live edges' component
   arrays, relabel them after each merge and compact them with ``take``, so
@@ -53,9 +52,7 @@ under a small change of its path; the floor of 5 keeps short ascents from
 halving every step or two.)
 
 Memory: the dense scans read one row at a time (above the distance cache
-over the nodes not yet in the tree), step 1 from the MST needs O(n) and
-gathers its candidate pairs in chunks of ``spanning_tree.GATHER_ENTRIES``,
-and the candidate graph is built from
+over the nodes not yet in the tree), and the candidate graph is built from
 blocks of at most ``BLOCK_ENTRIES`` distances, grid reads and full rows
 alike (recomputed from coordinates above the distance cache), so beyond the
 instance's distance object the ascent needs O(n K) memory for K candidate
@@ -71,7 +68,7 @@ import numpy as np
 from .errors import InternalInvariantError
 from .instances import Instance, PairwiseDistances
 from .oracles import depth_first_shortcut
-from .spanning_tree import RootedTree, mst_without_node_zero, prim_scan
+from .spanning_tree import RootedTree, prim_scan
 
 NEAREST = 5  # nearest neighbours per node in the candidate graph
 PER_QUADRANT = 2  # nearest neighbours per quadrant, for clustered points
@@ -115,7 +112,8 @@ def _one_tree(
     the spanning tree over 1..n-1 is ``prim_scan``'s with potentials (ties to
     the smallest index), and the weight is summed left to right in pick
     order.  ``spanning``, when given, is what that scan returns (links and
-    picked keys), as ``mst_without_node_zero`` derives it at zero potentials.
+    picked keys), as ``minimum_spanning_tree`` hands it over at zero
+    potentials.
     """
     parent, picked = prim_scan(dist, pi)[:2] if spanning is None else spanning
     degrees = np.zeros(dist.n, dtype=np.int64)
@@ -374,16 +372,16 @@ class AscentSummary(NamedTuple):
     sparse_gap: float
 
 
-def held_karp_ascent(
-    inst: Instance, tree: RootedTree, iterations: int = HK_ITERATIONS, mst_unique: bool = False
-) -> AscentSummary:
+def held_karp_ascent(inst: Instance, tree: RootedTree, iterations: int = HK_ITERATIONS,
+                     spanning: Optional[tuple[np.ndarray, np.ndarray]] = None) -> AscentSummary:
     """Subgradient ascent on 1-tree potentials, with its summary.
 
     ``tree`` is the instance's rooted minimum spanning tree (``root_tree`` of
     the parent links ``minimum_spanning_tree`` returns); its depth-first tour
-    sets the step target.  ``mst_unique`` passes on ``minimum_spanning_tree``'s
-    certificate that it is the unique MST; step 1's 1-tree then comes from
-    it (``mst_without_node_zero``) where it can, with the dense scan's bits.
+    sets the step target.  ``spanning`` passes on the third value of
+    ``minimum_spanning_tree``, its scan's tree over nodes 1..n-1 where the
+    scan had no tie; step 1's 1-tree is then closed from it, with the dense
+    scan's bits, and otherwise (None) from a dense scan of its own.
     The bound is the value of a dense 1-tree, so it is always a valid lower
     bound on the optimal tour weight; deterministic for fixed (inst,
     iterations).
@@ -402,8 +400,8 @@ def held_karp_ascent(
         return reduced + 2.0 * float(pi.sum()), degrees, parent
 
     pi = best_pi = np.zeros(n)
-    # step 1, at zero potentials: from the unique MST, else (None) the dense scan
-    bound, degrees, parent = exact(pi, mst_without_node_zero(inst, tree) if mst_unique else None)
+    # step 1, at zero potentials: from the MST's scan, else (None) a dense scan
+    bound, degrees, parent = exact(pi, spanning)
     best = peak = certified = bound
     it = best_at = certified_at = checked_at = 1
     lam = 2.0
@@ -447,8 +445,7 @@ def held_karp_ascent(
                          float(upper - certified), float(peak - certified))
 
 
-def held_karp_lower_bound(
-    inst: Instance, tree: RootedTree, iterations: int = HK_ITERATIONS, mst_unique: bool = False
-) -> float:
+def held_karp_lower_bound(inst: Instance, tree: RootedTree, iterations: int = HK_ITERATIONS,
+                          spanning: Optional[tuple[np.ndarray, np.ndarray]] = None) -> float:
     """Best 1-tree Lagrangian bound found by ``held_karp_ascent``."""
-    return held_karp_ascent(inst, tree, iterations, mst_unique).bound
+    return held_karp_ascent(inst, tree, iterations, spanning).bound

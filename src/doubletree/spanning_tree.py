@@ -1,24 +1,24 @@
 """Minimum spanning trees, rooting, and the degree-increasing transformation.
 
-The MST is built with a dense O(n^2) Prim scan, which matches the complete
-graph induced by a metric instance.  Above the distance cache the scan
-computes each row from coordinates over its fringe, the nodes not yet in
-the tree, and drops the picked nodes from the fringe at a fixed interval,
-so it computes about half the distances of n full rows.  It returns the
-unique MST under one strict edge order (weight, then lower end id, then
-higher end id), so the tree is deterministic even with duplicate points.  The scan hands over its
-parent links, rooted at node 0, and ``root_tree`` re-roots them at the
-lowest-indexed leaf by reversing the links on one path.  Given node
-potentials, the same scan builds the Held-Karp bound's dense 1-trees.
+The MST is built in two passes.  A dense O(n^2) Prim scan, which matches
+the complete graph induced by a metric instance, spans nodes 1..n-1.  Above
+the distance cache the scan computes each row from coordinates over its
+fringe, the nodes not yet in the tree, and drops the picked nodes from the
+fringe at a fixed interval, so it computes about half the distances of n
+full rows.  ``minimum_spanning_tree`` then adds node 0 by one Prim pass
+over node 0's edges and the scan's tree (Chin & Houck 1978).  Both follow
+one strict edge order (weight, then lower end id, then higher end id), so
+the tree is the unique MST under that order and deterministic even with
+duplicate points.  The pass hands over parent links, rooted at node 0, and
+``root_tree`` re-roots them at the lowest-indexed leaf by reversing the
+links on one path.  Given node potentials, the same scan builds the
+Held-Karp bound's dense 1-trees.
 
 The scan also reports whether any of its tie tests fired.  If none did,
-every pick's edge was the one lightest edge across its cut, so the tree is
-the unique MST by weight alone, and ``minimum_spanning_tree`` says so.  From
-a unique MST, ``mst_without_node_zero`` derives the tree the scan would
-build over nodes 1..n-1 at zero potentials (the Held-Karp bound's first
-1-tree) without a second O(n^2) scan: it keeps the MST's edges off node 0,
-reconnects the parts node 0 joined by Kruskal over the few pairs short
-enough to matter, and replays the scan's pick order with a heap.
+its tree over nodes 1..n-1 is the one the scan builds at zero potentials
+(the Held-Karp bound's first 1-tree), bit for bit, and
+``minimum_spanning_tree`` hands it over, so that 1-tree needs no second
+O(n^2) scan.
 
 A tree's traversal order is decided here alone: ``RootedTree.from_parents``
 walks the tree once and stores its preorder and postorder, children in
@@ -36,14 +36,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InternalInvariantError
-from .instances import Instance, Metric, PairwiseDistances
+from .instances import Instance, PairwiseDistances
 
 # above the distance cache the Prim scan drops its picked nodes every
 # max(COMPACT_EVERY, n // 8) picks
 COMPACT_EVERY = 64
-# candidate pairs per chunk while ``mst_without_node_zero`` gathers the
-# pairs that may reconnect the MST once node 0 is removed
-GATHER_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,54 +117,53 @@ class RootedTree:
 def prim_scan(
     dist: PairwiseDistances, pi: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The one dense Prim scan: parent links, the picked keys in pick order
-    and whether a tie test fired.
+    """The one dense Prim scan over nodes 1..n-1: parent links, the picked
+    keys in pick order and whether a tie test fired.
 
-    The scan keeps its fringe, the nodes not yet in the tree, as arrays in
-    ascending id order: ids, keys, links, the subtracted mask and the x and
-    y coordinates.  Each step reads one distance row over them; a picked
-    node gets NaN in the mask, so it never compares below or equal to a key,
-    and the key +inf.  With a cached matrix the row is a view and the arrays
-    keep every node.  Above the cache the row is computed from the fringe's
-    coordinates, and every ``max(COMPACT_EVERY, n // 8)`` picks the arrays
-    drop the picked nodes.  Id order keeps the first argmin and every tie
-    rule below, so both ways give the same bits.  Nodes the scan never
-    reaches keep the link -1.
+    Both modes span nodes 1..n-1 from node 1 and leave node 0 out, as a
+    1-tree does; ``picked`` starts with node 1's key, 0.0, and nodes 0 and
+    1 keep the link -1.  The scan keeps its fringe, the nodes not yet in the
+    tree, as arrays in ascending id order: ids, keys, links, the subtracted
+    mask and the x and y coordinates.  Each step reads one distance row over
+    them; a picked node gets NaN in the mask, so it never compares below or
+    equal to a key, and the key +inf.  With a cached matrix the row is a
+    view and the arrays keep every node.  Above the cache the row is
+    computed from the fringe's coordinates, and every
+    ``max(COMPACT_EVERY, n // 8)`` picks the arrays drop the picked nodes.
+    Id order keeps the first argmin and every tie rule below, so both ways
+    give the same bits.
 
-    Without potentials the scan spans all n nodes from node 0 and returns the
-    unique MST under the strict edge order (weight, lower end id, higher end
-    id).  Ties are tested for at each step and resolved only when they exist:
-    the pick takes the smallest edge pair among equal minimum keys, and an
-    equal row value moves a node to a smaller parent id.  If neither test
-    ever fires, every pick's edge is the one lightest edge across its cut,
-    by value alone, so the tree is the unique MST under any tie rule; the
-    third value is True when a test fired.
+    Without potentials the scan returns the unique MST of nodes 1..n-1 under
+    the strict edge order (weight, lower end id, higher end id).  Ties are
+    tested for at each step and resolved only when they exist: the pick
+    takes the smallest edge pair among equal minimum keys, and an equal row
+    value moves a node to a smaller parent id.  If neither test ever fires,
+    every pick's edge is the one lightest edge across its cut, by value
+    alone, so the tree is the unique MST under any tie rule and the scan
+    with zero potentials builds it with the same bits; the third value is
+    True when a test fired.
 
-    With potentials ``pi`` it spans nodes 1..n-1 from node 1, leaving node 0
-    out as a 1-tree does, under the reduced weights ``(d[j] - pi[j]) - pi``.
+    With potentials ``pi`` the weights are the reduced ``(d[j] - pi[j]) - pi``.
     Ties go to the smallest index (first argmin) and a key moves only on a
     strict improvement, the rule the Held-Karp bound's 1-trees were fixed
-    under.  ``picked`` starts with the first node's key, 0.0.  No tie is
-    tested for, and the third value is False.
+    under.  No tie is tested for, and the third value is False.
     """
     n = dist.n
-    first = 0 if pi is None else 1
-    ids = np.arange(first, n)
-    mask = np.zeros(n - first) if pi is None else pi[first:].copy()
-    key = np.full(n - first, np.inf)
-    key[0] = 0.0
-    link = np.full(n - first, -1, dtype=np.int64)
+    ids = np.arange(1, n)
+    mask = np.zeros(n - 1) if pi is None else pi[1:].copy()
+    key = np.full(n - 1, np.inf)
+    key[:1] = 0.0  # node 1, where there is one
+    link = np.full(n - 1, -1, dtype=np.int64)
     best_parent = np.full(n, -1, dtype=np.int64)
-    picked = np.empty(n - first)
-    buffers = (np.empty(n - first), np.empty(n - first, dtype=bool),
-               np.empty(n - first, dtype=bool))
+    picked = np.empty(n - 1)
+    buffers = (np.empty(n - 1), np.empty(n - 1, dtype=bool), np.empty(n - 1, dtype=bool))
     row, better, tied = buffers
-    cols = slice(first, None)
+    cols = slice(1, None)
     x, y = dist.xy[cols, 0].copy(), dist.xy[cols, 1].copy()
     cached = dist.cached
     every = n if cached else max(COMPACT_EVERY, n // 8)
     tie = False
-    for i in range(n - first):
+    for i in range(n - 1):
         if i and i % every == 0:
             # a picked node's link is final: the NaN in its mask keeps it fixed
             best_parent[ids] = link
@@ -202,194 +198,73 @@ def prim_scan(
     return best_parent, picked, tie
 
 
-def minimum_spanning_tree(inst: Instance) -> tuple[np.ndarray, float, bool]:
-    """The MST of ``prim_scan`` without potentials: parent links, weight and
-    whether it is the unique MST.
+def minimum_spanning_tree(
+    inst: Instance,
+) -> tuple[np.ndarray, float, Optional[tuple[np.ndarray, np.ndarray]]]:
+    """The unique MST under the strict edge order: parent links, weight and
+    the scan's tree over nodes 1..n-1 where it had no tie.
 
-    The links are rooted at node 0 (-1 there); the weight is the picked keys
-    summed left to right in pick order.  The tree is certified unique when
-    no tie test of the scan fired (see ``prim_scan``); a tree with ties may
-    still be unique, and is then reported as not.
-    """
-    best_parent, picked, tie = prim_scan(inst.distances)
-    if np.count_nonzero(best_parent < 0) != 1:
-        raise InternalInvariantError("Prim produced a non-spanning tree")
-    return best_parent, float(np.add.accumulate(picked)[-1]), not tie
+    ``prim_scan`` without potentials gives the tree S over nodes 1..n-1;
+    one Prim pass from node 0 over S's n - 2 edges and node 0's n - 1 edges
+    then adds node 0.  Every edge of the MST off node 0 is in S: any other
+    edge is the heaviest, in the strict order, of its cycle through S.  So
+    the pass, which takes the least edge of its cut in the strict order at
+    each step, picks in the order of a dense scan from node 0, with its
+    links and lengths ``d - 0.0 = d``.  Node 0's edges come in that order
+    from one sort, the edges of S through a heap, and the loop reads and
+    writes the arrays through memoryviews, which hand over Python numbers
+    without holding one object per entry.
 
-
-def mst_without_node_zero(
-    inst: Instance, tree: RootedTree
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """What ``prim_scan(dist, zeros)`` returns, derived from the unique MST.
-
-    ``tree`` must be the unique MST T of the instance, in any rooting (one
-    ``minimum_spanning_tree`` certified).  The scan with zero potentials
-    spans nodes 1..n-1, so its tree is an MST of G - 0, which T gives
-    without a second dense scan (Chin & Houck 1978):
-
-    * Every edge of T - 0 is still the one lightest edge across its Prim
-      cut less node 0, so it is in every MST of G - 0.
-    * Node 0's neighbours a_i split T - 0 into one component each.  The
-      edges of the a_i's own MST join them all, so no edge heavier than its
-      heaviest one, U, is needed.  Every pair of points in different
-      components at most U apart is gathered, through a grid of cells of
-      side just over U (five neighbouring cells a point), a chunk of at most
-      ``GATHER_ENTRIES`` candidate pairs at a time.  Kruskal over the
-      components picks the reconnecting edges R.  With the gathered lengths
-      pairwise distinct, T' = T - 0 + R is the unique MST of G - 0.
-    * With T' unique, an edge outside T' never ties the least key of the
-      dense scan, so the scan picks in the order of a heap Prim over the
-      edges of T' alone: from node 1, by (key, node id), the first-argmin
-      rule.  Its keys are the lengths ``(d - 0.0) - 0.0 = d``, so links and
-      keys come out with the scan's bits.
-
-    Returns None, so that the caller runs the dense scan, where the gathered
-    lengths tie, where U is 0 or its grid would not fit in int64 indices,
-    and on ``EUC_2D`` instances, whose rounded lengths tie too often to be
-    worth the gather.
+    The links are rooted at node 0 (-1 there); the weight is the pass's keys,
+    from node 0's 0.0, summed left to right in pick order.  The third value
+    is the scan's (links, picked keys) when no tie test of the scan fired
+    (see ``prim_scan``), what the scan builds at zero potentials, and None
+    otherwise.
     """
     n = inst.n
     dist = inst.distances
-    if inst.metric is Metric.EUC_2D:
-        return None
-    links = np.array(tree.parent, dtype=float)  # NaN at the root
-    eu = np.flatnonzero((links > 0) & (np.arange(n) > 0))
-    ev = links[eu].astype(np.int64)
-    del links
-    if eu.size < n - 2:  # node 0 has more than one MST neighbour
-        reconnect = _reconnecting_edges(dist, tree)
-        if reconnect is None:
-            return None
-        eu, ev = np.concatenate([eu, reconnect[0]]), np.concatenate([ev, reconnect[1]])
-
-    # heap Prim over the n - 2 edges of T', each node pushed once, by its
-    # tree neighbour nearer node 1.  The loop reads and writes the arrays
-    # through memoryviews, which hand over Python numbers without holding
-    # one object per entry
-    ends, other = np.concatenate([eu, ev]), np.concatenate([ev, eu])
-    del eu, ev
+    scan_parent, scan_picked, tie = prim_scan(dist)
+    if np.count_nonzero(scan_parent < 0) != min(n, 2):
+        raise InternalInvariantError("Prim produced a non-spanning tree")
+    # S's edges, each from both ends, grouped by their first end
+    kids = np.arange(2, n)
+    ends, other = np.concatenate([kids, scan_parent[2:]]), np.concatenate([scan_parent[2:], kids])
     order = np.argsort(ends, kind="stable")
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(ends, minlength=n), out=start[1:])
     ends, other = ends[order], other[order]
-    del order
+    d0 = dist.pairs(0, slice(1, None))
+    near = np.argsort(d0, kind="stable")  # node 0's edges in (length, id) order, as id - 1
     parent = np.full(n, -1, dtype=np.int64)
-    picked = np.empty(n - 1)
+    picked = np.zeros(n)
+    done = bytearray(n)
+    done[0] = 1
     start, nbr, length = memoryview(start), memoryview(other), memoryview(dist.pairs(ends, other))
+    near, near_len = memoryview(near + 1), memoryview(d0[near])
     link, keys = memoryview(parent), memoryview(picked)
-    heap = [(0.0, 1)]
+    # heap entries (length, lower end, higher end, the end outside)
+    heap: list[tuple[float, int, int, int]] = []
     pop, push = heapq.heappop, heapq.heappush
-    i = 0
-    while heap:
-        keys[i], v = pop(heap)
-        i += 1
+    v = p = 0
+    for i in range(1, n):
         for e in range(start[v], start[v + 1]):
             u = nbr[e]
-            if u != link[v]:
-                link[u] = v
-                push(heap, (length[e], u))
-    if i != n - 1:
-        raise InternalInvariantError("the derived tree does not span nodes 1..n-1")
-    return parent, picked
-
-
-def _reconnecting_edges(
-    dist: PairwiseDistances, tree: RootedTree
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The edges R that rejoin the components of T - 0 into the unique MST
-    of G - 0, as (u, v) arrays, or None where their gathered lengths tie."""
-    # node 0's neighbours, and the component labels of T - 0: each child's
-    # subtree is one preorder run, and the rest of the tree holds node 0's parent
-    hub = np.array([*tree.children[0], *([] if tree.parent[0] is None else [tree.parent[0]])])
-    k = hub.size
-    pre = np.asarray(tree.preorder)
-    pos = np.empty(tree.n, dtype=np.intp)
-    pos[pre] = np.arange(tree.n)
-    label = np.full(tree.n, k - 1)
-    for i, c in enumerate(tree.children[0]):
-        label[pre[pos[c]:pos[c] + tree.subtree_size[c]]] = i
-    del pre, pos
-    near = dist.pairs(hub[:, None], hub)
-    # U: the heaviest edge of the hub's own MST, by a Prim scan over k nodes
-    key, inside, bound = near[0].copy(), np.zeros(k, dtype=bool), 0.0
-    inside[0] = True
-    for _ in range(k - 1):
-        key[inside] = np.inf
-        j = int(key.argmin())
-        bound = max(bound, float(key[j]))
-        inside[j] = True
-        np.minimum(key, near[j], out=key)
-    # A pair at most U apart, as computed, is at most U (1 + 2^-52) apart in
-    # x and in y, and with under 2^30 cells a row the computed cell indices
-    # err by far less than the 2^-20 margin, so it lies in neighbouring cells
-    side = bound * (1.0 + 2.0**-20)
-    xy = dist.xy[1:]
-    cell = np.floor((xy - xy.min(axis=0)) / side) if side > 0 else np.full(xy.shape, np.inf)
-    if not cell.max() < 2.0**30:
-        return None
-    cell = cell.astype(np.int64) + 1  # column 0 is left empty for the (-1, 1) offset
-    width = int(cell[:, 0].max()) + 2
-    flat = cell[:, 1] * width + cell[:, 0]
-    del cell
-    order = np.argsort(flat, kind="stable")
-    cells, first = np.unique(flat[order], return_index=True)
-    last = np.append(first[1:], flat.size)
-    own_label = label[1:]
-    least, most = (f.reduceat(own_label[order], first) for f in (np.minimum, np.maximum))
-    own = np.searchsorted(cells, flat)
-    rank = np.empty(flat.size, dtype=np.intp)
-    rank[order] = np.arange(flat.size)
-    # each point reads five runs of the sorted points: the later ones of its
-    # own cell, and the cells east, north-west, north and north-east of it,
-    # so every unordered pair of neighbouring cells is read once; a run is
-    # read only where its cell holds a label other than the point's
-    us, vs, ws = [], [], []
-    for step in (0, 1, width - 1, width, width + 1):
-        if step:
-            at = np.minimum(np.searchsorted(cells, flat + step), cells.size - 1)
-            begin, length = first[at], np.where(cells[at] == flat + step, last[at] - first[at], 0)
+            if not done[u]:
+                push(heap, (length[e], u, v, u) if u < v else (length[e], v, u, u))
+        while done[near[p]]:
+            p += 1
+        while heap and done[heap[0][3]]:
+            pop(heap)
+        # on equal lengths node 0's edge is the lesser: its lower end is 0
+        if heap and heap[0][0] < near_len[p]:
+            keys[i], lo, hi, v = pop(heap)
+            link[v] = lo + hi - v
         else:
-            at, begin, length = own, rank + 1, last[own] - rank - 1
-        rows = np.flatnonzero((length > 0) & ((least[at] != own_label) | (most[at] != own_label)))
-        begin, length = begin[rows], length[rows]
-        ends = np.cumsum(length)
-        lo = 0
-        while lo < rows.size:  # at most GATHER_ENTRIES pairs at a time, and one row at least
-            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - length[lo] + GATHER_ENTRIES,
-                                                 "right")))
-            lens = length[lo:hi]
-            nth = np.arange(lens.sum())
-            v = order[nth + np.repeat(begin[lo:hi] - (np.cumsum(lens) - lens), lens)] + 1
-            u = np.repeat(rows[lo:hi] + 1, lens)
-            cross = np.flatnonzero(label[u] != label[v])
-            u, v = u[cross], v[cross]
-            w = dist.pairs(u, v)
-            near_enough = w <= bound
-            us.append(u[near_enough])
-            vs.append(v[near_enough])
-            ws.append(w[near_enough])
-            lo = hi
-    u, v, w = np.concatenate(us), np.concatenate(vs), np.concatenate(ws)
-    by_length = np.argsort(w, kind="stable")
-    if (np.diff(w[by_length]) == 0.0).any():
-        return None
-    # Kruskal over the components
-    root = list(range(k))
-
-    def find(c: int) -> int:
-        while root[c] != c:
-            c = root[c]
-        return c
-
-    taken = []
-    for e in by_length.tolist():
-        a, b = find(int(label[u[e]])), find(int(label[v[e]]))
-        if a != b:
-            root[a] = b
-            taken.append(e)
-            if len(taken) == k - 1:
-                break
-    return u[taken], v[taken]
+            keys[i], v = near_len[p], near[p]
+            link[v] = 0
+            p += 1
+        done[v] = 1
+    return parent, float(np.add.accumulate(picked)[-1]), None if tie else (scan_parent, scan_picked)
 
 
 def root_tree(parent: Sequence[int]) -> RootedTree:

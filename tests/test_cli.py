@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import doubletree.cli as cli_mod
@@ -493,6 +494,13 @@ class TestOneBuildPerInstance:
         path = write_euc2d(tmp_path / "lattice.tsp", lattice)
         assert main(["run", "--input", path, "--hk-iterations", "1"]) == 0
         assert build_counts["scan"] == 2
+
+    def test_rounded_without_ties_takes_one_scan(self, tmp_path, build_counts):
+        # rounded (EUC_2D) lengths, but no tie in the MST's scan: step 1 comes from it
+        points = np.random.default_rng(2).integers(0, 1000, size=(30, 2)).tolist()
+        path = write_euc2d(tmp_path / "rounded.tsp", points)
+        assert main(["run", "--input", path, "--hk-iterations", "1"]) == 0
+        assert build_counts["scan"] == 1
 
 
 def write_euc2d(path, coords):

@@ -9,15 +9,20 @@ quality gate of ``hk_gate.py`` against the reference ascent.  Every case
 runs twice: with the distance matrix cached and with ``MATRIX_CACHE_LIMIT``
 set low, so rows and candidate blocks are recomputed from coordinates.
 
-The ascent's step 1, derived from a unique MST by ``mst_without_node_zero``,
-is compared bit for bit with the dense scan it replaces, for every degree
-of node 0 from 1 to 4; inputs with ties must take the dense scan.
+The ascent's step 1, handed over by ``minimum_spanning_tree`` from the scan
+it adds node 0 to, is compared bit for bit with the dense scan it replaces,
+for every degree of node 0 from 1 to 4; inputs with ties must take the
+dense scan.  Adding node 0 is compared with the frozen MST on small integer
+lattices, where ties abound.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import doubletree.hk_bound as hk_bound
 import doubletree.instances as instances
@@ -38,7 +43,7 @@ from doubletree.hk_bound import (
     _one_tree,
     held_karp_lower_bound,
 )
-from doubletree.spanning_tree import mst_without_node_zero, prim_scan
+from doubletree.spanning_tree import prim_scan
 
 import hk_gate
 import reference_prim
@@ -226,6 +231,30 @@ GENERATORS = {"uniform": generate_uniform, "clustered": generate_clustered}
 TIED_RECONNECTION = ((2, 3), (8, 4), (3, 1), (0, 5), (5, 5))
 
 
+@st.composite
+def tied_lattices(draw):
+    """3 to 40 points on the integer grid 0..5, some scaled by 7.3, either metric."""
+    points = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                           min_size=3, max_size=40))
+    scale = draw(st.sampled_from([1.0, 7.3]))
+    return make_instance(scale * np.array(points, dtype=float), rounded=draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_lattices(), st.booleans())
+def test_node_zero_added_as_the_frozen_scan(inst, from_coords):
+    limit = 2 if from_coords else instances.MATRIX_CACHE_LIMIT
+    with mock.patch.object(instances, "MATRIX_CACHE_LIMIT", limit):
+        parent, weight, _ = minimum_spanning_tree(inst)
+        assert (inst.distances._matrix is None) == from_coords
+        edges = reference_prim.minimum_spanning_tree(inst)
+    assert parent.tolist() == [-1] + [a for a, _, _ in sorted(edges, key=lambda e: e[1])]
+    want = 0.0
+    for _, _, w in edges:
+        want += w
+    assert weight.hex() == want.hex()
+
+
 def _step_one_cases():
     for (klass, n), seeds in STEP_ONE_SEEDS.items():
         for degree, seed in enumerate(seeds, start=1):
@@ -236,12 +265,10 @@ class TestStepOneFromMst:
     @pytest.mark.parametrize("klass,n,degree,seed", _step_one_cases())
     def test_same_bits_as_the_dense_scan(self, klass, n, degree, seed):
         inst = GENERATORS[klass](n, seed, 1e6)
-        parent, _, unique = minimum_spanning_tree(inst)
-        assert unique and np.count_nonzero(parent == 0) == degree
+        parent, _, spanning = minimum_spanning_tree(inst)
+        assert spanning is not None and np.count_nonzero(parent == 0) == degree
         tree = root_tree(parent)
         zeros = np.zeros(n)
-        spanning = mst_without_node_zero(inst, tree)
-        assert spanning is not None
         dense = prim_scan(inst.distances, zeros)[:2]  # what _one_tree(dist, zeros) scans
         assert spanning[0].dtype == dense[0].dtype
         assert spanning[0].tolist() == dense[0].tolist()
@@ -252,41 +279,17 @@ class TestStepOneFromMst:
         assert got_deg.tolist() == want_deg.tolist()
         assert got_parent.tolist() == want_parent.tolist()
         for steps in (1, 100):
-            assert held_karp_ascent(inst, tree, steps, True) == held_karp_ascent(inst, tree, steps)
-
-    def test_gathered_in_small_chunks(self, monkeypatch):
-        monkeypatch.setattr(spanning_tree, "GATHER_ENTRIES", 7)
-        for (klass, n), seeds in STEP_ONE_SEEDS.items():
-            for seed in seeds[1:] if n <= 1000 else ():  # node 0 of degree 2, 3 and 4
-                inst = GENERATORS[klass](n, seed, 1e6)
-                got = mst_without_node_zero(inst, root_tree(minimum_spanning_tree(inst)[0]))
-                want = prim_scan(inst.distances, np.zeros(n))
-                assert got[0].tolist() == want[0].tolist()
-                assert got[1].tobytes() == want[1].tobytes()
-
-    def test_pair_one_cell_side_apart(self):
-        # node 0's neighbours 2 and 3 lie exactly U = 1 apart in x, and 2
-        # lies just below a cell boundary: the one pair that rejoins them is
-        # found only because the cells are a little wider than U
-        x = (3 - 2.0**-22) * (1 - 2.0**-20)
-        inst = make_instance([(x + 0.45, 0.8), (0.0, 0.0), (x, 0.0), (x + 1.0, 0.0)])
-        parent, _, unique = minimum_spanning_tree(inst)
-        assert unique and parent.tolist() == [-1, 2, 0, 0]
-        got = mst_without_node_zero(inst, root_tree(parent))
-        want = prim_scan(inst.distances, np.zeros(4))
-        assert got[0].tolist() == want[0].tolist() == [-1, -1, 1, 2]
-        assert got[1].tobytes() == want[1].tobytes()
+            assert (held_karp_ascent(inst, tree, steps, spanning=spanning)
+                    == held_karp_ascent(inst, tree, steps))
 
     @pytest.mark.parametrize("name", ["rounded-lattice-120", "duplicates-80", "collinear-40",
                                       "tied-reconnection"])
     def test_ties_take_the_dense_scan(self, name, monkeypatch):
         tied = name == "tied-reconnection"
         inst = make_instance(TIED_RECONNECTION) if tied else INSTANCES[name]()
-        parent, _, unique = minimum_spanning_tree(inst)
+        parent, _, spanning = minimum_spanning_tree(inst)
         tree = root_tree(parent)
-        assert unique == tied
-        if unique:
-            assert mst_without_node_zero(inst, tree) is None
+        assert spanning is None
         dense = []
 
         def recorded(dist, pi, spanning=None):
@@ -295,16 +298,18 @@ class TestStepOneFromMst:
 
         monkeypatch.setattr(hk_bound, "_one_tree", recorded)
         for steps in (1, 100):
-            got = held_karp_ascent(inst, tree, steps, unique)
+            got = held_karp_ascent(inst, tree, steps, spanning=spanning)
             assert got == held_karp_ascent(inst, tree, steps)
         assert all(dense)
 
-    def test_memory(self):
+    def test_memory(self, monkeypatch):
+        # the pass that adds node 0, given the scan's result
         inst = generate_uniform(4000, 2000003, 1e6)  # node 0 has two MST neighbours
-        tree = root_tree(minimum_spanning_tree(inst)[0])
+        scan = prim_scan(inst.distances)
+        monkeypatch.setattr(spanning_tree, "prim_scan", lambda dist: scan)
         tracemalloc.start()
         try:
-            assert mst_without_node_zero(inst, tree) is not None
+            assert minimum_spanning_tree(inst)[2] is not None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

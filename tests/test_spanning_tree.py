@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubletree import (
+    Instance,
     InternalInvariantError,
     RootedTree,
     degree_increase,
@@ -100,15 +101,25 @@ class TestMst:
     @settings(max_examples=300, deadline=None)
     @given(lattice_instances())
     def test_certified_unique(self, inst):
-        # a tree certified unique is the MST under the opposite tie rule too
-        parent, _, unique = minimum_spanning_tree(inst)
-        if unique:
-            edges = {(min(v, p), max(v, p)) for v, p in enumerate(parent.tolist()) if p >= 0}
-            assert edges == kruskal_edges(inst, reverse_ties=True)
+        # a scan with no tie built the MST of nodes 1..n-1 under the opposite
+        # tie rule too
+        _, _, spanning = minimum_spanning_tree(inst)
+        if spanning is not None and inst.n > 1:
+            rest = Instance(inst.name, inst.coords[1:], inst.metric)
+            edges = {(min(v, p), max(v, p)) for v, p in enumerate(spanning[0].tolist()) if p >= 0}
+            assert edges == {(a + 1, b + 1) for a, b in kruskal_edges(rest, reverse_ties=True)}
 
-    def test_ties_are_reported(self, unit_square, collinear3):
-        assert not minimum_spanning_tree(unit_square)[2]  # four spanning paths of weight 3
-        assert minimum_spanning_tree(collinear3)[2]  # node 0 is an end: no tie at any cut
+    def test_ties_are_reported(self, collinear3):
+        # nodes 1..4 on a unit square: four spanning paths of weight 3
+        square = make_instance([(5, 5), (0, 0), (1, 0), (1, 1), (0, 1)])
+        assert minimum_spanning_tree(square)[2] is None
+        assert minimum_spanning_tree(collinear3)[2] is not None  # two nodes past node 0
+
+    def test_one_and_two_points_hand_over_their_scan(self):
+        for points, links in (([(0, 0)], [-1]), ([(0, 0), (3, 4)], [-1, -1])):
+            _, _, (scan_links, picked) = minimum_spanning_tree(make_instance(points))
+            assert scan_links.tolist() == links
+            assert picked.tolist() == [0.0] * (len(points) - 1)
 
     def test_two_points(self):
         parent, weight, _ = minimum_spanning_tree(make_instance([(0, 0), (3, 4)]))

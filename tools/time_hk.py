@@ -21,16 +21,18 @@ It prints:
   ``--repeats`` (of at most 3 at n=10^4).  ``dense_rows`` is the share of
   rows that went through the dense row pass (1.0 where the checkout has no
   grid).
-* ``prim_scan_ms``: one ``spanning_tree.prim_scan`` for the MST and for the
-  1-tree at zero potentials, at uniform n=1000 (distance matrix cached) and
-  n=4000 (rows computed from coordinates), the fastest of ``--repeats``.
-* ``step_one_ms``: the ascent's step 1 as it runs from the unique MST: one
-  ``spanning_tree.mst_without_node_zero`` and the 1-tree it closes
-  (``_one_tree`` given that spanning tree), at the same sizes, the fastest
-  of ``--repeats``.  ``derived_seeds`` counts, of uniform and of clustered
-  seeds 1-5 at n=1000, those whose step 1 took this path (a unique MST and
-  no tie among the reconnecting pairs); the rest take the dense scan.  Both
-  are null for a checkout without that path.
+* ``prim_scan_ms``: one ``spanning_tree.prim_scan`` without potentials (the
+  MST's scan) and one at zero potentials (the 1-tree's), at uniform n=1000
+  (distance matrix cached) and n=4000 (rows computed from coordinates), the
+  fastest of ``--repeats``.  Both scans span nodes 1..n-1; on a checkout
+  with ``spanning_tree.mst_without_node_zero`` the MST's scan spans all n.
+* ``step_one_ms``: what the MST and the ascent's step 1 cost beyond that one
+  scan: the pass that adds node 0 (``minimum_spanning_tree`` given its
+  scan's result), at uniform and clustered n=1000 and 4000, the fastest of
+  ``--repeats``.  On a checkout with ``mst_without_node_zero`` it is that
+  derivation of step 1 from the unique MST instead.  ``derived_seeds``
+  counts, of uniform and of clustered seeds 1-5 at n=1000, those whose
+  step 1 comes from the MST's scan; the rest take a dense scan of their own.
 
 Wall times vary with the machine and its load; compare only figures from
 one run of two checkouts, interleaved.  This script is a measurement, not a
@@ -44,7 +46,6 @@ import json
 import os
 import platform
 import time
-from typing import Optional
 
 import numpy as np
 
@@ -60,7 +61,7 @@ CASES = (("uniform", 1000), ("clustered", 1000), ("uniform", 4000))
 BUILD_CASES = tuple((klass, n) for klass in ("uniform", "clustered") for n in (1000, 4000, 10_000))
 PRIM_SIZES = (1000, 4000)
 GENERATORS = {"uniform": generate_uniform, "clustered": generate_clustered}
-# step 1 from the unique MST; None on a checkout without it
+# step 1 derived from the unique MST, on an older checkout that has it; None on this one
 DERIVE = getattr(spanning_tree, "mst_without_node_zero", None)
 
 
@@ -163,25 +164,28 @@ def time_prim_scan(n: int, repeats: int) -> dict[str, float]:
             "one_tree": round(_fastest(lambda: prim_scan(dist, np.zeros(n)), repeats), 2)}
 
 
-def time_step_one(n: int, repeats: int) -> Optional[float]:
-    """Step 1 derived from the unique MST at uniform n (ms)."""
-    if DERIVE is None:
-        return None
-    inst, tree = _instance("uniform", n)
-    zeros = np.zeros(n)
-    return round(_fastest(lambda: hk_bound._one_tree(inst.distances, zeros, DERIVE(inst, tree)),
-                          repeats), 2)
+def time_step_one(klass: str, n: int, repeats: int) -> float:
+    """The MST and step 1 beyond the MST's scan (ms): the pass that adds node 0."""
+    inst, tree = _instance(klass, n)
+    if DERIVE is not None:
+        return round(_fastest(lambda: DERIVE(inst, tree), repeats), 2)
+    scan = prim_scan(inst.distances)
+    spanning_tree.prim_scan = lambda dist: scan
+    try:
+        return round(_fastest(lambda: minimum_spanning_tree(inst), repeats), 2)
+    finally:
+        spanning_tree.prim_scan = prim_scan
 
 
-def derived_seeds(klass: str, n: int = 1000) -> Optional[int]:
-    """How many of seeds 1-5 take the derived step 1."""
-    if DERIVE is None:
-        return None
+def derived_seeds(klass: str, n: int = 1000) -> int:
+    """How many of seeds 1-5 take step 1 from the MST's scan."""
     taken = 0
     for seed in range(1, 6):
         inst = GENERATORS[klass](n, seed, BOX)
-        parent, _, unique = minimum_spanning_tree(inst)
-        taken += unique and DERIVE(inst, root_tree(parent)) is not None
+        parent, _, spanning = minimum_spanning_tree(inst)
+        if DERIVE is not None:  # the third value says whether the MST is unique
+            spanning = DERIVE(inst, root_tree(parent)) if spanning else None
+        taken += spanning is not None
     return taken
 
 
@@ -198,7 +202,8 @@ def main() -> None:
         "candidate_build_ms": {f"{klass}-n{n}": time_candidate_build(klass, n, args.repeats)
                                for klass, n in BUILD_CASES},
         "prim_scan_ms": {f"uniform-n{n}": time_prim_scan(n, args.repeats) for n in PRIM_SIZES},
-        "step_one_ms": {f"uniform-n{n}": time_step_one(n, args.repeats) for n in PRIM_SIZES},
+        "step_one_ms": {f"{klass}-n{n}": time_step_one(klass, n, args.repeats)
+                        for klass in GENERATORS for n in PRIM_SIZES},
         "derived_seeds": {klass: derived_seeds(klass) for klass in GENERATORS},
         "source": os.path.dirname(hk_bound.__file__),
         "python": platform.python_version(),
