@@ -38,10 +38,6 @@ import numpy as np
 from .errors import InternalInvariantError
 from .instances import Instance, PairwiseDistances
 
-# above the distance cache the Prim scan drops its picked nodes every
-# max(COMPACT_EVERY, n // 8) picks
-COMPACT_EVERY = 64
-
 
 @dataclass(frozen=True, eq=False)
 class RootedTree:
@@ -128,8 +124,8 @@ def prim_scan(
     them; a picked node gets NaN in the mask, so it never compares below or
     equal to a key, and the key +inf.  With a cached matrix the row is a
     view and the arrays keep every node.  Above the cache the row is
-    computed from the fringe's coordinates, and every
-    ``max(COMPACT_EVERY, n // 8)`` picks the arrays drop the picked nodes.
+    computed from the fringe's coordinates, and every ``max(1, n // 8)``
+    picks the arrays drop the picked nodes.
     Id order keeps the first argmin and every tie rule below, so both ways
     give the same bits.
 
@@ -161,7 +157,7 @@ def prim_scan(
     cols = slice(1, None)
     x, y = dist.xy[cols, 0].copy(), dist.xy[cols, 1].copy()
     cached = dist.cached
-    every = n if cached else max(COMPACT_EVERY, n // 8)
+    every = n if cached else max(1, n // 8)
     tie = False
     for i in range(n - 1):
         if i and i % every == 0:

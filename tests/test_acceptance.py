@@ -29,7 +29,7 @@ from doubletree import (
     upsweep,
 )
 from doubletree.cli import run_suite
-from doubletree.downsweep import TourReconstructor
+from doubletree.downsweep import sweep
 from doubletree.oracles import _small_cycles, conforming_mask
 
 SMALL_CORPUS_SIZE = 500
@@ -221,17 +221,18 @@ def test_criterion_6_reconstruction_edge_budget(small_corpus, benchmark_runs):
     cases, _ = small_corpus
     checked = 0
     for c in cases:
-        rec = TourReconstructor(c.tree, c.result)
-        rec.reconstruct(c.tree.root, rec.full_mask(c.tree.root), c.result.best_a)
-        assert rec.path_edges <= c.inst.n
+        full = (1 << len(c.tree.children[c.tree.root])) - 1
+        _order, edges = sweep(c.tree, c.result, c.tree.root, full, c.result.best_a)
+        assert edges <= c.inst.n
         checked += 1
     rows, _ = benchmark_runs
     for r in rows[:3]:
         res = upsweep(r["inst"], r["tree"])
-        rec = TourReconstructor(r["tree"], res)
-        order = rec.reconstruct(r["tree"].root, rec.full_mask(r["tree"].root), res.best_a)
+        root = r["tree"].root
+        full = (1 << len(r["tree"].children[root])) - 1
+        order, edges = sweep(r["tree"], res, root, full, res.best_a)
         assert len(order) == r["inst"].n
-        assert rec.path_edges <= r["inst"].n
+        assert edges <= r["inst"].n
         checked += 1
     _passline(6, "reconstruction edge budget", f"path edges <= n on {checked} instances")
 

@@ -11,10 +11,11 @@ from doubletree import (
     write_tour_tsplib,
 )
 from doubletree import InternalInvariantError
-from doubletree.downsweep import TourReconstructor
+from doubletree.downsweep import sweep
 from doubletree.instances import cycle_weight
 from doubletree.upsweep import upsweep
 
+import reference_downsweep
 from conftest import (
     STAR5_BEST,
     SweepTables,
@@ -22,6 +23,7 @@ from conftest import (
     make_instance,
     mst_tree,
     random_instance,
+    subtree_nodes,
 )
 
 
@@ -31,8 +33,7 @@ def _seq_weight(inst, seq):
 
 def reconstruct_path(tree, result, u, V, a):
     """The optimal sweep of u plus T(V) from u to a, as a node sequence."""
-    rec = TourReconstructor(tree, result)
-    seq = rec.reconstruct(u, V, a)
+    seq = sweep(tree, result, u, V, a)[0]
     expected = 1 + sum(
         tree.subtree_size[c] for i, c in enumerate(tree.children[u]) if V >> i & 1
     )
@@ -107,6 +108,65 @@ class TestSplitTies:
         assert tour.order == (0, 11, 3, 13, 8, 15, 2, 14, 1, 9, 4, 7, 5, 12, 10, 6)
 
 
+def _rounded_lattice():
+    # spacing 3 rounds the diagonals to 4: every row, column and diagonal ties
+    return make_instance([(3.0 * i, 3.0 * j) for i in range(6) for j in range(6)], rounded=True)
+
+
+def _duplicates():
+    base = random_instance(20, 1700, box=1e6).coords
+    return make_instance(np.concatenate([base, base[::-1]]))
+
+
+def _collinear():
+    t = np.random.default_rng(1701).permutation(30).astype(float)
+    return make_instance(np.stack([3.0 * t, 2.0 * t], axis=1))
+
+
+REFERENCE_INSTANCES = {
+    "rounded-lattice-36": _rounded_lattice,
+    "rounded-ties-40": lambda: make_instance(
+        np.random.default_rng(1702).integers(0, 12, (40, 2)).astype(float), rounded=True
+    ),
+    "duplicates-40": _duplicates,
+    "collinear-30": _collinear,
+    "uniform-40": lambda: random_instance(40, 1703, box=1e6),
+}
+
+
+class TestFrozenReference:
+    """Tours and sub-sweeps against the frozen reconstruction in
+    ``reference_downsweep.py``: on these tie-rich inputs any other tie rule
+    among equal splits gives other orders."""
+
+    @pytest.mark.parametrize("k", [1, 2, 16, None])
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
+    def test_same_tours(self, name, d, k):
+        inst = REFERENCE_INSTANCES[name]()
+        tree = mst_tree(inst)
+        if d > 1:
+            tree = degree_increase(tree, d)
+        res = upsweep(inst, tree, k=k)
+        got, want = downsweep(inst, tree, res), reference_downsweep.downsweep(inst, tree, res)
+        assert got.order == want.order
+        assert got.weight.hex() == want.weight.hex()
+        rng = np.random.default_rng([d, k or 0, *name.encode()])
+        for _ in range(40):
+            u = int(rng.integers(inst.n))
+            V = int(rng.integers(1 << len(tree.children[u])))
+            picked = [c for i, c in enumerate(tree.children[u]) if V >> i & 1]
+            a = int(rng.choice([x for c in picked for x in subtree_nodes(tree, c)] or [u]))
+            rec = reference_downsweep.TourReconstructor(tree, res)
+            try:
+                want_seq = rec.reconstruct(u, V, a)
+            except InternalInvariantError:  # a beyond the depth limit k
+                with pytest.raises(InternalInvariantError):
+                    sweep(tree, res, u, V, a)
+                continue
+            assert sweep(tree, res, u, V, a) == (want_seq, rec.path_edges)
+
+
 class TestDownsweep:
     def test_two_nodes(self):
         inst = make_instance([(0, 0), (0, 3)])
@@ -159,10 +219,10 @@ class TestDownsweep:
             inst = random_instance(n, 1500 + seed)
             tree = mst_tree(inst)
             res = upsweep(inst, tree)
-            rec = TourReconstructor(tree, res)
-            order = rec.reconstruct(tree.root, rec.full_mask(tree.root), res.best_a)
+            full = (1 << len(tree.children[tree.root])) - 1
+            order, edges = sweep(tree, res, tree.root, full, res.best_a)
             assert len(order) == n
-            assert rec.path_edges <= n
+            assert edges <= n
 
     def test_rejects_mismatched_tree(self, collinear3):
         tree = mst_tree(collinear3)

@@ -78,7 +78,7 @@ INSTANCES = {
     "rounded-grid-100": lambda: _rounded_grid(10),
     "duplicates-80": lambda: _duplicates(80, 14),
     "collinear-40": lambda: _collinear(40, 15),
-    # from coordinates, the scan compacts its fringe every max(64, n // 8) picks: 7-8 times here
+    # from coordinates, the scan compacts its fringe every n // 8 picks: 7-8 times here
     "uniform-600": lambda: generate_uniform(600, 16, 1e6),
     "rounded-grid-625": lambda: _rounded_grid(25),
 }

@@ -19,20 +19,17 @@ It prints:
 * ``candidate_build_ms``: one ``_candidate_edges`` call at uniform and
   clustered n=1000, 4000 and 10^4, around step 1's 1-tree, the fastest of
   ``--repeats`` (of at most 3 at n=10^4).  ``dense_rows`` is the share of
-  rows that went through the dense row pass (1.0 where the checkout has no
-  grid).
+  rows that went through the dense row pass.
 * ``prim_scan_ms``: one ``spanning_tree.prim_scan`` without potentials (the
   MST's scan) and one at zero potentials (the 1-tree's), at uniform n=1000
   (distance matrix cached) and n=4000 (rows computed from coordinates), the
-  fastest of ``--repeats``.  Both scans span nodes 1..n-1; on a checkout
-  with ``spanning_tree.mst_without_node_zero`` the MST's scan spans all n.
+  fastest of ``--repeats``.  Both scans span nodes 1..n-1.
 * ``step_one_ms``: what the MST and the ascent's step 1 cost beyond that one
   scan: the pass that adds node 0 (``minimum_spanning_tree`` given its
   scan's result), at uniform and clustered n=1000 and 4000, the fastest of
-  ``--repeats``.  On a checkout with ``mst_without_node_zero`` it is that
-  derivation of step 1 from the unique MST instead.  ``derived_seeds``
-  counts, of uniform and of clustered seeds 1-5 at n=1000, those whose
-  step 1 comes from the MST's scan; the rest take a dense scan of their own.
+  ``--repeats``.  ``derived_seeds`` counts, of uniform and of clustered
+  seeds 1-5 at n=1000, those whose step 1 comes from the MST's scan; the
+  rest take a dense scan of their own.
 
 Wall times vary with the machine and its load; compare only figures from
 one run of two checkouts, interleaved.  This script is a measurement, not a
@@ -61,8 +58,6 @@ CASES = (("uniform", 1000), ("clustered", 1000), ("uniform", 4000))
 BUILD_CASES = tuple((klass, n) for klass in ("uniform", "clustered") for n in (1000, 4000, 10_000))
 PRIM_SIZES = (1000, 4000)
 GENERATORS = {"uniform": generate_uniform, "clustered": generate_clustered}
-# step 1 derived from the unique MST, on an older checkout that has it; None on this one
-DERIVE = getattr(spanning_tree, "mst_without_node_zero", None)
 
 
 def _instance(klass: str, n: int):
@@ -152,8 +147,7 @@ def time_candidate_build(klass: str, n: int, repeats: int) -> dict[str, float]:
     _, _, spanning = hk_bound._one_tree(inst.distances, np.zeros(n))
     ms = _fastest(lambda: hk_bound._candidate_edges(inst, spanning),
                   min(repeats, 3) if n > 4000 else repeats)
-    grid = getattr(hk_bound, "_grid_picks", None)
-    dense = 1.0 if grid is None else grid(inst)[2].size / (n - 1)
+    dense = hk_bound._grid_picks(inst)[2].size / (n - 1)
     return {"ms": round(ms, 2), "dense_rows": round(dense, 3)}
 
 
@@ -166,9 +160,7 @@ def time_prim_scan(n: int, repeats: int) -> dict[str, float]:
 
 def time_step_one(klass: str, n: int, repeats: int) -> float:
     """The MST and step 1 beyond the MST's scan (ms): the pass that adds node 0."""
-    inst, tree = _instance(klass, n)
-    if DERIVE is not None:
-        return round(_fastest(lambda: DERIVE(inst, tree), repeats), 2)
+    inst = GENERATORS[klass](n, SEED, BOX)
     scan = prim_scan(inst.distances)
     spanning_tree.prim_scan = lambda dist: scan
     try:
@@ -182,10 +174,7 @@ def derived_seeds(klass: str, n: int = 1000) -> int:
     taken = 0
     for seed in range(1, 6):
         inst = GENERATORS[klass](n, seed, BOX)
-        parent, _, spanning = minimum_spanning_tree(inst)
-        if DERIVE is not None:  # the third value says whether the MST is unique
-            spanning = DERIVE(inst, root_tree(parent)) if spanning else None
-        taken += spanning is not None
+        taken += minimum_spanning_tree(inst)[2] is not None
     return taken
 
 

@@ -15,8 +15,7 @@ It prints:
   whose distance block the upsweep holds for all of the node's masks.  A
   node has one block per non-leaf child and one for its leaf children
   together; a block is held when more than three masks read it and it has
-  at most ``upsweep.HELD_BLOCK_ENTRIES`` entries (0.0 where the checkout
-  has no such constant).
+  at most ``upsweep.HELD_BLOCK_ENTRIES`` entries.
 * ``tree``: for the same cases, ``heights``, the number of heights with a
   node that is not a leaf (the batched empty-mask steps), and
   ``node_steps``, the number of nodes with two or more children (those that
@@ -91,7 +90,7 @@ def peak_mb(inst, tree, k) -> float:
 
 def held_share(tree, k) -> float:
     """Share of (node, block) pairs whose block is held, by the rule above."""
-    cap = getattr(upsweep_mod, "HELD_BLOCK_ENTRIES", None)
+    cap = upsweep_mod.HELD_BLOCK_ENTRIES
     layout = PreorderLayout.of(tree)
     held = total = 0
     for u, cu in enumerate(tree.children):
@@ -112,20 +111,10 @@ def held_share(tree, k) -> float:
                 x = np.count_nonzero((xs < lo) | (xs >= hi))
                 blocks.append((1, x, np.count_nonzero(depth[lo:hi] <= limit + 1)))
         total += len(blocks)
-        if cap is not None:
-            # masks that read a block: nonempty, not full, missing one of its children
-            c = len(cu)
-            held += sum((1 << c) - (1 << (c - m)) - 1 > 3 and x * y <= cap for m, x, y in blocks)
+        # masks that read a block: nonempty, not full, missing one of its children
+        c = len(cu)
+        held += sum((1 << c) - (1 << (c - m)) - 1 > 3 and x * y <= cap for m, x, y in blocks)
     return held / total
-
-
-def heights(tree) -> int:
-    """Number of heights (longest path down to a leaf) above 0."""
-    height = [0] * tree.n
-    for u in tree.postorder:
-        for v in tree.children[u]:
-            height[u] = max(height[u], height[v] + 1)
-    return height[tree.root]
 
 
 def main() -> None:
@@ -139,7 +128,7 @@ def main() -> None:
         times[label] = round(time_upsweep(inst, tree, k, args.repeats), 1)
         shares[label] = round(held_share(tree, k), 3)
         peaks[label] = round(peak_mb(inst, tree, k), 2)
-        shape[label] = {"heights": heights(tree),
+        shape[label] = {"heights": len(upsweep_mod._heights(tree)),
                         "node_steps": sum(len(cu) > 1 for cu in tree.children)}
     out = {
         "upsweep_ms": times,
