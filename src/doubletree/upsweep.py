@@ -39,36 +39,38 @@ Order.  The pass runs height by height, a node's height being the length
 of its longest path down to a leaf, so every node of one height is ready at
 once.  A row V | bit is written from row V, so a node's masks run in
 popcount layers: a layer reads only rows that earlier layers finished.
-Layer 0, the empty mask, is one batched step per height.  There x is u
-alone with A_0 = 0, so the bridge is ``min_y d(u, y) + B_W[y]`` and needs
-no (x, y) block: the height's children of one width W = 2^c_v are taken
-together, their live columns concatenated, with one distance lookup, one
-segmented minimum per (W, child) and one extension for all of them.  A
-leaf child is the case y = [leaf], B = 0.  A batch's (W, y) arrays hold at
-most ``HELD_BLOCK_ENTRIES`` entries each (a child over the cap makes a
-batch of its own).  A node with one child is done after layer 0; a node
-with two or more children then runs the nonempty masks on its own, with one
-child step per non-leaf child and one leaf step for the leaf children.
+Layer 0, the empty mask, of every node of a height, and then layer 1 of
+its two-child nodes (each child's row extended by the other child), run as
+batched steps.  An item (u, V, v) has x candidates u alone with A_0 = 0 at
+layer 0, and otherwise the finite columns of row V in id order; its y are
+v's live columns, a leaf being the case y = [leaf], B = 0.  The items are
+sorted by their number of x and cut into batches whose padded (x, y) sums,
+and whose (W, y) arrays, stay within ``HELD_BLOCK_ENTRIES``.  A batch puts
+every item's y side by side: each column takes the inner minimum over its
+item's x, padded with inf at the end of the x list, which keeps the first
+argmin and the lowest-(x, y) tie rule; each item's table rows are padded
+with nan up to the widest table, which no minimum or tie ever picks.  An
+item over the cap is a batch of one and takes the per-mask step below.  A
+node with three or more children runs its layers 1 and up on its own, with
+one child step per non-leaf child and one leaf step for the leaf children.
 Each step takes a chunk of masks, their rows A over x candidates and the
 distance block d(x, y) to the child's live columns y (the leaves, for the
 leaf step); entries of A outside V's subtrees are inf, so they never reach
 a minimum or an argmin.  The child step's tie pass takes, at each attaining
 y, the first x of least full sum, which is the lowest attaining x, as
 rounding keeps the order of the sums.  Blocks differ only in where d(x, y)
-comes from.  At a node with three or more children several masks read each
-block, so the node may compute d(x, y) once, over the x candidates outside
-the block's subtrees: a block is held when more than three masks read it
-and it has at most ``HELD_BLOCK_ENTRIES`` entries, so a node holds at most
-c times that many, and its masks run in chunks of at most that many (x, y)
-sums.  (A non-leaf child of a three-child node has its block read by three
-masks, and at k = inf a third of the x those masks read would be inf;
-there the per-mask step is as fast.)  Every other block is taken per mask,
-a chunk of one over the row's finite x, and a child step looks it up in row
-tiles of at most ``HELD_BLOCK_ENTRIES`` (x, y) sums, keeping a running
-minimum over x; its tie pass then recomputes the full sums over every x
-for the attaining columns only.  Beyond its table and bridges a node thus
-holds O(tile) temporaries, plus the tie pass's |x| sums per attaining
-column and a leaf step's |x| sums per leaf.
+comes from.  Several masks read each block, so the node may compute
+d(x, y) once, over the x candidates outside the block's subtrees: a block
+is held when more than three masks read it and it has at most
+``HELD_BLOCK_ENTRIES`` entries, so a node holds at most c times that many,
+and its masks run in chunks of at most that many (x, y) sums.  Every other
+block is taken per mask, a chunk of one over the row's finite x, and a
+child step looks it up in row tiles of at most ``HELD_BLOCK_ENTRIES``
+(x, y) sums, keeping a running minimum over x; its tie pass then
+recomputes the full sums over every x for the attaining columns only.
+Beyond its table and bridges a node thus holds O(tile) temporaries, plus
+the tie pass's |x| sums per attaining column and a leaf step's |x| sums
+per leaf.
 
 Bridges are kept for tour reconstruction in one store per node u: a weight
 array and a jump-edge array of shape ``(2^c_u, sum_v 2^c_v)``, where child v
@@ -78,7 +80,8 @@ stores hold 4^d n entries at most.  The tables themselves are released as
 soon as the parent is done; the live ones always belong to disjoint
 subtrees, so at most 2^d n table entries are live at once.  The counter
 ``max_live_entries`` reports the peak a postorder pass would hold, from
-each node's finite entries counted when its table is built.
+each node's finite entries: the kept columns of each child, in the half of
+the rows that hold the child.
 
 With a finite search depth k, a destination is kept only while its tree
 distance from the table's node stays within k.  Every child sits at distance
@@ -106,12 +109,12 @@ from .spanning_tree import RootedTree
 # memory; exact search (D = 1) at n = 10000 needs about 1.5e7.
 TABLE_ENTRY_BUDGET = 500_000_000
 BRIDGE_ENTRY_BUDGET = 10_000_000
-# The one bound on the blocks of the subset DP (see "Order" above).  A node
+# The one bound on the blocks of the subset DP (see "Order" above).  A
+# batch of a height's layer 0 or two-child layer 1 has at most this many
+# padded (x, y) sums and (W, y) entries; a node with three or more children
 # holds a distance block d(x, y) for all of its masks when more than three
 # masks read it and it has at most this many entries; a step takes at most
-# this many (x, y) sums at once, in chunks of masks or in row tiles of x; a
-# height's empty-mask step runs in batches of children whose (W, y) arrays
-# have at most this many entries.
+# this many (x, y) sums at once, in chunks of masks or in row tiles of x.
 HELD_BLOCK_ENTRIES = 1 << 15
 
 
@@ -184,109 +187,222 @@ def _empty_masks(
     k: Optional[int],
     stats: UpsweepStats,
     bridges: list[Optional[Bridges]],
+    reach: Optional[tuple[list[int], list[int]]] = None,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Table and bridge store (weights, jump edges) of each of ``nodes``,
-    none of them a leaf, with the empty mask's step done for every child.
-
-    At the empty mask x is u alone with A_0 = 0, so the inner minimum is
-    d(u, y) and no (x, y) block is needed: the children of equal width
-    W = 2^c_v are taken together, in batches whose (W, y) arrays stay within
-    ``HELD_BLOCK_ENTRIES`` entries (a child over the cap makes a batch of
-    its own).
-    """
+    none of them a leaf, with the empty mask's step done for every child."""
     tree = layout.tree
-    out = []
-    groups: dict[int, list[tuple]] = {}  # W -> (v, u, u's table, bit of v)
+    out, items = [], []
     for u in nodes:
         cu = tree.children[u]
-        widths = [1 << len(tree.children[v]) for v in cu]
         table = np.empty((1 << len(cu), tree.subtree_size[u]))
         table.fill(np.inf)
         table[0, 0] = 0.0
         # one bridge store for all children; child i owns columns [cols[i], cols[i + 1])
-        cols = [0, *accumulate(widths)]
+        cols = [0, *accumulate(tables[v].shape[0] for v in cu)]
         bw = np.empty((table.shape[0], cols[-1]))
         bw.fill(np.inf)
         bxy = np.empty(bw.shape, dtype=np.intp)
         bxy.fill(-1)
-        for i, (v, W) in enumerate(zip(cu, widths)):
+        for i, v in enumerate(cu):
             bridges[v] = (bw[:, cols[i]:cols[i + 1]], bxy[:, cols[i]:cols[i + 1]])
-            groups.setdefault(W, []).append((v, u, table, 1 << i))
+            items.append((table, u, 0, 1 << i, v, None))
         out.append((table, bw, bxy))
-    for W, group in groups.items():
-        batch, entries = [], 0
-        for kid in group:
-            size = W * tree.subtree_size[kid[0]]
-            if batch and entries + size > HELD_BLOCK_ENTRIES:
-                _empty_mask_batch(inst, layout, W, batch, tables, k, stats, bridges)
-                batch, entries = [], 0
-            batch.append(kid)
-            entries += size
-        _empty_mask_batch(inst, layout, W, batch, tables, k, stats, bridges)
+    _layer(inst, layout, items, tables, k, stats, bridges, reach or _reach(tree, k))
     return out
 
 
-def _empty_mask_batch(
+def _reach(tree: RootedTree, k: Optional[int]) -> tuple[list[int], list[int]]:
+    """For every node v, how many columns of its table lie within k - 1 of v
+    (those its parent keeps) and within k (the live ones, every finite
+    column)."""
+    if k is None:
+        return tree.subtree_size, tree.subtree_size
+    n = tree.n
+    up = np.array([n if p is None else p for p in tree.parent] + [n])
+    above, count = np.arange(n), np.zeros(n + 1, dtype=np.intp)
+    for _ in range(min(k, max(tree.depth) + 1)):  # each node counts at its ancestors 0, 1, ... up
+        count += np.bincount(above, minlength=n + 1)
+        above = up[above]
+    kept = count[:n].tolist()
+    count += np.bincount(above, minlength=n + 1)
+    return kept, count[:n].tolist()
+
+
+def _layer(
     inst: Instance,
     layout: PreorderLayout,
-    W: int,
+    items: list[tuple],
+    tables: dict[int, np.ndarray],
+    k: Optional[int],
+    stats: UpsweepStats,
+    bridges: list[Optional[Bridges]],
+    reach: tuple[list[int], list[int]],
+) -> None:
+    """The steps of ``items``, each (u's table, u, mask V, bit of v, v, w):
+    row V of u extended by its child v.  Its x are u alone, where A_0 = 0,
+    when w is None (V = 0), and otherwise the finite columns of row V, all
+    below u's child w.  No item reads a row that another one writes.  The
+    items are sorted by their number of x, then by the width 2^c_v of v's
+    table, and cut into batches (see "Order" above)."""
+    kept, live = reach
+    size = layout.tree.subtree_size
+    run = sorted((1 if w is None else kept[w], len(tables[v]), j, v, w) for j, (*_, v, w) in enumerate(items))
+    while run:
+        # the most items whose padded (x, y) and (W, y) sums, and the table
+        # columns that they put side by side, stay within the cap
+        hi = top = y = sv = sw = 0
+        for x, W, _, v, w in run:
+            top, y, sv, sw = max(top, W), y + live[v], sv + size[v], sw + (0 if w is None else size[w])
+            if hi and (max(x, top) * y > HELD_BLOCK_ENTRIES or top * sv + sw > HELD_BLOCK_ENTRIES):
+                break
+            hi += 1
+        _batch(inst, layout, [items[r[2]] for r in run[:hi]], tables, k, stats, bridges, reach)
+        del run[:hi]
+
+
+def _batch(
+    inst: Instance,
+    layout: PreorderLayout,
     batch: list[tuple],
     tables: dict[int, np.ndarray],
     k: Optional[int],
     stats: UpsweepStats,
     bridges: list[Optional[Bridges]],
+    reach: tuple[list[int], list[int]],
 ) -> None:
-    """The empty mask's step for the children in ``batch``, all of width W."""
-    tree = layout.tree
-    n = inst.n
-    vs = [kid[0] for kid in batch]
-    us = np.array([kid[1] for kid in batch])
-    starts = layout.pre[vs]
-    sizes = [tree.subtree_size[v] for v in vs]
-    offs = [0, *accumulate(sizes)]
-    spans = [slice(p, p + size) for p, size in zip(starts.tolist(), sizes)]
-    if k is None:
-        live = keep = slice(None)
-        ylens = klens = sizes
-    else:  # every finite column of B, and those still within k of u
-        depth = np.concatenate([layout.depth[t] for t in spans]) - np.repeat(layout.depth[starts], sizes)
-        live, keep = depth <= k, depth < k
-        ylens = np.add.reduceat(live, offs[:-1], dtype=np.intp)
-        klens = np.add.reduceat(keep, offs[:-1], dtype=np.intp)
-    ystarts = offs[:-1] if k is None else np.cumsum(ylens) - ylens
-    y = np.concatenate([layout.order[t] for t in spans])[live]
-    d = inst.distances.pairs(np.repeat(us, ylens), y)
-    # B and kept: the children's tables side by side (a batch of one child
-    # reads its table in place), over those columns
-    full = np.concatenate([tables[v] for v in vs], axis=1) if len(vs) > 1 else tables[vs[0]]
-    S = d + full[:, live]
-    kept = full[:, keep]
-    del d, full
-    best = np.minimum.reduceat(S, ystarts, axis=1)
-    # the jump edge is (u, y) for the lowest y attaining the minimum
-    ws, ys = np.nonzero(S == (np.repeat(best, ylens, axis=1) if len(vs) > 1 else best))
-    del S
-    if ws.size == best.size:  # one attaining y per (W, child), in that order
-        pair = y[ys].reshape(best.shape)
+    """The steps of the items of ``_layer`` in ``batch`` as one step: every
+    item's y side by side, each column with its item's x, padded with inf in
+    A up to the most x, and its table's W rows, padded with nan up to the
+    widest table."""
+    tree, pre, order, dist, n = layout.tree, layout.pre, layout.order, inst.distances, inst.n
+    kept, live = reach
+    tabs, us, Vs, bits, vs, ws = zip(*batch)
+    m, Wv = len(batch), [tables[v].shape[0] for v in vs]
+    W, size = max(Wv), [tree.subtree_size[v] for v in vs]
+    even = min(Wv) == W  # no padded rows
+    Y, K = np.array([live[v] for v in vs]), [kept[v] for v in vs]
+    offs, pv = [0, *accumulate(size)], pre[list(vs)]
+    # y: the live columns of each child's table, in preorder
+    at = np.arange(offs[-1]) + (pv - offs[:-1]).repeat(size)
+    if k is not None:  # every finite column of B, and those still within k of u
+        below = layout.depth[at] - layout.depth[pv].repeat(size)
+        cut, below = below < k, below <= k
+        at = at[below]
+    yi = order[at]
+    del at
+    if ws[0] is None:  # the empty mask: x is u alone, with A_0 = 0
+        X, A, xi = 1, None, np.array(us)[None]
+    else:  # row V below w: its finite columns in id order, then inf
+        X, zw, pw = np.array([kept[w] for w in ws]), [tree.subtree_size[w] for w in ws], pre[list(ws)]
+        A = np.concatenate([t[V, a:a + z] for t, V, a, z in zip(tabs, Vs, (pw - pre[list(us)]).tolist(), zw)])
+        xi = order[np.arange(A.size) + (pw - [0, *accumulate(zw[:-1])]).repeat(zw)]
+        if k is not None:
+            fin = A < np.inf
+            A, xi = A[fin], xi[fin]
+        o = (np.arange(0, m * n, n).repeat(X) + xi).argsort()
+        pad = np.arange(X.max()) < X[:, None]  # (item, x slot)
+        Ap, xp = np.full(pad.shape, np.inf), np.zeros(pad.shape, dtype=np.intp)
+        Ap[pad], xp[pad] = A[o], xi[o]
+        A, xi = Ap.T, xp.T
+    over = m == 1 and max(len(xi), W) * yi.size > HELD_BLOCK_ENTRIES
+    if not over:  # the inner minimum over x of every column
+        item = np.arange(m).repeat(Y) if m > 1 else slice(None)  # each column's item
+        if dist.cached:
+            M = dist.pairs(xi[:, item], yi)
+        else:  # from the coordinates of each item's x
+            M = dist.to_points(yi, dist.xy[:, 0][xi][:, item], dist.xy[:, 1][xi][:, item])
+        if A is not None:
+            M += A[:, item]
+        del item
+        inner, M = (M[0], None) if len(M) == 1 else (M.min(axis=0), M)
+    if even:
+        B = np.concatenate([tables[v] for v in vs], axis=1) if m > 1 else tables[vs[0]]
     else:
-        pair = np.full(best.shape, n)
-        np.minimum.at(pair, (ws, np.searchsorted(ystarts, ys, "right") - 1), y[ys])
-    pair += us * n
-    # row bit_v over v's kept columns: the minimum over W of bridge[0, full ^ W] + B_W
-    ext = np.repeat(best[::-1], klens, axis=1)
-    ext += kept
-    ext = ext.min(axis=0)
-    stats.quad_evals += y.size
-    stats.bip_entries += best.size
-    stats.extension_evals += (ext.size - len(vs)) * (W // 2)
-    # write back: v's bridges at the empty mask, and row bit_v of u's table
-    ks = [0, *accumulate(klens)]
-    los = (starts - layout.pre[us]).tolist()
-    for j, (v, _, table, bit) in enumerate(batch):
+        B = np.full((W, offs[-1]), np.nan)
+        for v, lo, hi in zip(vs, offs, offs[1:]):
+            B[:len(tables[v]), lo:hi] = tables[v]
+    if k is not None:
+        B = B.compress(below, axis=1)
+    if over:  # a child over the cap, in row tiles of x
+        best, pair = (r.T for r in _child_bridges(inst, np.zeros((1, 1)) if A is None else A.T, xi[:, 0], yi, B))
+    else:
+        S = inner + B
+        del inner
+        ends = Y.cumsum()
+        best = np.minimum.reduceat(S, ends - Y, axis=1)
+        # the jump edge: the tie rule of _child_bridges, over each item's x
+        Ws, ys = (S == best.repeat(Y, axis=1)).nonzero()
+        del S
+        im = np.searchsorted(ends, ys, "right")  # the item of each column
+        if M is None:
+            pair = xi[0, im] * n + yi[ys]
+        else:
+            M = M[:, ys]
+            M += B[Ws, ys]
+            pair = xi[M.argmin(axis=0), im] * n + yi[ys]
+            del M
+        if even and pair.size == best.size:  # one attaining pair per (W, item), in that order
+            pair = pair.reshape(best.shape)
+        else:  # ties, or padded rows: the lowest pair per (W, item)
+            pair, key = np.full(best.shape, n * n), pair
+            np.minimum.at(pair, (Ws, im), key)
+    # row V | bit over v's kept columns: the minimum over W of bridge[V, full ^ W] + B_W
+    ext = best[::-1] if even else best[(np.array(Wv) - 1 - np.arange(W)[:, None]) % W, np.arange(m)]
+    ext = ext.repeat(K, axis=1)
+    ext += B if k is None else B.compress(cut[below], axis=1)
+    ext = np.fmin.reduce(ext, axis=0)
+    if k is not None:  # over every column of T(v), inf where cut
+        ext, kept_ext = np.full(offs[-1], np.inf), ext
+        ext[cut] = kept_ext
+    stats.quad_evals += int(np.dot(X, Y)) if A is not None else int(Y.sum())
+    stats.bip_entries += sum(Wv)
+    stats.extension_evals += sum((kv - 1) * (w // 2) for kv, w in zip(K, Wv))
+    # write back: v's bridges at mask V, and row V | bit of u's table
+    los = (pv - pre[list(us)]).tolist()
+    for j, (t, V, bit, v, b, p) in enumerate(zip(tabs, Vs, bits, vs, best.T, pair.T)):
         w, xy = bridges[v]
-        w[0], xy[0] = best[:, j], pair[:, j]
-        row = table[bit, los[j]:los[j] + sizes[j]]
-        row[keep if k is None else keep[offs[j]:offs[j + 1]]] = ext[ks[j]:ks[j + 1]]
+        w[V], xy[V] = b[:Wv[j]], p[:Wv[j]]
+        t[V | bit, los[j]:los[j] + size[j]] = ext[offs[j]:offs[j + 1]]
+
+
+def _child_bridges(
+    inst: Instance, A: np.ndarray, x_ids: np.ndarray, y_ids: np.ndarray, B: np.ndarray, D: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bridge weights and jump edges, both (masks, W), of masks with rows A
+    over the x candidates ``x_ids``, in id order, into a child's table B over
+    its live columns ``y_ids``; D is d(x, y), or None to look it up in row
+    tiles of x."""
+    dist, n = inst.distances, inst.n
+    tile = max(1, HELD_BLOCK_ENTRIES // (A.shape[0] * y_ids.size))
+    M = A[:, :tile, None] + (dist.pairs(x_ids[:tile, None], y_ids) if D is None else D)
+    inner = M.min(axis=1)
+    for lo in range(tile, x_ids.size, tile):
+        t = slice(lo, lo + tile)
+        M = A[:, t, None] + dist.pairs(x_ids[t, None], y_ids)
+        np.minimum(inner, M.min(axis=1), out=inner)
+    S = inner[:, None] + B
+    best = S.min(axis=2)
+    # (A[x] + d) + B can round onto the minimum even for an x that misses
+    # min_x by an ulp, so the jump edge is the lowest (x, y) over every
+    # pair whose full sum attains it.  Rounding keeps the order of the
+    # sums, so at an attaining y the least full sum is the minimum and
+    # its first x the lowest.  A block of several tiles recomputes the
+    # attaining columns over every x.
+    ms, Ws, ys = (S == best[:, :, None]).nonzero()
+    if tile < x_ids.size:
+        M = dist.pairs(y_ids[ys, None], x_ids)
+        M += A[ms]
+    else:
+        M = M[ms, :, ys]
+    M += B[Ws, ys, None]
+    pair = x_ids[M.argmin(axis=1)] * n + y_ids[ys]
+    del M  # free the tie sums before the extension's
+    if pair.size > best.size:  # tied pairs: keep the lowest per (mask, W)
+        lowest = np.full(best.size, pair.max())
+        np.minimum.at(lowest, ms * best.shape[1] + Ws, pair)
+        pair = lowest
+    return best, pair.reshape(best.shape)
 
 
 def _nonempty_masks(
@@ -334,38 +450,12 @@ def _nonempty_masks(
         table[rows[V, fl], lcol[fl]] = best
 
     def child_step(Vs, A, x_ids, D, blk):
-        """A non-leaf child's step; a D looked up is taken in row tiles of x."""
+        """A non-leaf child's step."""
         bit, y_ids, B_live, kept, kcols, w, xy = blk
-        tile = max(1, HELD_BLOCK_ENTRIES // (A.shape[0] * y_ids.size))
-        M = A[:, :tile, None] + (dist.pairs(x_ids[:tile, None], y_ids) if D is None else D)
-        inner = M.min(axis=1)
-        for lo in range(tile, x_ids.size, tile):
-            t = slice(lo, lo + tile)
-            M = A[:, t, None] + dist.pairs(x_ids[t, None], y_ids)
-            np.minimum(inner, M.min(axis=1), out=inner)
-        S = inner[:, None] + B_live
-        w[Vs] = best = S.min(axis=2)
-        # (A[x] + d) + B can round onto the minimum even for an x that misses
-        # min_x by an ulp, so the jump edge is the lowest (x, y) over every
-        # pair whose full sum attains it.  Rounding keeps the order of the
-        # sums, so at an attaining y the least full sum is the minimum and
-        # its first x the lowest.  A block of several tiles recomputes the
-        # attaining columns over every x.
-        ms, Ws, ys = (S == best[:, :, None]).nonzero()
-        if tile < x_ids.size:
-            M = dist.pairs(y_ids[ys, None], x_ids)
-            M += A[ms]
-        else:
-            M = M[ms, :, ys]
-        M += B_live[Ws, ys, None]
-        pair = x_ids[M.argmin(axis=1)] * n + y_ids[ys]
-        del M  # free the tie sums before the extension's
-        if pair.size > best.size:  # tied pairs: keep the lowest per (V, W)
-            lowest = np.full(best.size, pair.max())
-            np.minimum.at(lowest, ms * best.shape[1] + Ws, pair)
-            pair = lowest
-        xy[Vs] = pair.reshape(best.shape)
-        table[(masks[Vs] | bit)[:, None], kcols] = (best[:, ::-1, None] + kept).min(axis=1)
+        best, pair = _child_bridges(inst, A, x_ids, y_ids, B_live, D)
+        w[Vs], xy[Vs] = best, pair
+        rows = masks[Vs] | bit  # a row index and a slice at k = inf
+        table[rows if limit is None else rows[:, None], kcols] = (best[:, ::-1, None] + kept).min(axis=1)
 
     # one block per non-leaf child and one for the leaf children together:
     # (mask bits, span of its subtrees, y ids, width of its tables, step, blk).
@@ -401,7 +491,8 @@ def _nonempty_masks(
         stats.extension_evals += lacking * (kept.shape[1] - 1) * (B.shape[0] // 2)
         stats.quad_evals += pairing * y_ids.size * (xs.size - kept.shape[1])
         blocks.append((1 << i, span, y_ids, B.shape[0], child_step, (
-            1 << i, y_ids, B[:, live], kept, np.arange(lo, span.stop)[keep], *bridges[v])))
+            1 << i, y_ids, B[:, live], kept, span if limit is None else np.arange(lo, span.stop)[keep],
+            *bridges[v])))
 
     # hold a block that more than three masks read and that fits the cap
     # (see "Order" above): its d(x, y) over the x candidates outside its span
@@ -438,18 +529,24 @@ def _nonempty_masks(
 @cache
 def _leaf_masks(c: int, leaves: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Over the masks V of c children and the leaf children ``leaves``: whether
-    the leaf is not in V, and the row ``V | bit`` of the leaf."""
+    the leaf is not in V, and the row ``V | bit`` of the leaf; both read-only,
+    as every node shares them."""
     masks, bits = np.arange(1 << c)[:, None], np.array([1 << i for i in leaves])
-    return masks & bits == 0, masks | bits
+    free, rows = masks & bits == 0, masks | bits
+    free.flags.writeable = rows.flags.writeable = False
+    return free, rows
 
 
 @cache
 def _masks(c: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """The masks over c children, and those but the full one grouped by
-    popcount."""
+    popcount; all read-only, as every node shares them."""
     masks = np.arange(1 << c)
     counts = np.array([V.bit_count() for V in range(1 << c)])
-    return masks, [masks[counts == p] for p in range(c)]
+    layers = [masks[counts == p] for p in range(c)]
+    for a in (masks, *layers):
+        a.flags.writeable = False
+    return masks, layers
 
 
 def _heights(tree: RootedTree) -> list[list[int]]:
@@ -487,19 +584,23 @@ def upsweep(inst: Instance, tree: RootedTree, k: Optional[int] = None) -> Upswee
     stats = UpsweepStats()
     bridges: list[Optional[Bridges]] = [None] * inst.n
     tables = {u: _LEAF for u, cu in enumerate(tree.children) if not cu}
-    live = np.zeros(inst.n, dtype=np.intp)  # finite entries of each table but its row 0
+    reach = _reach(tree, k)
     for nodes in _heights(tree):
-        built = _empty_masks(inst, layout, nodes, tables, k, stats, bridges)
+        built = _empty_masks(inst, layout, nodes, tables, k, stats, bridges, reach)
+        # a two-child node's last layer extends each child's row by the other child
+        _layer(inst, layout, [(table, u, 2 >> i, 1 << i, cu[i], cu[1 - i]) for u, (table, _, _) in zip(nodes, built)
+                              if len(cu := tree.children[u]) == 2 for i in (0, 1)], tables, k, stats, bridges, reach)
         for u, (table, bw, bxy) in zip(nodes, built):
-            if len(tree.children[u]) > 1:
+            if len(tree.children[u]) > 2:
                 _nonempty_masks(inst, layout, u, table, bw, bxy, tables, k, stats, bridges)
-            live[u] = np.count_nonzero(table[1:] < np.inf)
             for v in tree.children[u]:
                 del tables[v]
             tables[u] = table
     # live entries as a postorder pass holds them: it releases each child's
-    # table once the parent's is built
-    now, live = 0, live.tolist()
+    # table once the parent's is built.  A table's finite entries but row 0
+    # are the kept columns of each child, in the half of the rows holding it
+    now, kept = 0, reach[0]
+    live = [sum(kept[v] for v in cu) << (len(cu) - 1) if cu else 0 for cu in tree.children]
     for u in tree.postorder:
         now += live[u]
         stats.max_live_entries = max(stats.max_live_entries, now)

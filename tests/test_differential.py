@@ -93,6 +93,16 @@ HAND_TREES = {
     # two paths that end in three-leaf forks: built height by height, both
     # forks' tables are live at once, which a postorder pass never holds
     "twin-forks": [None, 0, 0, 1, 2, 3, 4, 5, 6, 7, 7, 7, 8, 8, 8],
+    # a complete binary tree of 15 nodes, three of whose leaves get one child:
+    # every height is full of two-child nodes, whose children are leaves and
+    # nodes with one and two children (tables of widths 1, 2 and 4), side by
+    # side in one batch
+    "binary": [None, *((i - 1) // 2 for i in range(1, 15)), 7, 8, 11],
+    # three two-child nodes of one height below the root: node 1 over two
+    # paths of 19 and 18 nodes, whose layer 1 has 342 (x, y) sums at k = inf,
+    # and nodes 2 and 3 over a leaf and a path of 19 nodes, 19 sums each
+    "over-the-cap": [None, 0, 0, 0, 1, *range(4, 22), 1, *range(23, 40), 2, 2, *range(42, 60),
+                     3, 3, *range(62, 80)],
 }
 
 HAND_POINTS = {
@@ -163,6 +173,12 @@ class TestHeldBlockCap:
     def test_bit_identical_degree_7(self, name, k):
         inst = INSTANCES[name]()
         _assert_bit_identical(inst, degree_increase(mst_tree(inst), 7), k)
+
+    @pytest.mark.parametrize("k", [1, 2, 16, None])
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_bit_identical_mst(self, cases, name, k):
+        # D = 1: every step but those of three-child nodes is a batch
+        _assert_bit_identical(*cases[name, 1], k)
 
     @pytest.mark.parametrize("k", [1, 2, 16, None])
     @pytest.mark.parametrize("points", sorted(HAND_POINTS))

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import tracemalloc
@@ -21,6 +22,10 @@ from doubletree.upsweep import (
     UpsweepStats,
     _empty_masks,
     _heights,
+    _layer,
+    _leaf_masks,
+    _masks,
+    _reach,
     predicted_entries,
     upsweep,
 )
@@ -294,6 +299,72 @@ class TestEmptyMaskBatch:
         # lookup's y-long temporaries: about four caps at W = 2 all told,
         # against about ten for the whole height as one batch
         assert peak - own <= 5 * HELD_BLOCK_ENTRIES * 8
+
+
+class TestTwoChildBatch:
+    def test_wide_height_is_split(self):
+        # 60 nodes below one root, each over two paths of 100 nodes: layer 1
+        # of the height of those nodes pairs 100 x with 100 y at each of its
+        # 120 items, 1.2e6 (x, y) sums as one batch, 37 times the cap
+        nodes, length = 60, 100
+        parent = [None]
+        for _ in range(nodes):
+            top = len(parent)
+            parent.append(0)
+            for _ in range(2):
+                parent += [top, *range(len(parent), len(parent) + length - 1)]
+        tree = RootedTree.from_parents(parent)
+        inst = generate_uniform(tree.n, 9, 1e6)
+        layout = PreorderLayout.of(tree)
+        stats, bridges, reach = UpsweepStats(), [None] * tree.n, _reach(tree, None)
+        tables = {u: node_table(inst, layout, u, {}, None, stats, bridges)
+                  for u, cu in enumerate(tree.children) if not cu}
+        levels = _heights(tree)
+        for nodes_ in levels[:-1]:
+            built = _empty_masks(inst, layout, nodes_, tables, None, stats, bridges)
+            if len(tree.children[nodes_[0]]) == 2:
+                break
+            for u, (table, _, _) in zip(nodes_, built):
+                for v in tree.children[u]:
+                    del tables[v]
+                tables[u] = table
+        assert len(nodes_) == nodes
+        items = [(table, u, 2 >> i, 1 << i, tree.children[u][i], tree.children[u][1 - i])
+                 for u, (table, _, _) in zip(nodes_, built) for i in (0, 1)]
+        tracemalloc.start()
+        try:
+            _layer(inst, layout, items, tables, None, stats, bridges, reach)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a batch holds padded (x, y) sums and (W, y) arrays of at most the
+        # cap each, and the distance lookup's temporaries of the same size:
+        # a few caps all told, against about 40 for the height as one batch
+        assert peak <= 6 * HELD_BLOCK_ENTRIES * 8
+
+    def test_steps_scale_with_heights(self, monkeypatch):
+        # uniform n=400, D = 1, k = 16: every batch is one height's layer 0
+        # or its two-child nodes' layer 1, so the batched steps number at most
+        # two per height, far fewer than the nodes with children
+        module = importlib.import_module("doubletree.upsweep")
+        calls = []
+        batch = module._batch
+        monkeypatch.setattr(module, "_batch", lambda *a: calls.append(len(a[2])) or batch(*a))
+        inst = generate_uniform(400, 1, 1e6)
+        tree = mst_tree(inst)
+        upsweep(inst, tree, k=16)
+        heights = len(_heights(tree))
+        two = sum(len(cu) == 2 for cu in tree.children)
+        inner = sum(len(cu) > 0 for cu in tree.children)
+        assert sum(calls) == (tree.n - 1) + 2 * two
+        assert len(calls) <= 2 * heights < inner
+
+
+class TestCachedMasks:
+    def test_read_only(self):
+        masks, layers = _masks(3)
+        free, rows = _leaf_masks(3, (0, 2))
+        assert not any(a.flags.writeable for a in (masks, *layers, free, rows))
 
 
 class TestExtendSweep:

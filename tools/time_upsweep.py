@@ -17,9 +17,12 @@ It prints:
   together; a block is held when more than three masks read it and it has
   at most ``upsweep.HELD_BLOCK_ENTRIES`` entries.
 * ``tree``: for the same cases, ``heights``, the number of heights with a
-  node that is not a leaf (the batched empty-mask steps), and
-  ``node_steps``, the number of nodes with two or more children (those that
-  run their own nonempty masks).  Both describe the tree, not the checkout.
+  node that is not a leaf; ``batch_steps``, the batched steps one upsweep
+  runs (each height's layer 0, and the layer 1 of its two-child nodes, cut
+  at the cap), counted by wrapping ``upsweep._batch`` (null on a checkout
+  without it); and ``node_steps``, the number of nodes that run their
+  nonempty masks on their own (those with three or more children, or two
+  or more on a checkout without ``_batch``).
 * ``peak_mb``: for the same cases, the tracemalloc peak of one more,
   untimed upsweep in MB (10^6 bytes): its tables, bridges and temporaries.
   The distance object is built before it, so a cached matrix is not
@@ -88,6 +91,17 @@ def peak_mb(inst, tree, k) -> float:
         tracemalloc.stop()
 
 
+def batch_steps(inst, tree, k) -> int:
+    """Number of ``upsweep._batch`` calls in one upsweep."""
+    calls, step = [], upsweep_mod._batch
+    upsweep_mod._batch = lambda *a: calls.append(1) or step(*a)
+    try:
+        upsweep(inst, tree, k)
+    finally:
+        upsweep_mod._batch = step
+    return len(calls)
+
+
 def held_share(tree, k) -> float:
     """Share of (node, block) pairs whose block is held, by the rule above."""
     cap = upsweep_mod.HELD_BLOCK_ENTRIES
@@ -128,8 +142,10 @@ def main() -> None:
         times[label] = round(time_upsweep(inst, tree, k, args.repeats), 1)
         shares[label] = round(held_share(tree, k), 3)
         peaks[label] = round(peak_mb(inst, tree, k), 2)
+        batched = hasattr(upsweep_mod, "_batch")
         shape[label] = {"heights": len(upsweep_mod._heights(tree)),
-                        "node_steps": sum(len(cu) > 1 for cu in tree.children)}
+                        "batch_steps": batch_steps(inst, tree, k) if batched else None,
+                        "node_steps": sum(len(cu) > (2 if batched else 1) for cu in tree.children)}
     out = {
         "upsweep_ms": times,
         "held_share": shares,
