@@ -39,42 +39,33 @@ Order.  The pass runs height by height, a node's height being the length
 of its longest path down to a leaf, so every node of one height is ready at
 once.  A row V | bit is written from row V, so a node's masks run in
 popcount layers: a layer reads only rows that earlier layers finished.
-Layer 0, the empty mask, of every node of a height, and then layer 1 of
-its two-child nodes (each child's row extended by the other child), run as
-batched steps.  An item (u, V, v) has x candidates u alone with A_0 = 0 at
-layer 0, and otherwise the finite columns of row V in id order; its y are
-v's live columns, a leaf being the case y = [leaf], B = 0.  The items are
-sorted by their number of x and cut into batches whose padded (x, y) sums,
-and whose (W, y) arrays, stay within ``HELD_BLOCK_ENTRIES``.  A batch puts
-every item's y side by side: each column takes the inner minimum over its
-item's x, padded with inf at the end of the x list, which keeps the first
-argmin and the lowest-(x, y) tie rule; each item's table rows are padded
-with nan up to the widest table, which no minimum or tie ever picks.  An
-item over the cap is a batch of one and takes the per-mask step below.  A
-node with three or more children runs its layers 1 and up on its own, with
-one child step per non-leaf child and one leaf step for the leaf children.
-Each step takes a chunk of masks, their rows A over x candidates and the
-distance block d(x, y) to the child's live columns y (the leaves, for the
-leaf step); entries of A outside V's subtrees are inf, so they never reach
-a minimum or an argmin.  The child step's tie pass takes, at each attaining
-y, the first x of least full sum, which is the lowest attaining x, as
-rounding keeps the order of the sums.  Blocks differ only in where d(x, y)
-comes from.  Several masks read each block, so the node may compute
-d(x, y) once, over the x candidates outside the block's subtrees: a block
-is held when more than three masks read it and it has at most
-``HELD_BLOCK_ENTRIES`` entries, so a node holds at most c times that many,
-and its masks run in chunks of at most that many (x, y) sums.  Every other
-block is taken per mask, a chunk of one over the row's finite x, and a
-child step looks it up in row tiles of at most ``HELD_BLOCK_ENTRIES``
-(x, y) sums, keeping a running minimum over x; its tie pass then
-recomputes the full sums over every x for the attaining columns only.
-Beyond its table and bridges a node thus holds O(tile) temporaries, plus
-the tie pass's |x| sums per attaining column and a leaf step's |x| sums
-per leaf.
+Layer 0 of every node of a height, then layer 1 of its two-child nodes, run
+as batched steps over items (u, V, v): x is u alone with A_0 = 0 at layer
+0, else the finite columns of row V in id order; y is v's live columns, a
+leaf being y = [leaf], B = 0.  The items are sorted by their number of x
+and cut into batches whose padded (x, y) sums and (W, y) arrays stay within
+``HELD_BLOCK_ENTRIES``.  A batch puts every item's y side by side; the x
+lists are padded with inf at the end, which keeps the first argmin, and the
+tables with nan rows up to the widest, which no minimum or tie picks.  A
+two-child node with an item over the cap, and a node with three or more
+children, runs its layers 1 and up on its own: one child step per non-leaf
+child and one leaf step for the leaf children, each over a chunk of masks,
+their rows A over the x candidates (inf outside V's subtrees) and the block
+d(x, y) to the child's live y.  A block is held, d(x, y) computed once over
+the x outside its subtrees, when more than three masks read it and it has
+at most ``HELD_BLOCK_ENTRIES`` entries; its masks run in chunks of at most
+that many sums.  Any other block is taken per mask over the row's finite x,
+in row tiles of at most that many sums with a running minimum.  Every tie
+pass takes, at each attaining y, the first x of least full sum, the lowest
+attaining x, as rounding keeps the order of the sums; a tiled block
+recomputes the full sums of its attaining columns only.  Beyond its table
+and bridges a node thus holds O(tile) temporaries, plus the tie pass's |x|
+sums per attaining column and a leaf step's |x| sums per leaf.
 
 Bridges are kept for tour reconstruction in one store per node u: a weight
 array and a jump-edge array of shape ``(2^c_u, sum_v 2^c_v)``, where child v
-owns the column block of its masks W.  A jump edge (x, y) is stored as the
+owns the column block of its masks W; the stores of one height lie end to
+end in one pair of arrays, so a batch writes all of its bridges at once.  A jump edge (x, y) is stored as the
 key ``x * n + y`` the tie pass ranks by, -1 where the bridge is absent.  The
 stores hold 4^d n entries at most.  The tables themselves are released as
 soon as the parent is done; the live ones always belong to disjoint
@@ -109,12 +100,9 @@ from .spanning_tree import RootedTree
 # memory; exact search (D = 1) at n = 10000 needs about 1.5e7.
 TABLE_ENTRY_BUDGET = 500_000_000
 BRIDGE_ENTRY_BUDGET = 10_000_000
-# The one bound on the blocks of the subset DP (see "Order" above).  A
-# batch of a height's layer 0 or two-child layer 1 has at most this many
-# padded (x, y) sums and (W, y) entries; a node with three or more children
-# holds a distance block d(x, y) for all of its masks when more than three
-# masks read it and it has at most this many entries; a step takes at most
-# this many (x, y) sums at once, in chunks of masks or in row tiles of x.
+# The one bound on the blocks of the subset DP (see "Order" above): a batch's
+# padded (x, y) sums, (W, y) arrays and side-by-side tables, a held distance
+# block, and a step's chunk of masks or row tile of x stay within it.
 HELD_BLOCK_ENTRIES = 1 << 15
 
 
@@ -179,43 +167,24 @@ def predicted_entries(tree: RootedTree) -> tuple[int, int]:
     return tables, bridges
 
 
-def _empty_masks(
-    inst: Instance,
-    layout: PreorderLayout,
-    nodes: list[int],
-    tables: dict[int, np.ndarray],
-    k: Optional[int],
-    stats: UpsweepStats,
-    bridges: list[Optional[Bridges]],
-    reach: Optional[tuple[list[int], list[int]]] = None,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Table and bridge store (weights, jump edges) of each of ``nodes``,
-    none of them a leaf, with the empty mask's step done for every child."""
-    tree = layout.tree
-    out, items = [], []
-    for u in nodes:
-        cu = tree.children[u]
-        table = np.empty((1 << len(cu), tree.subtree_size[u]))
-        table.fill(np.inf)
-        table[0, 0] = 0.0
-        # one bridge store for all children; child i owns columns [cols[i], cols[i + 1])
-        cols = [0, *accumulate(tables[v].shape[0] for v in cu)]
-        bw = np.empty((table.shape[0], cols[-1]))
-        bw.fill(np.inf)
-        bxy = np.empty(bw.shape, dtype=np.intp)
-        bxy.fill(-1)
-        for i, v in enumerate(cu):
-            bridges[v] = (bw[:, cols[i]:cols[i + 1]], bxy[:, cols[i]:cols[i + 1]])
-            items.append((table, u, 0, 1 << i, v, None))
-        out.append((table, bw, bxy))
-    _layer(inst, layout, items, tables, k, stats, bridges, reach or _reach(tree, k))
-    return out
+@dataclass
+class _Pass:
+    """What the steps of one pass share: the tables whose parent is not
+    built yet, and per node v how many columns of its table lie within
+    k - 1 of v (those its parent keeps) and within k (its finite ones)."""
+
+    inst: Instance
+    layout: PreorderLayout
+    k: Optional[int]
+    stats: UpsweepStats
+    bridges: list[Optional[Bridges]]
+    tables: dict[int, np.ndarray]
+    kept: list[int]
+    live: list[int]
 
 
 def _reach(tree: RootedTree, k: Optional[int]) -> tuple[list[int], list[int]]:
-    """For every node v, how many columns of its table lie within k - 1 of v
-    (those its parent keeps) and within k (the live ones, every finite
-    column)."""
+    """The ``kept`` and ``live`` counts of :class:`_Pass` for every node."""
     if k is None:
         return tree.subtree_size, tree.subtree_size
     n = tree.n
@@ -229,60 +198,79 @@ def _reach(tree: RootedTree, k: Optional[int]) -> tuple[list[int], list[int]]:
     return kept, count[:n].tolist()
 
 
-def _layer(
-    inst: Instance,
-    layout: PreorderLayout,
-    items: list[tuple],
-    tables: dict[int, np.ndarray],
-    k: Optional[int],
-    stats: UpsweepStats,
-    bridges: list[Optional[Bridges]],
-    reach: tuple[list[int], list[int]],
-) -> None:
-    """The steps of ``items``, each (u's table, u, mask V, bit of v, v, w):
-    row V of u extended by its child v.  Its x are u alone, where A_0 = 0,
-    when w is None (V = 0), and otherwise the finite columns of row V, all
-    below u's child w.  No item reads a row that another one writes.  The
-    items are sorted by their number of x, then by the width 2^c_v of v's
-    table, and cut into batches (see "Order" above)."""
-    kept, live = reach
-    size = layout.tree.subtree_size
-    run = sorted((1 if w is None else kept[w], len(tables[v]), j, v, w) for j, (*_, v, w) in enumerate(items))
+def _build(p: _Pass, nodes: list[int]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Table and bridge store (weights, jump edges) of each of ``nodes``,
+    none of them a leaf and all of their children's tables built."""
+    tree = p.layout.tree
+    widths = [[len(p.tables[v]) for v in tree.children[u]] for u in nodes]
+    # the nodes' bridge stores, end to end in one weight and one jump-edge array
+    starts = [0, *accumulate((1 << len(w)) * sum(w) for w in widths)]
+    store = np.empty(starts[-1]), np.empty(starts[-1], dtype=np.intp)
+    store[0].fill(np.inf)
+    store[1].fill(-1)
+    out, items = [], []
+    for u, w, s, e in zip(nodes, widths, starts, starts[1:]):
+        table = np.empty((1 << len(w), tree.subtree_size[u]))
+        table.fill(np.inf)
+        table[0, 0] = 0.0
+        bw, bxy = store[0][s:e].reshape(len(table), -1), store[1][s:e].reshape(len(table), -1)
+        # child i owns columns [cols[i], cols[i + 1]) of u's store
+        cols = [0, *accumulate(w)]
+        for i, v in enumerate(tree.children[u]):
+            p.bridges[v] = (bw[:, cols[i]:cols[i + 1]], bxy[:, cols[i]:cols[i + 1]])
+            items.append((table, u, 0, 1 << i, v, None, s + cols[i]))
+        out.append((table, bw, bxy))
+    _layer(p, items, store)
+    # layer 1 of a two-child node extends each child's row by the other
+    # child, in batches unless one of the two is over the cap on its own
+    items, alone = [], []
+    for u, w, s, (table, bw, bxy) in zip(nodes, widths, starts, out):
+        cu = tree.children[u]
+        if len(cu) == 2 and all(max(p.kept[cu[1 - i]], w[i]) * p.live[cu[i]] <= HELD_BLOCK_ENTRIES for i in (0, 1)):
+            items += [(table, u, 2 >> i, 1 << i, cu[i], cu[1 - i], s + (2 >> i) * sum(w) + i * w[0]) for i in (0, 1)]
+        elif len(cu) > 1:
+            alone.append((u, table, bw, bxy))
+    _layer(p, items, store)
+    for u, table, bw, bxy in alone:
+        _nonempty_masks(p, u, table, bw, bxy)
+    return out
+
+
+def _layer(p: _Pass, items: list[tuple], store: Bridges) -> None:
+    """The steps of ``items``, each (u's table, u, mask V, bit of v, v, w,
+    where bridge[V, 0] of v sits in ``store``): row V of u extended by its
+    child v.  Its x are u alone, where A_0 = 0, when w is None (V = 0), and
+    otherwise the finite columns of row V, all below u's child w.  No item
+    reads a row that another one writes.  The items are sorted by their
+    number of x, then by the width 2^c_v of v's table, and cut into batches
+    (see "Order" above)."""
+    size = p.layout.tree.subtree_size
+    run = sorted((1 if w is None else p.kept[w], len(p.tables[v]), j, v, w) for j, (*_, v, w, _) in enumerate(items))
     while run:
         # the most items whose padded (x, y) and (W, y) sums, and the table
         # columns that they put side by side, stay within the cap
         hi = top = y = sv = sw = 0
         for x, W, _, v, w in run:
-            top, y, sv, sw = max(top, W), y + live[v], sv + size[v], sw + (0 if w is None else size[w])
+            top, y, sv, sw = max(top, W), y + p.live[v], sv + size[v], sw + (0 if w is None else size[w])
             if hi and (max(x, top) * y > HELD_BLOCK_ENTRIES or top * sv + sw > HELD_BLOCK_ENTRIES):
                 break
             hi += 1
-        _batch(inst, layout, [items[r[2]] for r in run[:hi]], tables, k, stats, bridges, reach)
+        _batch(p, [items[r[2]] for r in run[:hi]], store)
         del run[:hi]
 
 
-def _batch(
-    inst: Instance,
-    layout: PreorderLayout,
-    batch: list[tuple],
-    tables: dict[int, np.ndarray],
-    k: Optional[int],
-    stats: UpsweepStats,
-    bridges: list[Optional[Bridges]],
-    reach: tuple[list[int], list[int]],
-) -> None:
+def _batch(p: _Pass, batch: list[tuple], store: Bridges) -> None:
     """The steps of the items of ``_layer`` in ``batch`` as one step: every
     item's y side by side, each column with its item's x, padded with inf in
     A up to the most x, and its table's W rows, padded with nan up to the
     widest table."""
-    tree, pre, order, dist, n = layout.tree, layout.pre, layout.order, inst.distances, inst.n
-    kept, live = reach
-    tabs, us, Vs, bits, vs, ws = zip(*batch)
-    m, Wv = len(batch), [tables[v].shape[0] for v in vs]
-    W, size = max(Wv), [tree.subtree_size[v] for v in vs]
-    even = min(Wv) == W  # no padded rows
-    Y, K = np.array([live[v] for v in vs]), [kept[v] for v in vs]
-    offs, pv = [0, *accumulate(size)], pre[list(vs)]
+    layout, k, dist, n = p.layout, p.k, p.inst.distances, p.inst.n
+    pre, order = layout.pre, layout.order
+    tabs, us, Vs, bits, vs, ws, bases = zip(*batch)
+    m, Wv = len(batch), np.array([len(p.tables[v]) for v in vs])
+    W, size = int(Wv.max()), [layout.tree.subtree_size[v] for v in vs]
+    Y, K = np.array([p.live[v] for v in vs]), [p.kept[v] for v in vs]
+    offs, pv, pu = [0, *accumulate(size)], pre[list(vs)], pre[list(us)]
     # y: the live columns of each child's table, in preorder
     at = np.arange(offs[-1]) + (pv - offs[:-1]).repeat(size)
     if k is not None:  # every finite column of B, and those still within k of u
@@ -291,11 +279,13 @@ def _batch(
         at = at[below]
     yi = order[at]
     del at
+    item = np.arange(m).repeat(Y)  # each column's item
     if ws[0] is None:  # the empty mask: x is u alone, with A_0 = 0
-        X, A, xi = 1, None, np.array(us)[None]
+        X, xi, M = 1, np.array(us)[None], None
+        inner = dist.pairs(xi[0, item], yi)
     else:  # row V below w: its finite columns in id order, then inf
-        X, zw, pw = np.array([kept[w] for w in ws]), [tree.subtree_size[w] for w in ws], pre[list(ws)]
-        A = np.concatenate([t[V, a:a + z] for t, V, a, z in zip(tabs, Vs, (pw - pre[list(us)]).tolist(), zw)])
+        X, zw, pw = np.array([p.kept[w] for w in ws]), [layout.tree.subtree_size[w] for w in ws], pre[list(ws)]
+        A = np.concatenate([t[V, a:a + z] for t, V, a, z in zip(tabs, Vs, (pw - pu).tolist(), zw)])
         xi = order[np.arange(A.size) + (pw - [0, *accumulate(zw[:-1])]).repeat(zw)]
         if k is not None:
             fin = A < np.inf
@@ -305,65 +295,52 @@ def _batch(
         Ap, xp = np.full(pad.shape, np.inf), np.zeros(pad.shape, dtype=np.intp)
         Ap[pad], xp[pad] = A[o], xi[o]
         A, xi = Ap.T, xp.T
-    over = m == 1 and max(len(xi), W) * yi.size > HELD_BLOCK_ENTRIES
-    if not over:  # the inner minimum over x of every column
-        item = np.arange(m).repeat(Y) if m > 1 else slice(None)  # each column's item
-        if dist.cached:
+        if dist.cached:  # the inner sums A[x] + d(x, y) of every column
             M = dist.pairs(xi[:, item], yi)
         else:  # from the coordinates of each item's x
             M = dist.to_points(yi, dist.xy[:, 0][xi][:, item], dist.xy[:, 1][xi][:, item])
-        if A is not None:
-            M += A[:, item]
-        del item
-        inner, M = (M[0], None) if len(M) == 1 else (M.min(axis=0), M)
-    if even:
-        B = np.concatenate([tables[v] for v in vs], axis=1) if m > 1 else tables[vs[0]]
-    else:
-        B = np.full((W, offs[-1]), np.nan)
-        for v, lo, hi in zip(vs, offs, offs[1:]):
-            B[:len(tables[v]), lo:hi] = tables[v]
+        M += A[:, item]
+        inner = M.min(axis=0)
+    B = np.full((W, offs[-1]), np.nan)
+    for v, lo, hi in zip(vs, offs, offs[1:]):
+        B[:len(p.tables[v]), lo:hi] = p.tables[v]
     if k is not None:
         B = B.compress(below, axis=1)
-    if over:  # a child over the cap, in row tiles of x
-        best, pair = (r.T for r in _child_bridges(inst, np.zeros((1, 1)) if A is None else A.T, xi[:, 0], yi, B))
+    S = inner + B
+    del inner
+    ends = Y.cumsum()
+    best = np.minimum.reduceat(S, ends - Y, axis=1)
+    # the jump edge: the tie rule of _child_bridges, the first x of least
+    # full sum at each attaining (W, y), then the lowest (x, y) per (W, item)
+    Ws, ys = (S == best.repeat(Y, axis=1)).nonzero()
+    del S
+    im = item[ys]
+    if M is None:  # one x, which attains
+        key = xi[0, im] * n + yi[ys]
     else:
-        S = inner + B
-        del inner
-        ends = Y.cumsum()
-        best = np.minimum.reduceat(S, ends - Y, axis=1)
-        # the jump edge: the tie rule of _child_bridges, over each item's x
-        Ws, ys = (S == best.repeat(Y, axis=1)).nonzero()
-        del S
-        im = np.searchsorted(ends, ys, "right")  # the item of each column
-        if M is None:
-            pair = xi[0, im] * n + yi[ys]
-        else:
-            M = M[:, ys]
-            M += B[Ws, ys]
-            pair = xi[M.argmin(axis=0), im] * n + yi[ys]
-            del M
-        if even and pair.size == best.size:  # one attaining pair per (W, item), in that order
-            pair = pair.reshape(best.shape)
-        else:  # ties, or padded rows: the lowest pair per (W, item)
-            pair, key = np.full(best.shape, n * n), pair
-            np.minimum.at(pair, (Ws, im), key)
+        M = M[:, ys]
+        M += B[Ws, ys]
+        key = xi[M.argmin(axis=0), im] * n + yi[ys]
+        del M
+    pair = np.full(best.shape, n * n)
+    np.minimum.at(pair, (Ws, im), key)
     # row V | bit over v's kept columns: the minimum over W of bridge[V, full ^ W] + B_W
-    ext = best[::-1] if even else best[(np.array(Wv) - 1 - np.arange(W)[:, None]) % W, np.arange(m)]
-    ext = ext.repeat(K, axis=1)
+    ext = best[(Wv - 1 - np.arange(W)[:, None]) % W, np.arange(m)].repeat(K, axis=1)
     ext += B if k is None else B.compress(cut[below], axis=1)
     ext = np.fmin.reduce(ext, axis=0)
     if k is not None:  # over every column of T(v), inf where cut
         ext, kept_ext = np.full(offs[-1], np.inf), ext
         ext[cut] = kept_ext
-    stats.quad_evals += int(np.dot(X, Y)) if A is not None else int(Y.sum())
-    stats.bip_entries += sum(Wv)
-    stats.extension_evals += sum((kv - 1) * (w // 2) for kv, w in zip(K, Wv))
+    Wl = Wv.tolist()
+    p.stats.quad_evals += int((X * Y).sum())
+    p.stats.bip_entries += sum(Wl)
+    p.stats.extension_evals += sum((kv - 1) * (w // 2) for kv, w in zip(K, Wl))
     # write back: v's bridges at mask V, and row V | bit of u's table
-    los = (pv - pre[list(us)]).tolist()
-    for j, (t, V, bit, v, b, p) in enumerate(zip(tabs, Vs, bits, vs, best.T, pair.T)):
-        w, xy = bridges[v]
-        w[V], xy[V] = b[:Wv[j]], p[:Wv[j]]
-        t[V | bit, los[j]:los[j] + size[j]] = ext[offs[j]:offs[j + 1]]
+    mine = np.arange(W) < Wv[:, None]  # (item, W): the rows of v's table
+    at = (np.array(bases)[:, None] + np.arange(W))[mine]
+    store[0][at], store[1][at] = best.T[mine], pair.T[mine]
+    for t, V, bit, lo, z, a in zip(tabs, Vs, bits, (pv - pu).tolist(), size, offs):
+        t[V | bit, lo:lo + z] = ext[a:a + z]
 
 
 def _child_bridges(
@@ -405,20 +382,11 @@ def _child_bridges(
     return best, pair.reshape(best.shape)
 
 
-def _nonempty_masks(
-    inst: Instance,
-    layout: PreorderLayout,
-    u: int,
-    table: np.ndarray,
-    bw: np.ndarray,
-    bxy: np.ndarray,
-    tables: dict[int, np.ndarray],
-    k: Optional[int],
-    stats: UpsweepStats,
-    bridges: list[Optional[Bridges]],
-) -> None:
-    """The masks of popcount 1 and more at a node with two or more children,
-    whose empty mask is done."""
+def _nonempty_masks(p: _Pass, u: int, table: np.ndarray, bw: np.ndarray, bxy: np.ndarray) -> None:
+    """The masks of popcount 1 and more, on its own, at a node with three or
+    more children or two with an item over the cap, whose empty mask is
+    done (see "Order" above)."""
+    inst, layout, k, stats, bridges, tables = p.inst, p.layout, p.k, p.stats, p.bridges, p.tables
     tree = layout.tree
     cu = tree.children[u]
     c = len(cu)
@@ -580,26 +548,18 @@ def upsweep(inst: Instance, tree: RootedTree, k: Optional[int] = None) -> Upswee
             f"table and {bridge_entries:.3g} bridge entries; budgets are "
             f"{TABLE_ENTRY_BUDGET:.3g} and {BRIDGE_ENTRY_BUDGET:.3g}"
         )
-    layout = PreorderLayout.of(tree)
     stats = UpsweepStats()
-    bridges: list[Optional[Bridges]] = [None] * inst.n
     tables = {u: _LEAF for u, cu in enumerate(tree.children) if not cu}
-    reach = _reach(tree, k)
+    p = _Pass(inst, PreorderLayout.of(tree), k, stats, [None] * inst.n, tables, *_reach(tree, k))
     for nodes in _heights(tree):
-        built = _empty_masks(inst, layout, nodes, tables, k, stats, bridges, reach)
-        # a two-child node's last layer extends each child's row by the other child
-        _layer(inst, layout, [(table, u, 2 >> i, 1 << i, cu[i], cu[1 - i]) for u, (table, _, _) in zip(nodes, built)
-                              if len(cu := tree.children[u]) == 2 for i in (0, 1)], tables, k, stats, bridges, reach)
-        for u, (table, bw, bxy) in zip(nodes, built):
-            if len(tree.children[u]) > 2:
-                _nonempty_masks(inst, layout, u, table, bw, bxy, tables, k, stats, bridges)
+        for u, (table, _, _) in zip(nodes, _build(p, nodes)):
             for v in tree.children[u]:
                 del tables[v]
             tables[u] = table
     # live entries as a postorder pass holds them: it releases each child's
     # table once the parent's is built.  A table's finite entries but row 0
     # are the kept columns of each child, in the half of the rows holding it
-    now, kept = 0, reach[0]
+    now, kept = 0, p.kept
     live = [sum(kept[v] for v in cu) << (len(cu) - 1) if cu else 0 for cu in tree.children]
     for u in tree.postorder:
         now += live[u]
@@ -609,11 +569,11 @@ def upsweep(inst: Instance, tree: RootedTree, k: Optional[int] = None) -> Upswee
     stats.live_entries = now
 
     r = tree.root
-    total = tables[r][-1] + inst.distances.pairs(r, layout.order)
+    total = tables[r][-1] + inst.distances.pairs(r, p.layout.order)
     weight = float(total.min())
     if weight == np.inf:
         raise InternalInvariantError("no tour candidates at the root")
-    best_a = int(layout.order[total == weight].min())
+    best_a = int(p.layout.order[total == weight].min())
 
     d = tree.max_children
     n = inst.n
@@ -623,4 +583,4 @@ def upsweep(inst: Instance, tree: RootedTree, k: Optional[int] = None) -> Upswee
         raise InternalInvariantError(f"live table entries {stats.max_live_entries} exceed 2^d n")
     if stats.bip_entries > (4**d) * n:
         raise InternalInvariantError("bridge table larger than 4^d n")
-    return UpsweepResult(weight, best_a, n, r, stats, bridges)
+    return UpsweepResult(weight, best_a, n, r, stats, p.bridges)

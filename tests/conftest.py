@@ -18,8 +18,9 @@ from doubletree.upsweep import (
     _LEAF,
     PreorderLayout,
     UpsweepStats,
-    _empty_masks,
-    _nonempty_masks,
+    _build,
+    _Pass,
+    _reach,
 )
 
 
@@ -86,8 +87,7 @@ def max_triangle_violation(inst):
 
 def node_table(inst, layout, u, tables, k, stats, bridges):
     """u's ``(2^c, size[u])`` table, built from its children's tables by the
-    upsweep's two steps: the empty mask, as a batch of one node, and at two
-    or more children the nonempty masks.
+    upsweep's own step for one node of a height, ``upsweep._build``.
 
     Stores each child v's bridges in ``bridges[v]``, a column block of u's
     bridge store; rows V that contain v itself are never computed and keep
@@ -99,9 +99,7 @@ def node_table(inst, layout, u, tables, k, stats, bridges):
         raise ValueError(f"children {missing} of {u} not processed yet")
     if not cu:
         return _LEAF
-    ((table, bw, bxy),) = _empty_masks(inst, layout, [u], tables, k, stats, bridges)
-    if len(cu) > 1:
-        _nonempty_masks(inst, layout, u, table, bw, bxy, tables, k, stats, bridges)
+    ((table, _, _),) = _build(_Pass(inst, layout, k, stats, bridges, tables, *_reach(layout.tree, k)), [u])
     return table
 
 

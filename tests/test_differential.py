@@ -24,7 +24,7 @@ from doubletree import (
     generate_clustered,
     generate_uniform,
 )
-from doubletree.upsweep import upsweep
+from doubletree.upsweep import _LEAF, PreorderLayout, UpsweepStats, _build, _heights, _Pass, _reach, upsweep
 
 import reference_upsweep
 from conftest import make_instance, mst_tree
@@ -122,6 +122,47 @@ def _assert_bit_identical(inst, tree, k):
     for counter in ("extension_evals", "max_live_entries", "bip_entries"):
         assert getattr(got.stats, counter) == getattr(want.stats, counter), counter
     assert got.stats.quad_evals <= want.stats.quad_evals
+
+
+def _assert_height_tables(inst, tree, k):
+    """Every table, built a height at a time as the upsweep builds it (the
+    two-child nodes' layer 1 in batches of several nodes), against the
+    reference's rows, bit for bit."""
+    want = reference_upsweep.UpsweepRun(inst, tree, k=k, keep_sweep_tables=True)
+    for u in tree.postorder:
+        want.process_node(u)
+    layout = PreorderLayout.of(tree)
+    tables = {u: _LEAF for u, cu in enumerate(tree.children) if not cu}
+    run = _Pass(inst, layout, k, UpsweepStats(), [None] * tree.n, tables, *_reach(tree, k))
+    for nodes in _heights(tree):
+        for u, (table, _, _) in zip(nodes, _build(run, nodes)):
+            tables[u] = table
+    for u, cu in enumerate(tree.children):
+        for mask in range(1, 1 << len(cu)):
+            row = tables[u][mask]
+            cols = np.flatnonzero(row < np.inf)
+            ids = layout.order[layout.pre[u] + cols]
+            o = np.argsort(ids)
+            wids, ww = want.dests(u, mask)
+            w = np.argsort(wids)
+            assert ids[o].tolist() == wids[w].tolist(), (u, mask)
+            assert row[cols[o]].tobytes() == np.asarray(ww)[w].tobytes(), (u, mask)
+
+
+class TestHeightTables:
+    """The tables themselves, not only the weights and bridges they lead to."""
+
+    @pytest.mark.parametrize("k", [1, 2, 16, None])
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_mst(self, cases, name, k):
+        _assert_height_tables(*cases[name, 1], k)
+
+    @pytest.mark.parametrize("k", [1, 2, None])
+    @pytest.mark.parametrize("shape", ["binary", "over-the-cap", "broom", "twin-forks"])
+    def test_hand_built(self, shape, k):
+        parent = HAND_TREES[shape]
+        inst = make_instance(HAND_POINTS["uniform"](len(parent)))
+        _assert_height_tables(inst, RootedTree.from_parents(parent), k)
 
 
 class TestFrozenReference:

@@ -20,9 +20,9 @@ from doubletree.upsweep import (
     HELD_BLOCK_ENTRIES,
     PreorderLayout,
     UpsweepStats,
-    _empty_masks,
+    _build,
     _heights,
-    _layer,
+    _Pass,
     _leaf_masks,
     _masks,
     _reach,
@@ -196,16 +196,17 @@ class TestBridgeStore:
             assert tree.max_children == 5
         res = upsweep(inst, tree, k=4)
         assert res.bridges[tree.root] is None
-        total = 0
+        stores = {}
         for cu in tree.children:
             if not cu:
                 continue
-            # every child's weights and jump edges are column blocks of one pair of arrays
+            # every child's weights and jump edges are column blocks of one
+            # pair of arrays, which hold the stores of a height end to end
             bw, bxy = res.bridges[cu[0]][0].base, res.bridges[cu[0]][1].base
             assert bw.dtype == np.float64 and bxy.dtype == np.intp
             assert all(res.bridges[v][0].base is bw and res.bridges[v][1].base is bxy for v in cu)
-            total += bw.nbytes + bxy.nbytes
-        assert total == 16 * predicted_entries(tree)[1]
+            stores[id(bw)] = bw.nbytes + bxy.nbytes
+        assert sum(stores.values()) == 16 * predicted_entries(tree)[1]
 
 
 class TestHeldBlocks:
@@ -280,9 +281,9 @@ class TestEmptyMaskBatch:
         stats, bridges = UpsweepStats(), [None] * tree.n
         tables = {u: node_table(inst, layout, u, {}, None, stats, bridges)
                   for u, cu in enumerate(tree.children) if not cu}
-        levels = _heights(tree)
+        run, levels = _Pass(inst, layout, None, stats, bridges, tables, *_reach(tree, None)), _heights(tree)
         for nodes in levels[:height - 1]:
-            for u, (table, _, _) in zip(nodes, _empty_masks(inst, layout, nodes, tables, None, stats, bridges)):
+            for u, (table, _, _) in zip(nodes, _build(run, nodes)):
                 for v in tree.children[u]:
                     del tables[v]
                 tables[u] = table
@@ -290,7 +291,7 @@ class TestEmptyMaskBatch:
         assert len(nodes) == paths
         tracemalloc.start()
         try:
-            built = _empty_masks(inst, layout, nodes, tables, None, stats, bridges)
+            built = _build(run, nodes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -316,48 +317,51 @@ class TestTwoChildBatch:
         tree = RootedTree.from_parents(parent)
         inst = generate_uniform(tree.n, 9, 1e6)
         layout = PreorderLayout.of(tree)
-        stats, bridges, reach = UpsweepStats(), [None] * tree.n, _reach(tree, None)
+        stats, bridges = UpsweepStats(), [None] * tree.n
         tables = {u: node_table(inst, layout, u, {}, None, stats, bridges)
                   for u, cu in enumerate(tree.children) if not cu}
-        levels = _heights(tree)
-        for nodes_ in levels[:-1]:
-            built = _empty_masks(inst, layout, nodes_, tables, None, stats, bridges)
-            if len(tree.children[nodes_[0]]) == 2:
-                break
-            for u, (table, _, _) in zip(nodes_, built):
+        run, levels = _Pass(inst, layout, None, stats, bridges, tables, *_reach(tree, None)), _heights(tree)
+        for nodes_ in levels[:-2]:
+            for u, (table, _, _) in zip(nodes_, _build(run, nodes_)):
                 for v in tree.children[u]:
                     del tables[v]
                 tables[u] = table
-        assert len(nodes_) == nodes
-        items = [(table, u, 2 >> i, 1 << i, tree.children[u][i], tree.children[u][1 - i])
-                 for u, (table, _, _) in zip(nodes_, built) for i in (0, 1)]
+        nodes_ = levels[-2]
+        assert len(nodes_) == nodes and all(len(tree.children[u]) == 2 for u in nodes_)
         tracemalloc.start()
         try:
-            _layer(inst, layout, items, tables, None, stats, bridges, reach)
+            built = _build(run, nodes_)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a batch holds padded (x, y) sums and (W, y) arrays of at most the
-        # cap each, and the distance lookup's temporaries of the same size:
-        # a few caps all told, against about 40 for the height as one batch
-        assert peak <= 6 * HELD_BLOCK_ENTRIES * 8
+        own = sum(table.nbytes + bw.nbytes + bxy.nbytes for table, bw, bxy in built)
+        # a batch's (x, y) sums stay within the cap, and the distance lookup
+        # holds about six arrays of that many entries at once (its x and y
+        # indices, their coordinates, the differences and their picks): a
+        # few caps all told, against about 40 for the height as one batch
+        assert peak - own <= 6 * HELD_BLOCK_ENTRIES * 8
 
     def test_steps_scale_with_heights(self, monkeypatch):
         # uniform n=400, D = 1, k = 16: every batch is one height's layer 0
         # or its two-child nodes' layer 1, so the batched steps number at most
-        # two per height, far fewer than the nodes with children
+        # two per height; only the nodes with three or more children, and
+        # two-child nodes over the cap, step on their own
         module = importlib.import_module("doubletree.upsweep")
-        calls = []
-        batch = module._batch
-        monkeypatch.setattr(module, "_batch", lambda *a: calls.append(len(a[2])) or batch(*a))
+        calls, alone = [], []
+        batch, nonempty = module._batch, module._nonempty_masks
+        monkeypatch.setattr(module, "_batch", lambda p, items, *a: calls.append(len(items)) or batch(p, items, *a))
+        monkeypatch.setattr(module, "_nonempty_masks", lambda p, u, *a: alone.append(u) or nonempty(p, u, *a))
         inst = generate_uniform(400, 1, 1e6)
         tree = mst_tree(inst)
         upsweep(inst, tree, k=16)
         heights = len(_heights(tree))
         two = sum(len(cu) == 2 for cu in tree.children)
+        three = {u for u, cu in enumerate(tree.children) if len(cu) > 2}
         inner = sum(len(cu) > 0 for cu in tree.children)
-        assert sum(calls) == (tree.n - 1) + 2 * two
-        assert len(calls) <= 2 * heights < inner
+        over = len(alone) - len(three)
+        assert len(set(alone)) == len(alone) and three <= set(alone) and over <= 2
+        assert sum(calls) == (tree.n - 1) + 2 * (two - over)
+        assert len(calls) + len(alone) <= 2 * heights + len(three) + over < inner
 
 
 class TestCachedMasks:

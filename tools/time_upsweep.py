@@ -20,9 +20,9 @@ It prints:
   node that is not a leaf; ``batch_steps``, the batched steps one upsweep
   runs (each height's layer 0, and the layer 1 of its two-child nodes, cut
   at the cap), counted by wrapping ``upsweep._batch`` (null on a checkout
-  without it); and ``node_steps``, the number of nodes that run their
-  nonempty masks on their own (those with three or more children, or two
-  or more on a checkout without ``_batch``).
+  without it); and ``node_steps``, the nodes that run their nonempty masks
+  on their own, counted by wrapping ``upsweep._nonempty_masks`` (on this
+  tree those with three or more children and two-child nodes over the cap).
 * ``peak_mb``: for the same cases, the tracemalloc peak of one more,
   untimed upsweep in MB (10^6 bytes): its tables, bridges and temporaries.
   The distance object is built before it, so a cached matrix is not
@@ -91,15 +91,19 @@ def peak_mb(inst, tree, k) -> float:
         tracemalloc.stop()
 
 
-def batch_steps(inst, tree, k) -> int:
-    """Number of ``upsweep._batch`` calls in one upsweep."""
-    calls, step = [], upsweep_mod._batch
-    upsweep_mod._batch = lambda *a: calls.append(1) or step(*a)
+def steps(inst, tree, k) -> tuple:
+    """Numbers of ``upsweep._batch`` and ``upsweep._nonempty_masks`` calls in
+    one upsweep (None for a function the checkout does not have)."""
+    names = [name for name in ("_batch", "_nonempty_masks") if hasattr(upsweep_mod, name)]
+    kept, counts = {name: getattr(upsweep_mod, name) for name in names}, {name: [] for name in names}
+    for name in names:
+        setattr(upsweep_mod, name, lambda *a, _c=counts[name], _s=kept[name]: _c.append(1) or _s(*a))
     try:
         upsweep(inst, tree, k)
     finally:
-        upsweep_mod._batch = step
-    return len(calls)
+        for name in names:
+            setattr(upsweep_mod, name, kept[name])
+    return tuple(len(counts[name]) if name in counts else None for name in ("_batch", "_nonempty_masks"))
 
 
 def held_share(tree, k) -> float:
@@ -142,10 +146,8 @@ def main() -> None:
         times[label] = round(time_upsweep(inst, tree, k, args.repeats), 1)
         shares[label] = round(held_share(tree, k), 3)
         peaks[label] = round(peak_mb(inst, tree, k), 2)
-        batched = hasattr(upsweep_mod, "_batch")
-        shape[label] = {"heights": len(upsweep_mod._heights(tree)),
-                        "batch_steps": batch_steps(inst, tree, k) if batched else None,
-                        "node_steps": sum(len(cu) > (2 if batched else 1) for cu in tree.children)}
+        batch, node = steps(inst, tree, k)
+        shape[label] = {"heights": len(upsweep_mod._heights(tree)), "batch_steps": batch, "node_steps": node}
     out = {
         "upsweep_ms": times,
         "held_share": shares,
