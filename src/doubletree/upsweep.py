@@ -69,10 +69,16 @@ end in one pair of arrays, so a batch writes all of its bridges at once.  A jump
 key ``x * n + y`` the tie pass ranks by, -1 where the bridge is absent.  The
 stores hold 4^d n entries at most.  The tables themselves are released as
 soon as the parent is done; the live ones always belong to disjoint
-subtrees, so at most 2^d n table entries are live at once.  The counter
-``max_live_entries`` reports the peak a postorder pass would hold, from
-each node's finite entries: the kept columns of each child, in the half of
-the rows that hold the child.
+subtrees, so at most 2^d n table entries are live at once.
+
+Counters.  ``_work`` computes every :class:`UpsweepStats` field before the
+pass, so the steps do no accounting.  Each child v of a node with c
+children has bridges at the 2^(c - 1) masks without v, one per mask of v
+(``bip_entries``); each sweeps v's kept destinations but v with half of v's
+masks (``extension_evals``) and pairs its x (u alone, or the kept columns
+of the other children, each in 2^(c - 2) masks) with v's live y
+(``quad_evals``).  ``max_live_entries`` is a postorder pass's peak of
+finite entries: the kept columns of each child, in half of a table's rows.
 
 With a finite search depth k, a destination is kept only while its tree
 distance from the table's node stays within k.  Every child sits at distance
@@ -176,7 +182,6 @@ class _Pass:
     inst: Instance
     layout: PreorderLayout
     k: Optional[int]
-    stats: UpsweepStats
     bridges: list[Optional[Bridges]]
     tables: dict[int, np.ndarray]
     kept: list[int]
@@ -196,6 +201,22 @@ def _reach(tree: RootedTree, k: Optional[int]) -> tuple[list[int], list[int]]:
     kept = count[:n].tolist()
     count += np.bincount(above, minlength=n + 1)
     return kept, count[:n].tolist()
+
+
+def _work(tree: RootedTree, kept: list[int], live: list[int]) -> UpsweepStats:
+    """The counters of a pass over ``tree`` (see "Counters" above), from the
+    ``kept`` and ``live`` counts of :class:`_Pass`."""
+    c, kept, live = np.array([len(cu) for cu in tree.children]), np.array(kept), np.array(live)
+    u, v = np.arange(tree.n).repeat(c), np.array([v for cu in tree.children for v in cu], dtype=np.intp)
+    half, wv = 1 << (c[u] - 1), 1 << c[v]
+    xs = np.bincount(u, kept[v], tree.n).astype(np.int64)  # each node's x candidates
+    # each table's finite entries, its children's, and a postorder pass's after each node
+    own = (xs << c) >> 1
+    below = np.bincount(u, own[v], tree.n).astype(np.int64)[list(tree.postorder)]
+    after = np.cumsum(own[list(tree.postorder)] - below)
+    quad = live[v] * (1 + (half >> 1) * (xs[u] - kept[v]))
+    return UpsweepStats(int(quad.sum()), int((half * (kept[v] - 1) * (wv >> 1)).sum()),
+                        int(after[-1]), int((after + below).max()), int((half * wv).sum()))
 
 
 def _build(p: _Pass, nodes: list[int]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -331,10 +352,6 @@ def _batch(p: _Pass, batch: list[tuple], store: Bridges) -> None:
     if k is not None:  # over every column of T(v), inf where cut
         ext, kept_ext = np.full(offs[-1], np.inf), ext
         ext[cut] = kept_ext
-    Wl = Wv.tolist()
-    p.stats.quad_evals += int((X * Y).sum())
-    p.stats.bip_entries += sum(Wl)
-    p.stats.extension_evals += sum((kv - 1) * (w // 2) for kv, w in zip(K, Wl))
     # write back: v's bridges at mask V, and row V | bit of u's table
     mine = np.arange(W) < Wv[:, None]  # (item, W): the rows of v's table
     at = (np.array(bases)[:, None] + np.arange(W))[mine]
@@ -386,7 +403,7 @@ def _nonempty_masks(p: _Pass, u: int, table: np.ndarray, bw: np.ndarray, bxy: np
     """The masks of popcount 1 and more, on its own, at a node with three or
     more children or two with an item over the cap, whose empty mask is
     done (see "Order" above)."""
-    inst, layout, k, stats, bridges, tables = p.inst, p.layout, p.k, p.stats, p.bridges, p.tables
+    inst, layout, k, bridges, tables = p.inst, p.layout, p.k, p.bridges, p.tables
     tree = layout.tree
     cu = tree.children[u]
     c = len(cu)
@@ -426,13 +443,7 @@ def _nonempty_masks(p: _Pass, u: int, table: np.ndarray, bw: np.ndarray, bxy: np
         table[rows if limit is None else rows[:, None], kcols] = (best[:, ::-1, None] + kept).min(axis=1)
 
     # one block per non-leaf child and one for the leaf children together:
-    # (mask bits, span of its subtrees, y ids, width of its tables, step, blk).
-    # The work counters go per child v: the 2^(c - 1) - 1 nonempty masks
-    # without v each make one bridge per mask of v and sweep each kept
-    # destination below v with half of v's nonempty masks.  Each pairs its
-    # finite x, the kept columns of its children, with v's live y, and
-    # 2^(c - 2) of them hold any given other child.
-    lacking, pairing = (1 << (c - 1)) - 1, 1 << (c - 2)
+    # (mask bits, span of its subtrees, y ids, width of its tables, step, blk)
     blocks = []
     leaves = tuple(i for i, v in enumerate(cu) if not tree.children[v])
     if leaves:
@@ -441,8 +452,6 @@ def _nonempty_masks(p: _Pass, u: int, table: np.ndarray, bw: np.ndarray, bxy: np
         blk = (lid, lbc, layout.pre[lid] - p0, *_leaf_masks(c, leaves))
         # the leaves' block spans every x candidate
         blocks.append((sum(1 << i for i in leaves), slice(0, 0), lid, 1, leaf_step, blk))
-        stats.bip_entries += lacking * len(leaves)
-        stats.quad_evals += pairing * len(leaves) * (xs.size - 1)
     for i, v in enumerate(cu):
         if i in leaves:
             continue
@@ -455,9 +464,6 @@ def _nonempty_masks(p: _Pass, u: int, table: np.ndarray, bw: np.ndarray, bxy: np
             live, keep = depth_u[span] <= limit + 1, depth_u[span] <= limit
         kept = B[:, keep]
         y_ids = ids_u[span][live]
-        stats.bip_entries += lacking * B.shape[0]
-        stats.extension_evals += lacking * (kept.shape[1] - 1) * (B.shape[0] // 2)
-        stats.quad_evals += pairing * y_ids.size * (xs.size - kept.shape[1])
         blocks.append((1 << i, span, y_ids, B.shape[0], child_step, (
             1 << i, y_ids, B[:, live], kept, span if limit is None else np.arange(lo, span.stop)[keep],
             *bridges[v])))
@@ -548,25 +554,14 @@ def upsweep(inst: Instance, tree: RootedTree, k: Optional[int] = None) -> Upswee
             f"table and {bridge_entries:.3g} bridge entries; budgets are "
             f"{TABLE_ENTRY_BUDGET:.3g} and {BRIDGE_ENTRY_BUDGET:.3g}"
         )
-    stats = UpsweepStats()
     tables = {u: _LEAF for u, cu in enumerate(tree.children) if not cu}
-    p = _Pass(inst, PreorderLayout.of(tree), k, stats, [None] * inst.n, tables, *_reach(tree, k))
+    p = _Pass(inst, PreorderLayout.of(tree), k, [None] * inst.n, tables, *_reach(tree, k))
+    stats = _work(tree, p.kept, p.live)
     for nodes in _heights(tree):
         for u, (table, _, _) in zip(nodes, _build(p, nodes)):
             for v in tree.children[u]:
                 del tables[v]
             tables[u] = table
-    # live entries as a postorder pass holds them: it releases each child's
-    # table once the parent's is built.  A table's finite entries but row 0
-    # are the kept columns of each child, in the half of the rows holding it
-    now, kept = 0, p.kept
-    live = [sum(kept[v] for v in cu) << (len(cu) - 1) if cu else 0 for cu in tree.children]
-    for u in tree.postorder:
-        now += live[u]
-        stats.max_live_entries = max(stats.max_live_entries, now)
-        for v in tree.children[u]:
-            now -= live[v]
-    stats.live_entries = now
 
     r = tree.root
     total = tables[r][-1] + inst.distances.pairs(r, p.layout.order)
@@ -575,8 +570,7 @@ def upsweep(inst: Instance, tree: RootedTree, k: Optional[int] = None) -> Upswee
         raise InternalInvariantError("no tour candidates at the root")
     best_a = int(p.layout.order[total == weight].min())
 
-    d = tree.max_children
-    n = inst.n
+    d, n = tree.max_children, inst.n
     if stats.quad_evals > (4**d) * n * n:
         raise InternalInvariantError(f"route-candidate count {stats.quad_evals} exceeds 4^d n^2")
     if stats.max_live_entries > (2**d) * n:

@@ -17,7 +17,6 @@ from doubletree import (
 from doubletree.upsweep import (
     _LEAF,
     PreorderLayout,
-    UpsweepStats,
     _build,
     _Pass,
     _reach,
@@ -85,7 +84,7 @@ def max_triangle_violation(inst):
     return worst
 
 
-def node_table(inst, layout, u, tables, k, stats, bridges):
+def node_table(inst, layout, u, tables, k, bridges):
     """u's ``(2^c, size[u])`` table, built from its children's tables by the
     upsweep's own step for one node of a height, ``upsweep._build``.
 
@@ -99,7 +98,7 @@ def node_table(inst, layout, u, tables, k, stats, bridges):
         raise ValueError(f"children {missing} of {u} not processed yet")
     if not cu:
         return _LEAF
-    ((table, _, _),) = _build(_Pass(inst, layout, k, stats, bridges, tables, *_reach(layout.tree, k)), [u])
+    ((table, _, _),) = _build(_Pass(inst, layout, k, bridges, tables, *_reach(layout.tree, k)), [u])
     return table
 
 
@@ -109,13 +108,10 @@ class SweepTables:
 
     def __init__(self, inst, tree, k=None, schedule=None):
         self.layout = PreorderLayout.of(tree)
-        self.stats = UpsweepStats()
         self.bridges = [None] * inst.n
         self.tables = {}
         for u in schedule or tree.postorder:
-            self.tables[u] = node_table(
-                inst, self.layout, u, self.tables, k, self.stats, self.bridges
-            )
+            self.tables[u] = node_table(inst, self.layout, u, self.tables, k, self.bridges)
 
     def dests(self, u, mask):
         """(destination ids ascending, weights) of the finite entries of row ``mask``."""

@@ -24,7 +24,7 @@ from doubletree import (
     generate_clustered,
     generate_uniform,
 )
-from doubletree.upsweep import _LEAF, PreorderLayout, UpsweepStats, _build, _heights, _Pass, _reach, upsweep
+from doubletree.upsweep import _LEAF, PreorderLayout, _build, _heights, _Pass, _reach, upsweep
 
 import reference_upsweep
 from conftest import make_instance, mst_tree
@@ -133,7 +133,7 @@ def _assert_height_tables(inst, tree, k):
         want.process_node(u)
     layout = PreorderLayout.of(tree)
     tables = {u: _LEAF for u, cu in enumerate(tree.children) if not cu}
-    run = _Pass(inst, layout, k, UpsweepStats(), [None] * tree.n, tables, *_reach(tree, k))
+    run = _Pass(inst, layout, k, [None] * tree.n, tables, *_reach(tree, k))
     for nodes in _heights(tree):
         for u, (table, _, _) in zip(nodes, _build(run, nodes)):
             tables[u] = table

@@ -19,7 +19,6 @@ from doubletree import (
 from doubletree.upsweep import (
     HELD_BLOCK_ENTRIES,
     PreorderLayout,
-    UpsweepStats,
     _build,
     _heights,
     _Pass,
@@ -221,14 +220,14 @@ class TestHeldBlocks:
         inst = generate_uniform(300, 9, 1e6)
         inst.distances  # the cached matrix is not part of the node's memory
         layout = PreorderLayout.of(tree)
-        stats, bridges, tables = UpsweepStats(), [None] * 300, {}
+        bridges, tables = [None] * 300, {}
         for u in tree.postorder[:-1]:
-            tables[u] = node_table(inst, layout, u, tables, None, stats, bridges)
+            tables[u] = node_table(inst, layout, u, tables, None, bridges)
         c = len(tree.children[0])
         assert c == 5
         tracemalloc.start()
         try:
-            table = node_table(inst, layout, 0, tables, None, stats, bridges)
+            table = node_table(inst, layout, 0, tables, None, bridges)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -246,12 +245,12 @@ class TestHeldBlocks:
         inst = generate_uniform(801, 9, 1e6)
         inst.distances  # the cached matrix is not part of the node's memory
         layout = PreorderLayout.of(tree)
-        stats, bridges, tables = UpsweepStats(), [None] * 801, {}
+        bridges, tables = [None] * 801, {}
         for u in tree.postorder[:-1]:
-            tables[u] = node_table(inst, layout, u, tables, None, stats, bridges)
+            tables[u] = node_table(inst, layout, u, tables, None, bridges)
         tracemalloc.start()
         try:
-            table = node_table(inst, layout, 0, tables, None, stats, bridges)
+            table = node_table(inst, layout, 0, tables, None, bridges)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -278,10 +277,10 @@ class TestEmptyMaskBatch:
         tree = RootedTree.from_parents(parent)
         inst = generate_uniform(tree.n, 9, 1e6)
         layout = PreorderLayout.of(tree)
-        stats, bridges = UpsweepStats(), [None] * tree.n
-        tables = {u: node_table(inst, layout, u, {}, None, stats, bridges)
+        bridges = [None] * tree.n
+        tables = {u: node_table(inst, layout, u, {}, None, bridges)
                   for u, cu in enumerate(tree.children) if not cu}
-        run, levels = _Pass(inst, layout, None, stats, bridges, tables, *_reach(tree, None)), _heights(tree)
+        run, levels = _Pass(inst, layout, None, bridges, tables, *_reach(tree, None)), _heights(tree)
         for nodes in levels[:height - 1]:
             for u, (table, _, _) in zip(nodes, _build(run, nodes)):
                 for v in tree.children[u]:
@@ -317,10 +316,10 @@ class TestTwoChildBatch:
         tree = RootedTree.from_parents(parent)
         inst = generate_uniform(tree.n, 9, 1e6)
         layout = PreorderLayout.of(tree)
-        stats, bridges = UpsweepStats(), [None] * tree.n
-        tables = {u: node_table(inst, layout, u, {}, None, stats, bridges)
+        bridges = [None] * tree.n
+        tables = {u: node_table(inst, layout, u, {}, None, bridges)
                   for u, cu in enumerate(tree.children) if not cu}
-        run, levels = _Pass(inst, layout, None, stats, bridges, tables, *_reach(tree, None)), _heights(tree)
+        run, levels = _Pass(inst, layout, None, bridges, tables, *_reach(tree, None)), _heights(tree)
         for nodes_ in levels[:-2]:
             for u, (table, _, _) in zip(nodes_, _build(run, nodes_)):
                 for v in tree.children[u]:
@@ -401,7 +400,7 @@ class TestProcessNode:
         tree = mst_tree(collinear3)
         layout = PreorderLayout.of(tree)
         with pytest.raises(ValueError):
-            node_table(collinear3, layout, 1, {}, None, UpsweepStats(), [None] * 3)
+            node_table(collinear3, layout, 1, {}, None, [None] * 3)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tables_match_sweep_oracle(self, seed):
@@ -563,6 +562,20 @@ class TestUpsweep:
         with pytest.raises(GuardError):
             upsweep(inst, tree)
 
+    def test_guard_runs_before_the_counters_at_70_children(self, monkeypatch):
+        # a hub with 70 children predicts 8.4e22 table entries; the guard
+        # sums them in Python integers before the counters' int64 closed
+        # form (where 1 << 70 wraps) or any table
+        n = 72
+        inst = make_instance([(math.cos(i), math.sin(i)) for i in range(n)])
+        tree = RootedTree.from_parents([1, None] + [0] * (n - 2))
+        module = importlib.import_module("doubletree.upsweep")
+        for name in ("_work", "_build"):
+            monkeypatch.setattr(module, name, lambda *a, _name=name: pytest.fail(f"{_name} ran before the guard"))
+        assert tree.max_children == 70 and predicted_entries(tree)[0] > 8e22
+        with pytest.raises(GuardError):
+            upsweep(inst, tree)
+
     def test_predicted_entries_match_allocation(self):
         inst = random_instance(40, seed=5)
         tree = degree_increase(mst_tree(inst), 4)
@@ -571,7 +584,7 @@ class TestUpsweep:
         assert tables == sum(t.size for t in st.tables.values())
         assert bridges == sum(b[0].size for b in st.bridges if b is not None)
         # rows whose parent-side mask holds the child itself stay uncomputed
-        assert st.stats.bip_entries * 2 == bridges
+        assert upsweep(inst, tree).stats.bip_entries * 2 == bridges
 
     def test_rejects_tiny_instances(self):
         inst = make_instance([(0, 0)])
