@@ -207,7 +207,7 @@ def _work(tree: RootedTree, kept: list[int], live: list[int]) -> UpsweepStats:
     """The counters of a pass over ``tree`` (see "Counters" above), from the
     ``kept`` and ``live`` counts of :class:`_Pass`."""
     c, kept, live = np.array([len(cu) for cu in tree.children]), np.array(kept), np.array(live)
-    u, v = np.arange(tree.n).repeat(c), np.array([v for cu in tree.children for v in cu], dtype=np.intp)
+    u, v = np.arange(tree.n).repeat(c), np.array([w for cu in tree.children for w in cu], dtype=np.intp)
     half, wv = 1 << (c[u] - 1), 1 << c[v]
     xs = np.bincount(u, kept[v], tree.n).astype(np.int64)  # each node's x candidates
     # each table's finite entries, its children's, and a postorder pass's after each node
@@ -302,7 +302,7 @@ def _batch(p: _Pass, batch: list[tuple], store: Bridges) -> None:
     del at
     item = np.arange(m).repeat(Y)  # each column's item
     if ws[0] is None:  # the empty mask: x is u alone, with A_0 = 0
-        X, xi, M = 1, np.array(us)[None], None
+        xi, M = np.array(us)[None], None
         inner = dist.pairs(xi[0, item], yi)
     else:  # row V below w: its finite columns in id order, then inf
         X, zw, pw = np.array([p.kept[w] for w in ws]), [layout.tree.subtree_size[w] for w in ws], pre[list(ws)]
