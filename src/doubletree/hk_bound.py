@@ -8,19 +8,19 @@ potentials toward equal node degrees (Held & Karp 1970/71).
 The ascent runs its steps on two graphs (Helsgaun 2000, as in LKH):
 
 * Step 1 is the exact 1-tree at zero potentials.  Its spanning part is an
-  MST of the graph less node 0, the tree the MST's own scan builds before
-  it adds node 0.  Where that scan had no tie, ``minimum_spanning_tree``
-  hands its tree over with the zero-potential scan's bits, and the caller
-  passes it on, so step 1 needs no second O(n^2) scan.  Otherwise step 1
-  takes the dense Prim scan (``spanning_tree.prim_scan``), which reads one
-  distance row per step.
-* Steps 2..N build their 1-trees on a sparse candidate graph by a
-  vectorised Boruvka pass.  Its rounds carry the live edges' component
-  arrays, relabel them after each merge and compact them with ``take``, so
-  a round copies only the edges that stay live.  The graph holds, for each
-  node, its ``NEAREST`` nearest neighbours and its ``PER_QUADRANT`` nearest
-  in each quadrant around it, plus the spanning edges of step 1's 1-tree,
-  so nodes 1..n-1 are always connected.  Up to ``COMPLETE_UP_TO`` nodes it
+  MST of the graph less node 0, the tree the MST's build spans before it
+  adds node 0.  Where that build shows the dense scan would have no tie (no
+  two light pairs of one length, no tie test of its component Prim fired),
+  ``minimum_spanning_tree`` hands the tree over with the zero-potential
+  scan's bits, and the caller passes it on, so step 1 needs no O(n^2)
+  scan.  Otherwise step 1 takes the dense Prim scan
+  (``spanning_tree.prim_scan``), which reads one distance row per step.
+* Steps 2..N build their 1-trees on a sparse candidate graph by the
+  vectorised Boruvka pass that also spans the MST's light pairs
+  (``spanning_tree.boruvka``).  The graph holds, for each node, its
+  ``NEAREST`` nearest neighbours and its ``PER_QUADRANT`` nearest in each
+  quadrant around it, plus the spanning edges of step 1's 1-tree, so nodes
+  1..n-1 are always connected.  Up to ``COMPLETE_UP_TO`` nodes it
   holds every pair.  Node 0's two edges still come from its dense row.  The
   graph is built only when a second step runs.
 * The candidate picks come from a grid of about ``CELL_POINTS`` points a
@@ -68,7 +68,7 @@ import numpy as np
 from .errors import InternalInvariantError
 from .instances import Instance, PairwiseDistances
 from .oracles import depth_first_shortcut
-from .spanning_tree import RootedTree, prim_scan
+from .spanning_tree import RootedTree, boruvka, prim_scan
 
 NEAREST = 5  # nearest neighbours per node in the candidate graph
 PER_QUADRANT = 2  # nearest neighbours per quadrant, for clustered points
@@ -115,7 +115,7 @@ def _one_tree(
     picked keys), as ``minimum_spanning_tree`` hands it over at zero
     potentials.
     """
-    parent, picked = prim_scan(dist, pi)[:2] if spanning is None else spanning
+    parent, picked = prim_scan(dist, pi) if spanning is None else spanning
     degrees = np.zeros(dist.n, dtype=np.int64)
     degrees[2:] = 1
     np.add.at(degrees, parent[2:], 1)
@@ -298,52 +298,13 @@ def _sparse_one_tree(
 ) -> tuple[float, np.ndarray]:
     """Minimum 1-tree whose spanning part uses only the candidate edges (u, v).
 
-    ``u < v`` holds for every edge.  A vectorised Boruvka pass under the
-    strict edge order (reduced weight, edge id), so the tree is unique even
-    under ties.  The rounds carry the live edges in id order as four arrays:
-    the components of their ends (``cu``, ``cv``), their reduced weights and
-    their ids.  Round 1 reads ``u`` and ``v`` as the component arrays: every
-    node is its own component, so every edge is live.  Each round every
-    component takes its lightest live edge: ``np.minimum.at`` finds the
-    lightest weight at each component, then the first position among the
-    edges that attain it, which holds the smallest id.  The components merge
-    by pointer jumping over the roots that took an edge; the component
-    arrays are relabelled through the merged roots, and ``take`` keeps the
-    edges whose ends still differ.  The value sums the taken edges in id
-    order; node 0's two edges come from its dense row ``d0``.
+    ``u < v`` holds for every edge, sorted by (u, v).  The spanning part is
+    ``boruvka``'s forest under the strict edge order (reduced weight, edge
+    id), so the tree is unique even under ties; its value sums the taken
+    edges in id order.  Node 0's two edges come from its dense row ``d0``.
     """
     w = (length - pi[u]) - pi[v]
-    cu, cv, cw, ids = u, v, w, np.arange(u.size)
-    taken = np.zeros(u.size, dtype=bool)
-    link = np.arange(n)
-    while cu.size:
-        # every ufunc.at index here is 1-D: on numpy 2.4 np.minimum.at with a
-        # 2-D index and 1-D values (not broadcast to its shape) gave garbage
-        lightest = np.full(n, np.inf)
-        np.minimum.at(lightest, cu, cw)
-        np.minimum.at(lightest, cv, cw)
-        first = np.full(n, cu.size)
-        at = np.flatnonzero(cw == lightest[cu])
-        np.minimum.at(first, cu.take(at), at)
-        at = np.flatnonzero(cw == lightest[cv])
-        np.minimum.at(first, cv.take(at), at)
-        roots = np.flatnonzero(first < cu.size)
-        pick = first[roots]
-        taken[ids.take(pick)] = True  # the two ends of an edge may both take it
-        other = cu.take(pick) + cv.take(pick) - roots
-        # two roots that took the same edge point at each other: the smaller
-        # one becomes the merged component's root
-        to = np.where((first[other] == pick) & (roots < other), roots, other)
-        link[roots] = to
-        while True:  # only the roots' links are ever read
-            jumped = link[to]
-            if (jumped == to).all():
-                break
-            link[roots] = to = jumped
-        cu, cv = link[cu], link[cv]
-        keep = np.flatnonzero(cu != cv)
-        cu, cv, cw, ids = cu.take(keep), cv.take(keep), cw.take(keep), ids.take(keep)
-    tree = np.flatnonzero(taken)
+    tree = np.flatnonzero(boruvka(n, u, v, w)[0])
     if tree.size != n - 2:
         raise InternalInvariantError("the candidate graph does not span nodes 1..n-1")
     degrees = np.bincount(u[tree], minlength=n) + np.bincount(v[tree], minlength=n)

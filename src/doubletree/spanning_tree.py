@@ -1,24 +1,27 @@
 """Minimum spanning trees, rooting, and the degree-increasing transformation.
 
-The MST is built in two passes.  A dense O(n^2) Prim scan, which matches
-the complete graph induced by a metric instance, spans nodes 1..n-1.  Above
-the distance cache the scan computes each row from coordinates over its
-fringe, the nodes not yet in the tree, and drops the picked nodes from the
-fringe at a fixed interval, so it computes about half the distances of n
-full rows.  ``minimum_spanning_tree`` then adds node 0 by one Prim pass
-over node 0's edges and the scan's tree (Chin & Houck 1978).  Both follow
-one strict edge order (weight, then lower end id, then higher end id), so
-the tree is the unique MST under that order and deterministic even with
-duplicate points.  The pass hands over parent links, rooted at node 0, and
-``root_tree`` re-roots them at the lowest-indexed leaf by reversing the
-links on one path.  Given node potentials, the same scan builds the
-Held-Karp bound's dense 1-trees.
+The MST is unique under one strict edge order (weight, then lower end id,
+then higher end id), so it is deterministic even with duplicate points.
+Its tree over nodes 1..n-1 comes from two sparse steps:
 
-The scan also reports whether any of its tie tests fired.  If none did,
-its tree over nodes 1..n-1 is the one the scan builds at zero potentials
-(the Held-Karp bound's first 1-tree), bit for bit, and
-``minimum_spanning_tree`` hands it over, so that 1-tree needs no second
-O(n^2) scan.
+* The light pairs, those shorter than a radius r, are read off a grid of
+  cells at least r wide; r holds a fixed number of points at the density of
+  a grid's occupied cells.  ``boruvka`` spans them: by Kruskal's cut
+  argument its forest holds every MST edge shorter than r.
+* A Prim over the forest's components starts at node 1's and adds a whole
+  component a step.  As a light pair beats every other, these are the
+  heavier picks of a dense Prim scan from node 1, with the same cuts.  A
+  bit-safe bounding-box bound skips components and points beyond their
+  keys; clustered points still read every pair of nearby components once.
+
+A Prim pass over that tree and node 0's edges then adds node 0 (Chin &
+Houck 1978), and ``root_tree`` re-roots its links at the lowest-indexed
+leaf.  Where no two light pairs share a length and no tie test of the
+component Prim fired, each step of the dense scan has one least edge
+across its cut, so a heap Prim from node 1 over the tree replays the scan
+at zero potentials (the bound's first 1-tree) bit for bit, and
+``minimum_spanning_tree`` hands that over.  The dense scan, ``prim_scan``,
+serves only the bound's 1-trees under potentials.
 
 A tree's traversal order is decided here alone: ``RootedTree.from_parents``
 walks the tree once and stores its preorder and postorder, children in
@@ -36,7 +39,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InternalInvariantError
-from .instances import Instance, PairwiseDistances
+from .instances import Instance, Metric, PairwiseDistances
+
+LIGHT_NEIGHBOURS = 10  # points within the light radius of a point, at the occupied cells' density
+SHRINK = 0.8  # the radius moves to the occupied cells' one where that is below this share of it
+READS_PER_POINT = 64  # pairs a point may read while the light pairs are picked
+BLOCK_ENTRIES = 1 << 15  # distances per block while components are joined
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,157 +118,282 @@ class RootedTree:
         )
 
 
-def prim_scan(
-    dist: PairwiseDistances, pi: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The one dense Prim scan over nodes 1..n-1: parent links, the picked
-    keys in pick order and whether a tie test fired.
-
-    Both modes span nodes 1..n-1 from node 1 and leave node 0 out, as a
-    1-tree does; ``picked`` starts with node 1's key, 0.0, and nodes 0 and
-    1 keep the link -1.  The scan keeps its fringe, the nodes not yet in the
-    tree, as arrays in ascending id order: ids, keys, links, the subtracted
-    mask and the x and y coordinates.  Each step reads one distance row over
-    them; a picked node gets NaN in the mask, so it never compares below or
-    equal to a key, and the key +inf.  With a cached matrix the row is a
-    view and the arrays keep every node.  Above the cache the row is
-    computed from the fringe's coordinates, and every ``max(1, n // 8)``
-    picks the arrays drop the picked nodes.
-    Id order keeps the first argmin and every tie rule below, so both ways
-    give the same bits.
-
-    Without potentials the scan returns the unique MST of nodes 1..n-1 under
-    the strict edge order (weight, lower end id, higher end id).  Ties are
-    tested for at each step and resolved only when they exist: the pick
-    takes the smallest edge pair among equal minimum keys, and an equal row
-    value moves a node to a smaller parent id.  If neither test ever fires,
-    every pick's edge is the one lightest edge across its cut, by value
-    alone, so the tree is the unique MST under any tie rule and the scan
-    with zero potentials builds it with the same bits; the third value is
-    True when a test fired.
-
-    With potentials ``pi`` the weights are the reduced ``(d[j] - pi[j]) - pi``.
-    Ties go to the smallest index (first argmin) and a key moves only on a
-    strict improvement, the rule the Held-Karp bound's 1-trees were fixed
-    under.  No tie is tested for, and the third value is False.
+def prim_scan(dist: PairwiseDistances, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The dense Prim scan of nodes 1..n-1 from node 1 under the reduced
+    weights ``(d[j] - pi[j]) - pi``: links (-1 at nodes 0 and 1) and picked
+    keys in pick order, from node 1's 0.0.  Ties go to the first argmin; a
+    key moves only on a strict improvement.  The fringe is kept in id order,
+    a picked node's potential NaN; a step reads a cached row, or computes
+    one over the fringe, which drops picked nodes every ``max(1, n // 8)``.
     """
     n = dist.n
     ids = np.arange(1, n)
-    mask = np.zeros(n - 1) if pi is None else pi[1:].copy()
+    mask = pi[1:].copy()
     key = np.full(n - 1, np.inf)
     key[:1] = 0.0  # node 1, where there is one
     link = np.full(n - 1, -1, dtype=np.int64)
     best_parent = np.full(n, -1, dtype=np.int64)
     picked = np.empty(n - 1)
-    buffers = (np.empty(n - 1), np.empty(n - 1, dtype=bool), np.empty(n - 1, dtype=bool))
-    row, better, tied = buffers
+    buffers = (np.empty(n - 1), np.empty(n - 1, dtype=bool))
+    row, better = buffers
     cols = slice(1, None)
     x, y = dist.xy[cols, 0].copy(), dist.xy[cols, 1].copy()
     cached = dist.cached
     every = n if cached else max(1, n // 8)
-    tie = False
     for i in range(n - 1):
         if i and i % every == 0:
             # a picked node's link is final: the NaN in its mask keeps it fixed
             best_parent[ids] = link
             keep = np.flatnonzero(~np.isnan(mask))
             ids, mask, key, link, x, y = (a.take(keep) for a in (ids, mask, key, link, x, y))
-            row, better, tied = (b[:keep.size] for b in buffers)
+            row, better = (b[:keep.size] for b in buffers)
         j = int(key.argmin())
-        if pi is None and link[j] >= 0 and np.count_nonzero(key == key[j]) > 1:
-            # no two share an edge pair: parents are in the tree, candidates not
-            tie = True
-            cand = np.flatnonzero(key == key[j])
-            par, cid = link[cand], ids[cand]
-            j = int(cand[np.lexsort((np.maximum(par, cid), np.minimum(par, cid)))[0]])
         jid = int(ids[j])
         picked[i] = key[j]
         key[j] = np.inf
         mask[j] = np.nan
         d = dist.pairs(jid, cols) if cached else dist.to_points(jid, x, y)
-        if pi is None:
-            np.subtract(d, mask, out=row)
-            np.equal(row, key, out=tied)  # before the update, which only takes row < key
-        else:
-            np.subtract(d, pi[jid], out=row)
-            np.subtract(row, mask, out=row)
+        np.subtract(d, pi[jid], out=row)
+        np.subtract(row, mask, out=row)
         np.less(row, key, out=better)
         np.copyto(key, row, where=better)
         np.copyto(link, jid, where=better)
-        if pi is None and tied.any():
-            tie = True
-            link[tied & (link > jid)] = jid
     best_parent[ids] = link
-    return best_parent, picked, tie
+    return best_parent, picked
 
 
-def minimum_spanning_tree(
-    inst: Instance,
-) -> tuple[np.ndarray, float, Optional[tuple[np.ndarray, np.ndarray]]]:
-    """The unique MST under the strict edge order: parent links, weight and
-    the scan's tree over nodes 1..n-1 where it had no tie.
+def boruvka(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The minimum spanning forest of the edges (u, v) with weights ``w``
+    under the order (weight, edge id), (weight, u, v) for sorted u < v:
+    which edges it takes, and each node's component, named by one node.
 
-    ``prim_scan`` without potentials gives the tree S over nodes 1..n-1;
-    one Prim pass from node 0 over S's n - 2 edges and node 0's n - 1 edges
-    then adds node 0.  Every edge of the MST off node 0 is in S: any other
-    edge is the heaviest, in the strict order, of its cycle through S.  So
-    the pass, which takes the least edge of its cut in the strict order at
-    each step, picks in the order of a dense scan from node 0, with its
-    links and lengths ``d - 0.0 = d``.  Node 0's edges come in that order
-    from one sort, the edges of S through a heap, and the loop reads and
-    writes the arrays through memoryviews, which hand over Python numbers
-    without holding one object per entry.
-
-    The links are rooted at node 0 (-1 there); the weight is the pass's keys,
-    from node 0's 0.0, summed left to right in pick order.  The third value
-    is the scan's (links, picked keys) when no tie test of the scan fired
-    (see ``prim_scan``), what the scan builds at zero potentials, and None
-    otherwise.
+    A vectorised Boruvka pass: each round every component takes its
+    lightest live edge, the first in id order, by ``np.minimum.at``; the
+    components merge by pointer jumping, and ``take`` keeps the live edges.
     """
-    n = inst.n
-    dist = inst.distances
-    scan_parent, scan_picked, tie = prim_scan(dist)
-    if np.count_nonzero(scan_parent < 0) != min(n, 2):
-        raise InternalInvariantError("Prim produced a non-spanning tree")
-    # S's edges, each from both ends, grouped by their first end
-    kids = np.arange(2, n)
-    ends, other = np.concatenate([kids, scan_parent[2:]]), np.concatenate([scan_parent[2:], kids])
-    order = np.argsort(ends, kind="stable")
-    start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ends, minlength=n), out=start[1:])
-    ends, other = ends[order], other[order]
-    d0 = dist.pairs(0, slice(1, None))
-    near = np.argsort(d0, kind="stable")  # node 0's edges in (length, id) order, as id - 1
+    cu, cv, cw, ids = u, v, w, np.arange(u.size)
+    taken = np.zeros(u.size, dtype=bool)
+    link = np.arange(n)
+    while cu.size:
+        # every ufunc.at index here is 1-D: on numpy 2.4 np.minimum.at with a
+        # 2-D index and 1-D values (not broadcast to its shape) gave garbage
+        lightest = np.full(n, np.inf)
+        np.minimum.at(lightest, cu, cw)
+        np.minimum.at(lightest, cv, cw)
+        first = np.full(n, cu.size)
+        at = np.flatnonzero(cw == lightest[cu])
+        np.minimum.at(first, cu.take(at), at)
+        at = np.flatnonzero(cw == lightest[cv])
+        np.minimum.at(first, cv.take(at), at)
+        roots = np.flatnonzero(first < cu.size)
+        pick = first[roots]
+        taken[ids.take(pick)] = True  # the two ends of an edge may both take it
+        other = cu.take(pick) + cv.take(pick) - roots
+        # two roots that took the same edge point at each other: the smaller
+        # one becomes the merged component's root
+        to = np.where((first[other] == pick) & (roots < other), roots, other)
+        link[roots] = to
+        while True:  # only the roots' links are ever read
+            jumped = link[to]
+            if (jumped == to).all():
+                break
+            link[roots] = to = jumped
+        cu, cv = link[cu], link[cv]
+        keep = np.flatnonzero(cu != cv)
+        cu, cv, cw, ids = cu.take(keep), cv.take(keep), cw.take(keep), ids.take(keep)
+    while True:  # a merged root's link leads to the root it merged into
+        jumped = link[link]
+        if (jumped == link).all():
+            return taken, link
+        link = jumped
+
+
+def _light_pairs(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs of nodes 1..n-1 shorter than the light radius r, as (u, v,
+    length) arrays, u < v, sorted by (u, v), read off cells r wide, plus
+    2^-20 and, on rounded lengths, 0.5: a point two cells off is a cell off
+    in x or y, and a length is monotone in both.  r holds ``LIGHT_NEIGHBOURS``
+    points at the bounding box's density, then at the occupied cells' while
+    that shrinks it (``SHRINK``); past ``READS_PER_POINT`` reads a point it
+    halves, down to 0 (no pairs) at cells of 2^-24 of the box.
+    """
+    xy, n, r = inst.coords[1:], inst.n, 0.0
+    lo = xy.min(axis=0, initial=np.inf)
+    span = xy.max(axis=0, initial=-np.inf) - lo  # -inf without points
+    if span.max() > 0:  # the box's density, or a line's
+        r = np.sqrt(LIGHT_NEIGHBOURS * max(span.prod(), span.max() ** 2 / (n - 1)) / (np.pi * (n - 1)))
+    pad = 0.5 if inst.metric is Metric.EUC_2D else 0.0
+    while r > 0:
+        width = (r + pad) * (1 + 2.0 ** -20)
+        if width < span.max() * 2.0 ** -24:  # keeps a cell's key below 2^50
+            r = 0.0
+            break
+        cell = ((xy - lo) // width).astype(np.int64)
+        stride = int(cell[:, 0].max()) + 2  # an empty column between rows
+        flat = cell[:, 1] * stride + cell[:, 0]
+        order = np.argsort(flat, kind="stable")
+        flat = flat[order]
+        first = np.flatnonzero(np.diff(flat, prepend=-1))  # each occupied cell's run
+        keys, count = flat[first], np.diff(first, append=n - 1)
+        runs = []  # per offset, each cell's (start, length) of the run it reads
+        for step in (1, stride - 1, stride, stride + 1):
+            at = np.minimum(np.searchsorted(keys, keys + step), keys.size - 1)
+            runs.append((first[at], np.where(keys[at] == keys + step, count[at], 0)))
+        dense = width * np.sqrt(LIGHT_NEIGHBOURS * keys.size / (np.pi * (n - 1)))
+        if (count * (count - 1) // 2 + count * sum(c for _, c in runs)).sum() > READS_PER_POINT * (n - 1):
+            r = min(r / 2, dense)
+        elif dense < SHRINK * r:
+            r = dense
+        else:
+            break
+    if r == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
+    point_cell = np.repeat(np.arange(keys.size), count)
+    at = np.arange(n - 1)
+    pairs = []
+    for start, length in [(at + 1, (first + count)[point_cell] - at - 1)] + \
+            [(s[point_cell], c[point_cell]) for s, c in runs]:
+        a = np.repeat(at, length)
+        b = order[np.arange(a.size) + np.repeat(start - np.cumsum(length) + length, length)] + 1
+        a = order[a] + 1
+        d = inst.distances.pairs(a, b)
+        light = np.flatnonzero(d < r)
+        a, b = a.take(light), b.take(light)
+        pairs.append((np.minimum(a, b), np.maximum(a, b), d.take(light)))
+    u, v, length = (np.concatenate(x) for x in zip(*pairs))
+    by_ends = np.argsort(u * n + v)
+    return u.take(by_ends), v.take(by_ends), length.take(by_ends)
+
+
+def _join_components(dist: PairwiseDistances, comp: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The MST edges between the components ``comp`` of nodes 1..n-1, as
+    (u, v) arrays, and whether a tie test fired: the component Prim.
+
+    Points are kept by component, ids ascending, each with a key and a link.
+    A step reads the joining component against the components, then points,
+    whose box bound (the rounded gaps through the monotone length) is not
+    above their keys, in blocks of ``BLOCK_ENTRIES`` (or one column) at most.
+    Ties go to the smallest row, and at a pick to the least edge pair, as in
+    the dense scan.  The tie tests: a column minimum at or below its key
+    that equals it or that two rows attain, and equal least keys at a pick.
+    """
+    label = np.cumsum(np.bincount(comp[1:], minlength=comp.size) > 0)[comp[1:]] - 1  # from 0
+    ids = np.argsort(label, kind="stable") + 1
+    owner, count = label[ids - 1], np.bincount(label)
+    start = np.concatenate([[0], np.cumsum(count)])
+    xy = dist.xy[ids].T
+    low, high = np.minimum.reduceat(xy, start[:-1], axis=1), np.maximum.reduceat(xy, start[:-1], axis=1)
+    key, link = np.full(ids.size, np.inf), np.full(ids.size, -1, dtype=np.int64)
+    largest, outside = np.full(count.size, np.inf), np.ones(count.size, dtype=bool)
+    edges = np.empty((2, max(count.size - 1, 0)), dtype=np.int64)
+    c, tie = (label[0] if label.size else 0), False  # node 1's component
+
+    def reach(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """A bound from below on the distances from the (2, k) boxes (lo, hi) to c's."""
+        gap = np.maximum(np.maximum(lo - high[:, c, None], low[:, c, None] - hi), 0.0)
+        return dist._lengths(gap[0], gap[1])
+
+    for step in range(edges.shape[1]):
+        outside[c] = False
+        key[start[c]:start[c + 1]] = np.inf
+        rows = ids[start[c]:start[c + 1]]
+        fringe = np.flatnonzero(outside)
+        read = fringe[reach(low[:, fringe], high[:, fringe]) <= largest[fringe]]
+        size = count[read]
+        offset = np.cumsum(size) - size
+        cols = np.arange(size.sum()) + np.repeat(start[read] - offset, size)
+        near = cols[reach(xy[:, cols], xy[:, cols]) <= key[cols]]
+        width = max(1, BLOCK_ENTRIES // rows.size)
+        for first in range(0, near.size, width):
+            block = near[first:first + width]
+            d = dist.pairs(rows[:, None], ids[block])
+            at = d.argmin(axis=0)
+            least = d[at, np.arange(block.size)]
+            hit = np.flatnonzero(least <= key[block])
+            pos, least, src = block[hit], least[hit], rows[at[hit]]
+            # the last row at the minimum is the first of the reversed rows
+            tie |= bool((least == key[pos]).any() or (d[::-1].argmin(axis=0)[hit] != rows.size - 1 - at[hit]).any())
+            move = (least < key[pos]) | (src < link[pos])
+            key[pos[move]], link[pos[move]] = least[move], src[move]
+        largest[read] = np.maximum.reduceat(key[cols], offset)
+        tied = np.flatnonzero(key == key.min())
+        j = tied[0]
+        if tied.size > 1:
+            tie, par, cid = True, link[tied], ids[tied]
+            j = tied[np.lexsort((np.maximum(par, cid), np.minimum(par, cid)))[0]]
+        edges[:, step] = link[j], ids[j]
+        c = owner[j]
+    return edges[0], edges[1], tie
+
+
+def _tree_prim(dist: PairwiseDistances, u: np.ndarray, v: np.ndarray, root: int,
+               near: np.ndarray, near_len: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prim from ``root`` over the tree edges (u, v), by a heap in the strict
+    order, and the root's sorted edges to ``near``, of lengths ``near_len``:
+    links (-1 where none) and picked keys in pick order, from the root's 0.0.
+    """
+    n = dist.n
+    order = np.argsort(np.concatenate([u, v]), kind="stable")
+    ends, other = np.concatenate([u, v])[order], np.concatenate([v, u])[order]
+    start = np.searchsorted(ends, np.arange(n + 1))
     parent = np.full(n, -1, dtype=np.int64)
-    picked = np.zeros(n)
-    done = bytearray(n)
-    done[0] = 1
+    picked = np.zeros(u.size + (root < n) + (near.size > 0))  # the tree's nodes, the root
+    done = bytearray(n + 1)  # node n is a sentinel past the root's edges
+    done[root] = 1
+    # memoryviews hand the loop Python numbers without one object per entry
     start, nbr, length = memoryview(start), memoryview(other), memoryview(dist.pairs(ends, other))
-    near, near_len = memoryview(near + 1), memoryview(d0[near])
+    near, near_len = memoryview(np.append(near, n)), memoryview(np.append(near_len, np.inf))
     link, keys = memoryview(parent), memoryview(picked)
     # heap entries (length, lower end, higher end, the end outside)
     heap: list[tuple[float, int, int, int]] = []
     pop, push = heapq.heappop, heapq.heappush
-    v = p = 0
-    for i in range(1, n):
+    v, p = root, 0
+    for i in range(1, len(keys)):
         for e in range(start[v], start[v + 1]):
-            u = nbr[e]
-            if not done[u]:
-                push(heap, (length[e], u, v, u) if u < v else (length[e], v, u, u))
+            w = nbr[e]
+            if not done[w]:
+                push(heap, (length[e], w, v, w) if w < v else (length[e], v, w, w))
         while done[near[p]]:
             p += 1
         while heap and done[heap[0][3]]:
             pop(heap)
-        # on equal lengths node 0's edge is the lesser: its lower end is 0
+        # on equal lengths the root's edge is the lesser: its lower end is the root, node 0
         if heap and heap[0][0] < near_len[p]:
             keys[i], lo, hi, v = pop(heap)
             link[v] = lo + hi - v
         else:
             keys[i], v = near_len[p], near[p]
-            link[v] = 0
+            link[v] = root
             p += 1
         done[v] = 1
-    return parent, float(np.add.accumulate(picked)[-1]), None if tie else (scan_parent, scan_picked)
+    return parent, picked
+
+
+def minimum_spanning_tree(
+    inst: Instance,
+) -> tuple[np.ndarray, float, Optional[tuple[np.ndarray, np.ndarray]]]:
+    """The unique MST under the strict edge order: parent links rooted at
+    node 0, weight, and the zero-potential dense scan's (links, picked keys)
+    where the build shows them (see above), else None.  Every MST edge off
+    node 0 is in the tree S of nodes 1..n-1, as any other is the heaviest of
+    its cycle through S, so a Prim pass from node 0 over S and node 0's
+    edges picks as a dense scan from node 0; the weight sums its keys left
+    to right.  A pass from node 1 over S gives the scan's bits.
+    """
+    n, dist = inst.n, inst.distances
+    u, v, length = _light_pairs(inst)
+    taken, comp = boruvka(n, u, v, length)
+    hu, hv, tie = _join_components(dist, comp)
+    su, sv = np.concatenate([u[taken], hu]), np.concatenate([v[taken], hv])
+    if su.size != max(n - 2, 0):
+        raise InternalInvariantError("the light forest and its joins do not span nodes 1..n-1")
+    d0 = dist.pairs(0, slice(1, None))
+    near = np.argsort(d0, kind="stable")  # node 0's edges in (length, id) order, as id - 1
+    parent, picked = _tree_prim(dist, su, sv, 0, near + 1, d0[near])
+    weight = float(np.add.accumulate(picked)[-1])
+    if tie or (np.diff(np.sort(length)) == 0).any():
+        return parent, weight, None
+    return parent, weight, _tree_prim(dist, su, sv, 1, near[:0], d0[:0])
 
 
 def root_tree(parent: Sequence[int]) -> RootedTree:

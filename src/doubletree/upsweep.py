@@ -569,12 +569,4 @@ def upsweep(inst: Instance, tree: RootedTree, k: Optional[int] = None) -> Upswee
     if weight == np.inf:
         raise InternalInvariantError("no tour candidates at the root")
     best_a = int(p.layout.order[total == weight].min())
-
-    d, n = tree.max_children, inst.n
-    if stats.quad_evals > (4**d) * n * n:
-        raise InternalInvariantError(f"route-candidate count {stats.quad_evals} exceeds 4^d n^2")
-    if stats.max_live_entries > (2**d) * n:
-        raise InternalInvariantError(f"live table entries {stats.max_live_entries} exceed 2^d n")
-    if stats.bip_entries > (4**d) * n:
-        raise InternalInvariantError("bridge table larger than 4^d n")
-    return UpsweepResult(weight, best_a, n, r, stats, p.bridges)
+    return UpsweepResult(weight, best_a, inst.n, r, stats, p.bridges)

@@ -470,37 +470,39 @@ class TestOneBuildPerInstance:
                      "--degree-limit", "4", "--hk-iterations", "20",
                      "--tour-out", str(tmp_path / "t.tour"),
                      "--plot", str(tmp_path / "t.svg")]) == 0
-        # the MST's scan and three certificates; step 1 comes from the unique MST
-        assert build_counts == {"mst": 1, "root": 1, "scan": 4, "distances": 1}
+        # three certificates; the MST needs no scan and step 1 comes from it
+        assert build_counts == {"mst": 1, "root": 1, "scan": 3, "distances": 1}
 
     def test_suite(self, build_counts):
         run_suite([10], seeds=2, grid=[(1, None), (1, 4), (3, 16), (5, None)],
                   hk_iterations=20)
-        assert build_counts == {"mst": 2, "root": 2, "scan": 8, "distances": 2}
+        assert build_counts == {"mst": 2, "root": 2, "scan": 6, "distances": 2}
 
     def test_verify(self, tmp_path, build_counts):
         inst_file = tmp_path / "v.tsp"
         assert main(["gen", "uniform", "--n", "7", "--seed", "2", "-o", str(inst_file)]) == 0
         assert main(["verify", "--input", str(inst_file)]) == 0
-        assert build_counts == {"mst": 1, "root": 1, "scan": 2, "distances": 1}
+        assert build_counts == {"mst": 1, "root": 1, "scan": 1, "distances": 1}
 
-    def test_one_dense_scan_before_the_ascent(self, build_counts):
+    def test_no_dense_scan_before_the_ascent(self, build_counts):
         assert main(["run", "--gen", "uniform:n=200,seed=1", "--hk-iterations", "1"]) == 0
-        assert build_counts["scan"] == 1
+        assert build_counts["scan"] == 0
 
     def test_ties_take_the_dense_step_one(self, tmp_path, build_counts):
         # a rounded lattice ties everywhere: step 1 takes its own dense scan
         lattice = [(10 * i, 10 * j) for i in range(8) for j in range(8)]
         path = write_euc2d(tmp_path / "lattice.tsp", lattice)
         assert main(["run", "--input", path, "--hk-iterations", "1"]) == 0
-        assert build_counts["scan"] == 2
+        assert build_counts["scan"] == 1
 
-    def test_rounded_without_ties_takes_one_scan(self, tmp_path, build_counts):
-        # rounded (EUC_2D) lengths, but no tie in the MST's scan: step 1 comes from it
-        points = np.random.default_rng(2).integers(0, 1000, size=(30, 2)).tolist()
+    @pytest.mark.parametrize("box,scans", [(10**6, 0), (1000, 1)])
+    def test_rounded_lengths(self, tmp_path, build_counts, box, scans):
+        # rounded (EUC_2D) lengths: step 1 comes from the MST where no two
+        # light pairs share a length (in the wide box), else from a dense scan
+        points = np.random.default_rng(2).integers(0, box, size=(30, 2)).tolist()
         path = write_euc2d(tmp_path / "rounded.tsp", points)
         assert main(["run", "--input", path, "--hk-iterations", "1"]) == 0
-        assert build_counts["scan"] == 1
+        assert build_counts["scan"] == scans
 
 
 def write_euc2d(path, coords):

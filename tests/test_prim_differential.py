@@ -9,11 +9,14 @@ quality gate of ``hk_gate.py`` against the reference ascent.  Every case
 runs twice: with the distance matrix cached and with ``MATRIX_CACHE_LIMIT``
 set low, so rows and candidate blocks are recomputed from coordinates.
 
-The ascent's step 1, handed over by ``minimum_spanning_tree`` from the scan
+The ascent's step 1, handed over by ``minimum_spanning_tree`` from the tree
 it adds node 0 to, is compared bit for bit with the dense scan it replaces,
 for every degree of node 0 from 1 to 4; inputs with ties must take the
 dense scan.  Adding node 0 is compared with the frozen MST on small integer
-lattices, where ties abound.
+lattices, where ties abound.  The sparse build of that tree (light pairs,
+their components and the component Prim) is compared with the frozen MST
+on inputs that stress each part, and wherever it hands a tree over, with
+the dense scan at zero potentials.
 """
 
 import tracemalloc
@@ -302,11 +305,11 @@ class TestStepOneFromMst:
             assert got == held_karp_ascent(inst, tree, steps)
         assert all(dense)
 
-    def test_memory(self, monkeypatch):
-        # the pass that adds node 0, given the scan's result
+    def test_memory(self):
+        # the whole build: light pairs, components, their joins, the pass that
+        # adds node 0 and the replay; the distance object is built before
         inst = generate_uniform(4000, 2000003, 1e6)  # node 0 has two MST neighbours
-        scan = prim_scan(inst.distances)
-        monkeypatch.setattr(spanning_tree, "prim_scan", lambda dist: scan)
+        assert inst.distances._matrix is None
         tracemalloc.start()
         try:
             assert minimum_spanning_tree(inst)[2] is not None
@@ -314,3 +317,111 @@ class TestStepOneFromMst:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * 2**20
+
+
+def _assert_frozen_mst(inst):
+    """The MST's links and weight bits are the frozen scan's, and a handed
+    over tree is the zero-potential dense scan's, bit for bit."""
+    parent, weight, spanning = minimum_spanning_tree(inst)
+    edges = reference_prim.minimum_spanning_tree(inst)
+    assert parent.tolist() == [-1] + [a for a, _, _ in sorted(edges, key=lambda e: e[1])]
+    want = 0.0
+    for _, _, w in edges:
+        want += w
+    assert weight.hex() == want.hex()
+    if spanning is not None and inst.n > 1:
+        dense = prim_scan(inst.distances, np.zeros(inst.n))
+        assert spanning[0].tolist() == dense[0].tolist()
+        assert spanning[1].tobytes() == dense[1].tobytes()
+    return spanning
+
+
+def _components(inst):
+    """The components of the light pairs of nodes 1..n-1, as their sizes."""
+    u, v, length = spanning_tree._light_pairs(inst)
+    return np.bincount(spanning_tree.boruvka(inst.n, u, v, length)[1][1:])
+
+
+class TestSparseBuild:
+    def test_two_far_clusters(self):
+        near = generate_clustered(150, 21, 1.0).coords
+        far = generate_clustered(150, 22, 1.0).coords + 1e4
+        inst = make_instance(np.concatenate([near, far]))
+        assert np.count_nonzero(_components(inst)) >= 2
+        assert _assert_frozen_mst(inst) is not None
+
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_line_with_growing_gaps(self, rounded):
+        # a doubling gap soon outgrows r (which holds several points at the
+        # occupied cells' density), so the far points are each a component
+        x = 2.0 ** np.arange(40)
+        inst = make_instance(np.stack([x, 0.5 * x], axis=1), rounded=rounded)
+        assert np.count_nonzero(_components(inst) == 1) >= 3
+        _assert_frozen_mst(inst)
+
+    def test_coincident_points(self):
+        # 300 copies of one point read too many pairs at any r: no light
+        # pairs, so every point is its own component
+        rng = np.random.default_rng(5)
+        inst = make_instance(np.concatenate([np.full((300, 2), 50.0), rng.random((20, 2)) * 100]))
+        assert np.count_nonzero(_components(inst) == 1) == inst.n - 1
+        assert _assert_frozen_mst(inst) is None
+        _assert_frozen_mst(make_instance(np.concatenate([inst.coords[300:], inst.coords[300:310]])))
+
+    @pytest.mark.parametrize("points", [
+        # node 4 lies as far from 2 as from 3, both in node 1's component;
+        # the scan reaches 3 first, the strict order takes 2
+        [(40.0, 37.0), (2.3, 0.1), (-1.0, 0.0), (1.0, 0.0), (0.0, 9.0), (0.1, -1.7), (-2.2, -0.3)],
+        # node 7 lies as far from 6 (in node 1's component) as from 2 (in
+        # the component the join takes next): the scan keeps 6, the order 2
+        [(50.0, 60.0), (-11.0, -0.7), (10.0, 0.0), (11.2, -0.5), (10.3, -1.3), (-10.4, -1.1),
+         (-10.0, 0.0), (0.0, 30.0)],
+    ])
+    def test_equal_lengths_to_a_point_take_the_dense_scan(self, points):
+        # with distinct light pairs, only the join's tie tests see these
+        assert _assert_frozen_mst(make_instance(points)) is None
+
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_all_points_equal(self, rounded):
+        assert _assert_frozen_mst(make_instance(np.full((30, 2), 7.0), rounded=rounded)) is None
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_few_points(self, n):
+        rng = np.random.default_rng(n)
+        for points in (rng.random((n, 2)), rng.integers(0, 3, size=(n, 2)).astype(float), np.zeros((n, 2))):
+            for rounded in (False, True):
+                _assert_frozen_mst(make_instance(points, rounded=rounded))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rounded_lattices(self, seed):
+        rng = np.random.default_rng(seed)
+        for side, scale in ((12, 1.0), (40, 1.0), (30, 7.3)):
+            _assert_frozen_mst(make_instance(scale * rng.integers(0, side, size=(150, 2)), rounded=True))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([3.0, 30.0, 1e3]), st.booleans())
+    def test_light_pairs_hold_every_pair_up_to_their_longest(self, seed, side, rounded):
+        # a pair the grid misses would leave the light forest, and the
+        # build, a cycle edge it should not take
+        rng = np.random.default_rng(seed)
+        inst = make_instance(np.round(rng.random((int(rng.integers(3, 80)), 2)) * side, 1), rounded=rounded)
+        u, v, length = spanning_tree._light_pairs(inst)
+        lo, hi = np.triu_indices(inst.n - 1, 1)
+        d = inst.distances.pairs(lo + 1, hi + 1)
+        want = d <= (length.max() if length.size else -1.0)
+        assert sorted(zip(u.tolist(), v.tolist())) == sorted(zip((lo[want] + 1).tolist(), (hi[want] + 1).tolist()))
+        assert length.tolist() == inst.distances.pairs(u, v).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_lattices(), st.booleans())
+    def test_tied_lattices(self, inst, from_coords):
+        limit = 2 if from_coords else instances.MATRIX_CACHE_LIMIT
+        with mock.patch.object(instances, "MATRIX_CACHE_LIMIT", limit):
+            _assert_frozen_mst(inst)
+
+    @pytest.mark.parametrize("klass", sorted(GENERATORS))
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_step_one_gets_the_tree(self, klass, n):
+        # without the handover the bound's step 1 takes a dense scan
+        for seed in range(1, 6):
+            assert minimum_spanning_tree(GENERATORS[klass](n, seed, 1e6))[2] is not None

@@ -24,13 +24,13 @@ def test_time_parts_prints_finite_numbers(monkeypatch, capsys):
     monkeypatch.setattr(tool, "UPSWEEP_CASES", (("uniform", 200, 5, 16),))
     monkeypatch.setattr(tool, "SPARSE_CASES", (("uniform", 200),))
     monkeypatch.setattr(tool, "BUILD_CASES", (("uniform", 200),))
-    monkeypatch.setattr(tool, "PRIM_SIZES", (200,))
+    monkeypatch.setattr(tool, "STEP_ONE_SIZES", (200,))
     tool.main(["--repeats", "1"])
     out = json.loads(capsys.readouterr().out)
     assert list(out) == ["upsweep_ms", "held_share", "peak_mb", "tree", "sparse_one_tree_ms", "ascent_100_steps_ms",
-                         "candidate_build_ms", "prim_scan_ms", "step_one_ms", "derived_seeds",
+                         "candidate_build_ms", "mst_ms", "step_one_ms", "derived_seeds",
                          "source", "python", "numpy", "cpus"]
     fields = list(_leaves({key: out[key] for key in list(out)[:10]}))
-    assert len(fields) == 20
+    assert len(fields) == 27
     assert all(type(x) in (int, float) and math.isfinite(x) for x in fields)
     assert out["tree"]["uniform-n200-DT_5_16"]["node_steps"] > 0

@@ -43,16 +43,19 @@ at n=4000 for DT and DT_1_16:
   clustered n=1000, 4000 and 10^4, around step 1's 1-tree (the fastest of
   at most 3 at n=10^4).  ``dense_rows`` is the share of rows that went
   through the dense row pass.
-* ``prim_scan_ms``: one ``spanning_tree.prim_scan`` without potentials (the
-  MST's scan) and one at zero potentials (the 1-tree's), at uniform n=1000
-  (distance matrix cached) and n=4000 (rows computed from coordinates).
-  Both scans span nodes 1..n-1.
-* ``step_one_ms``: what the MST and the ascent's step 1 cost beyond that one
-  scan: the pass that adds node 0 (``minimum_spanning_tree`` given its
-  scan's result), at uniform and clustered n=1000 and 4000.
-  ``derived_seeds`` counts, of uniform and of clustered seeds 1-5 at
-  n=1000, those whose step 1 comes from the MST's scan; the rest take a
-  dense scan of their own.
+* ``mst_ms``: the fastest ``minimum_spanning_tree`` at uniform and
+  clustered n=1000, 4000 and 10^4 (the fastest of at most 3 at n=10^4),
+  split into the light pairs (``_light_pairs``), their Boruvka pass
+  (``boruvka``), the component Prim (``_join_components``), the replay of
+  the dense scan from node 1 and the pass that adds node 0 (both
+  ``_tree_prim``); ``other`` is the rest, all of it in a checkout without
+  these functions.
+* ``step_one_ms``: the bound's step 1, ``hk_bound._one_tree`` at zero
+  potentials, from the tree the MST hands over and from a dense scan of its
+  own, at uniform and clustered n=1000 (distance matrix cached) and 4000
+  (rows computed from coordinates).  ``derived_seeds`` counts, of uniform
+  and of clustered seeds 1-5 at n=1000, those whose step 1 comes from the
+  MST; the rest take the dense scan.
 
 Wall times vary with the machine and its load; compare only figures from
 one run of two checkouts, interleaved.  This script is a measurement, not a
@@ -68,6 +71,7 @@ import os
 import platform
 import time
 import tracemalloc
+from collections import defaultdict
 from contextlib import ExitStack, contextmanager
 
 import numpy as np
@@ -89,7 +93,7 @@ UPSWEEP_CASES = tuple((klass, n, d, k) for klass in ("uniform", "clustered") for
 # the ascent is timed at the first sparse case, derived_seeds at the first size
 SPARSE_CASES = (("uniform", 1000), ("clustered", 1000), ("uniform", 4000))
 BUILD_CASES = tuple((klass, n) for klass in ("uniform", "clustered") for n in (1000, 4000, 10_000))
-PRIM_SIZES = (1000, 4000)
+STEP_ONE_SIZES = (1000, 4000)
 
 
 def _case(klass: str, n: int, d: int = 1):
@@ -170,29 +174,44 @@ def time_sparse_one_tree(klass: str, n: int, repeats: int) -> float:
     return round(_fastest(lambda: [hk_bound._sparse_one_tree(*a) for a in calls], repeats) / len(calls), 3)
 
 
+def _split(module, parts: dict, call, repeats: int) -> dict[str, float]:
+    """The fastest of ``repeats`` runs of ``call`` (ms), split into the time
+    spent in the functions of ``module`` that ``parts`` names (those it has),
+    under their labels: a string, or a function of the call's arguments."""
+    def timed(f, label):
+        def wrapped(*args):
+            out = []
+            spent[label(args) if callable(label) else label] += _fastest(lambda: out.append(f(*args)), 1)
+            return out[0]
+        return wrapped
+
+    best = {"total": np.inf}
+    for _ in range(repeats):
+        spent = defaultdict(float)
+        with ExitStack() as stack:
+            for name, label in ((k, v) for k, v in parts.items() if hasattr(module, k)):
+                stack.enter_context(_patched(module, name, lambda f, label=label: timed(f, label)))
+            total = _fastest(call, 1)
+        if total < best["total"]:
+            best = {"total": total, **spent, "other": total - sum(spent.values())}
+    return {key: round(ms, 2) for key, ms in best.items()}
+
+
 def time_ascent(klass: str, n: int, repeats: int) -> dict[str, float]:
     """The fastest of ``repeats`` ``STEPS``-step ascents, split into its parts (ms)."""
     inst, tree = _case(klass, n)
     parts = {"_candidate_edges": "candidate_build", "_one_tree": "dense_one_trees",
              "_sparse_one_tree": "sparse_steps"}
+    return _split(hk_bound, parts, lambda: hk_bound.held_karp_ascent(inst, tree, STEPS), repeats)
 
-    def timed(f, label):
-        def call(*args):
-            out = []
-            spent[label] += _fastest(lambda: out.append(f(*args)), 1)
-            return out[0]
-        return call
 
-    best = {"total": np.inf}
-    for _ in range(repeats):
-        spent = {"total": 0.0, **dict.fromkeys(parts.values(), 0.0)}
-        with ExitStack() as stack:
-            for name, label in parts.items():
-                stack.enter_context(_patched(hk_bound, name, lambda f, label=label: timed(f, label)))
-            spent["total"] = _fastest(lambda: hk_bound.held_karp_ascent(inst, tree, STEPS), 1)
-        best = min(best, spent, key=lambda b: b["total"])
-    best["other"] = best["total"] - sum(best[label] for label in parts.values())
-    return {key: round(ms, 2) for key, ms in best.items()}
+def time_mst(klass: str, n: int, repeats: int) -> dict[str, float]:
+    """The fastest ``minimum_spanning_tree``, split into its parts (ms)."""
+    inst = _case(klass, n)[0]
+    parts = {"_light_pairs": "light_pairs", "boruvka": "boruvka", "_join_components": "component_prim",
+             # the replay of the scan starts at node 1, the pass that adds node 0 at node 0
+             "_tree_prim": lambda args: "replay" if args[3] == 1 else "node_zero"}
+    return _split(spanning_tree, parts, lambda: minimum_spanning_tree(inst), min(repeats, 3) if n > 4000 else repeats)
 
 
 def time_candidate_build(klass: str, n: int, repeats: int) -> dict[str, float]:
@@ -203,29 +222,23 @@ def time_candidate_build(klass: str, n: int, repeats: int) -> dict[str, float]:
     return {"ms": round(ms, 2), "dense_rows": round(hk_bound._grid_picks(inst)[2].size / (n - 1), 3)}
 
 
-def time_step_one(klass: str, n: int, repeats: int) -> float:
-    """The MST and step 1 beyond the MST's scan (ms): the pass that adds node 0."""
+def time_step_one(klass: str, n: int, repeats: int) -> dict[str, float]:
+    """Step 1 from the MST's tree and from a dense scan of its own (ms)."""
     inst = GENERATORS[klass](n, SEED, BOX)
-    scan = spanning_tree.prim_scan(inst.distances)
-    with _patched(spanning_tree, "prim_scan", lambda f: lambda dist: scan):
-        return round(_fastest(lambda: minimum_spanning_tree(inst), repeats), 2)
+    dist, zeros, spanning = inst.distances, np.zeros(n), minimum_spanning_tree(inst)[2]
+    return {"handed_over": round(_fastest(lambda: hk_bound._one_tree(dist, zeros, spanning), repeats), 2),
+            "dense_scan": round(_fastest(lambda: hk_bound._one_tree(dist, zeros), repeats), 2)}
 
 
 def bound_section(repeats: int) -> dict:
-    prim = {}
-    for n in PRIM_SIZES:
-        dist = GENERATORS["uniform"](n, SEED, BOX).distances
-        prim[f"uniform-n{n}"] = {
-            "mst": round(_fastest(lambda: spanning_tree.prim_scan(dist), repeats), 2),
-            "one_tree": round(_fastest(lambda: spanning_tree.prim_scan(dist, np.zeros(n)), repeats), 2)}
     return {
         "sparse_one_tree_ms": {f"{klass}-n{n}": time_sparse_one_tree(klass, n, repeats) for klass, n in SPARSE_CASES},
         "ascent_100_steps_ms": time_ascent(*SPARSE_CASES[0], repeats),
         "candidate_build_ms": {f"{klass}-n{n}": time_candidate_build(klass, n, repeats) for klass, n in BUILD_CASES},
-        "prim_scan_ms": prim,
-        "step_one_ms": {f"{c}-n{n}": time_step_one(c, n, repeats) for c in GENERATORS for n in PRIM_SIZES},
-        "derived_seeds": {klass: sum(minimum_spanning_tree(GENERATORS[klass](PRIM_SIZES[0], s, BOX))[2] is not None
-                                     for s in range(1, 6)) for klass in GENERATORS},
+        "mst_ms": {f"{klass}-n{n}": time_mst(klass, n, repeats) for klass, n in BUILD_CASES},
+        "step_one_ms": {f"{c}-n{n}": time_step_one(c, n, repeats) for c in GENERATORS for n in STEP_ONE_SIZES},
+        "derived_seeds": {klass: sum(minimum_spanning_tree(GENERATORS[klass](STEP_ONE_SIZES[0], s, BOX))[2]
+                                     is not None for s in range(1, 6)) for klass in GENERATORS},
     }
 
 
