@@ -328,16 +328,17 @@ def _join_components(dist: PairwiseDistances, comp: np.ndarray) -> tuple[np.ndar
 
 def _tree_prim(dist: PairwiseDistances, u: np.ndarray, v: np.ndarray, root: int,
                near: np.ndarray, near_len: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prim from ``root`` over the tree edges (u, v), by a heap in the strict
-    order, and the root's sorted edges to ``near``, of lengths ``near_len``:
-    links (-1 where none) and picked keys in pick order, from the root's 0.0.
+    """Prim from ``root`` (0 or 1) over nodes root..n-1: the tree edges (u, v)
+    by a heap in the strict order, and the root's sorted edges to ``near``,
+    of lengths ``near_len``.  Links (-1 where none) and picked keys in pick
+    order, from the root's 0.0.
     """
     n = dist.n
     order = np.argsort(np.concatenate([u, v]), kind="stable")
     ends, other = np.concatenate([u, v])[order], np.concatenate([v, u])[order]
     start = np.searchsorted(ends, np.arange(n + 1))
     parent = np.full(n, -1, dtype=np.int64)
-    picked = np.zeros(u.size + (root < n) + (near.size > 0))  # the tree's nodes, the root
+    picked = np.zeros(n - root)
     done = bytearray(n + 1)  # node n is a sentinel past the root's edges
     done[root] = 1
     # memoryviews hand the loop Python numbers without one object per entry
